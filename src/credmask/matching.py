@@ -9,6 +9,18 @@ nearest unpaired counterparts within the distance and angle tolerances
 maximum over all hypotheses, evaluated with the templates in both roles, so
 the score is symmetric by construction. Score = 2*m / (n1 + n2), which is 1.0
 exactly for a self match and 0 for fully disjoint templates.
+
+Cost. There are H = O(n1*n2) hypotheses. The greedy pass needs the pairs of
+only the few hypotheses whose upper bound, min(#a with a candidate, #b with a
+candidate), can still beat the best count so far. The bound is computed
+exactly, but each moved minutia of b is tested only against the minutiae of a
+in the 3x3 block of grid cells around it. That costs O(H*n2*(k + log n1))
+time, where k is the number of minutiae of a in such a block (a cell is about
+one distance tolerance wide) and the log is one lookup of the block. Hypotheses
+are processed in chunks of at most _CHUNK_ELEMENTS pairs, so memory stays
+bounded whatever the template size or coordinates. Each visited hypothesis
+costs one (n1, n2) pass. Scores, pair counts and transforms are those of
+testing every pair of every hypothesis.
 """
 
 from __future__ import annotations
@@ -50,6 +62,24 @@ DEFAULT_PARAMS = MatchParams()
 
 _IDENTITY = (0.0, 0.0, 0.0)
 
+# The bound pass puts template a in square grid cells. A pair passes the
+# distance test only if both its coordinate gaps are at most
+# max(tolerance, 2**-500) * (1 + 2**-50); the floor covers squares that
+# underflow to 0. Cells are 17/16 of that wide, so such a pair is under 0.95
+# cells apart; x / side is rounded by under 2**-22 cells within 2**31 cells
+# of the origin, so its ends fall in the same or adjacent cells. Past that,
+# indices clamp to +-_CELL_LIMIT, where both ends of such a pair clamp to the
+# same edge cell.
+_CELL_SCALE = 1.0625
+_MIN_CELL_TOLERANCE = 2.0 ** -500
+_CELL_LIMIT = 2 ** 30
+# More than the spread of row indices, neighbours of clamped cells included,
+# so column * _KEY_WIDTH + row is one-to-one.
+_KEY_WIDTH = 2 * _CELL_LIMIT + 3
+# Most (a, moved b) pairs one chunk of the bound pass may hold, unless a
+# single hypothesis has more.
+_CHUNK_ELEMENTS = 2 ** 16
+
 
 def match_templates(a: Template, b: Template,
                     params: MatchParams = DEFAULT_PARAMS) -> MatchResult:
@@ -88,50 +118,25 @@ def _as_arrays(t: Template):
 
 
 def _best_alignment(a, b, params: MatchParams) -> tuple[int, tuple[float, float, float]]:
-    ax, ay, atheta, akind = a
-    bx, by, btheta, bkind = b
-    n1, n2 = ax.size, bx.size
-
-    kind_ok = akind[:, None] == bkind[None, :]  # (n1, n2)
-    if params.kind_strict:
-        ref_a, ref_b = np.nonzero(kind_ok)
-    else:
-        ref_a, ref_b = np.nonzero(np.ones((n1, n2), dtype=bool))
-    if ref_a.size == 0:
+    hyp = _hypotheses(a, b, params.kind_strict)
+    phi, _, _, tx, ty = hyp
+    if phi.size == 0:
         return 0, _IDENTITY
-
-    phi = atheta[ref_a] - btheta[ref_b]
-    cos, sin = np.cos(phi), np.sin(phi)
-    tx = ax[ref_a] - (cos * bx[ref_b] - sin * by[ref_b])
-    ty = ay[ref_a] - (sin * bx[ref_b] + cos * by[ref_b])
-
-    # Transformed b under every hypothesis: (H, n2)
-    tbx = cos[:, None] * bx[None, :] - sin[:, None] * by[None, :] + tx[:, None]
-    tby = sin[:, None] * bx[None, :] + cos[:, None] * by[None, :] + ty[:, None]
-    tbtheta = np.mod(btheta[None, :] + phi[:, None], TWO_PI)
-
-    dist2 = ((ax[None, :, None] - tbx[:, None, :]) ** 2
-             + (ay[None, :, None] - tby[:, None, :]) ** 2)  # (H, n1, n2)
-    dtheta = np.abs(atheta[None, :, None] - tbtheta[:, None, :])
-    dtheta = np.minimum(dtheta, TWO_PI - dtheta)
-
-    candidates = (dist2 <= params.distance_tolerance ** 2) & (dtheta <= params.angle_tolerance)
-    if params.kind_strict:
-        candidates &= kind_ok[None, :, :]
-
     # Cheap upper bound per hypothesis prunes the greedy pass to the few
     # alignments that could still beat the current best.
-    bound = np.minimum(candidates.any(axis=2).sum(axis=1),
-                       candidates.any(axis=1).sum(axis=1))
+    bound = _bounds(a, b, hyp, params)
     order = np.argsort(-bound, kind="stable")
 
+    n1, n2 = a[0].size, b[0].size
     best_m = 0
     best_h = -1
     cap = min(n1, n2)
     for h in order:
         if bound[h] <= best_m:
             break
-        m = _greedy_pairs(candidates[h], dist2[h])
+        tbx, tby, tbtheta = _moved(b, *(v[h:h + 1] for v in hyp))
+        moved = (tbx[0], tby[0], tbtheta[0], b[3])
+        m = _greedy_pairs(*_pair_test(a, moved, np.arange(n1)[:, None], np.arange(n2), params))
         if m > best_m:
             best_m, best_h = m, int(h)
             if best_m == cap:
@@ -139,6 +144,108 @@ def _best_alignment(a, b, params: MatchParams) -> tuple[int, tuple[float, float,
     if best_h < 0:
         return 0, _IDENTITY
     return best_m, (float(tx[best_h]), float(ty[best_h]), float(phi[best_h] % TWO_PI))
+
+
+def _hypotheses(a, b, kind_strict: bool):
+    """(phi, cos, sin, tx, ty) of the rigid motion each reference pair implies."""
+    ax, ay, atheta, akind = a
+    bx, by, btheta, bkind = b
+    if kind_strict:
+        ref_a, ref_b = np.nonzero(akind[:, None] == bkind[None, :])
+    else:
+        ref_a, ref_b = np.nonzero(np.ones((ax.size, bx.size), dtype=bool))
+    phi = atheta[ref_a] - btheta[ref_b]
+    cos, sin = np.cos(phi), np.sin(phi)
+    tx = ax[ref_a] - (cos * bx[ref_b] - sin * by[ref_b])
+    ty = ay[ref_a] - (sin * bx[ref_b] + cos * by[ref_b])
+    return phi, cos, sin, tx, ty
+
+
+def _moved(b, phi, cos, sin, tx, ty):
+    """b under each given hypothesis: three (H, n2) arrays."""
+    bx, by, btheta, _ = b
+    tbx = cos[:, None] * bx[None, :] - sin[:, None] * by[None, :] + tx[:, None]
+    tby = sin[:, None] * bx[None, :] + cos[:, None] * by[None, :] + ty[:, None]
+    tbtheta = np.mod(btheta[None, :] + phi[:, None], TWO_PI)
+    return tbx, tby, tbtheta
+
+
+def _pair_test(a, moved, ia, jb, params: MatchParams):
+    """Candidate flags and squared distances of the pairs (a[ia], moved[jb])."""
+    ax, ay, atheta, akind = a
+    tbx, tby, tbtheta, bkind = moved
+    dist2 = (ax[ia] - tbx[jb]) ** 2 + (ay[ia] - tby[jb]) ** 2
+    dtheta = np.abs(atheta[ia] - tbtheta[jb])
+    dtheta = np.minimum(dtheta, TWO_PI - dtheta)
+    candidates = (dist2 <= params.distance_tolerance ** 2) & (dtheta <= params.angle_tolerance)
+    if params.kind_strict:
+        candidates &= akind[ia] == bkind[jb]
+    return candidates, dist2
+
+
+def _bounds(a, b, hyp, params: MatchParams) -> np.ndarray:
+    """Per hypothesis, min(#a with a candidate, #b with a candidate).
+
+    Only the pairs whose ends lie in neighbouring grid cells are tested, a
+    chunk of hypotheses at a time, so memory stays within _CHUNK_ELEMENTS.
+    """
+    n1, n2 = a[0].size, b[0].size
+    side = _CELL_SCALE * max(params.distance_tolerance, _MIN_CELL_TOLERANCE)
+    cells, starts, counts, members = _cell_blocks(a, side)
+    step = max(1, _CHUNK_ELEMENTS // (n2 * int(counts.max())))
+
+    H = hyp[0].size
+    bound = np.empty(H, dtype=np.int64)
+    for h0 in range(0, H, step):
+        tbx, tby, tbtheta = _moved(b, *(v[h0:h0 + step] for v in hyp))
+        hc = tbx.shape[0]
+        key = _cell_key(_cells(tbx.ravel(), side), _cells(tby.ravel(), side))
+        at = np.minimum(np.searchsorted(cells, key), cells.size - 1)
+        found = np.where(cells[at] == key, counts[at], 0)
+        # one (a index, moved b index) pair per member of each block
+        jb = np.repeat(np.arange(hc * n2), found)
+        first = np.cumsum(found) - found
+        ia = members[np.arange(jb.size) + np.repeat(starts[at] - first, found)]
+        moved = (tbx.ravel(), tby.ravel(), tbtheta.ravel(), np.tile(b[3], hc))
+        ok, _ = _pair_test(a, moved, ia, jb, params)
+        ia, jb = ia[ok], jb[ok]
+        has_a = np.zeros(hc * n1, dtype=bool)
+        has_a[jb // n2 * n1 + ia] = True
+        has_b = np.zeros(hc * n2, dtype=bool)
+        has_b[jb] = True
+        bound[h0:h0 + hc] = np.minimum(has_a.reshape(hc, n1).sum(axis=1),
+                                       has_b.reshape(hc, n2).sum(axis=1))
+    return bound
+
+
+def _cell_blocks(a, side: float):
+    """Index template a by 3x3 block of grid cells: the sorted keys of the
+    cells whose block holds a minutia, each block's start and length in the
+    member list, and the member list (indices into a)."""
+    dx, dy = np.divmod(np.arange(9), 3)
+    key = _cell_key((_cells(a[0], side)[:, None] + dx - 1).ravel(),
+                    (_cells(a[1], side)[:, None] + dy - 1).ravel())
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    cells, starts = np.unique(key, return_index=True)
+    counts = np.diff(np.append(starts, key.size))
+    return cells, starts, counts, order // 9
+
+
+def _cells(x: np.ndarray, side: float) -> np.ndarray:
+    """Grid cell index of each coordinate, clamped to +-_CELL_LIMIT.
+
+    A coordinate that overflowed to inf or NaN can pass the distance test
+    only under an infinite tolerance, where every finite coordinate is in
+    cell 0, so NaN (inf / inf) goes to cell 0 too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.floor(x / side)
+    return np.clip(np.nan_to_num(k, nan=0.0), -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
+
+
+def _cell_key(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    return cx * _KEY_WIDTH + cy
 
 
 def _greedy_pairs(mask: np.ndarray, dist2: np.ndarray) -> int:

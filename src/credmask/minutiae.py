@@ -27,6 +27,9 @@ TERMINATION = "termination"
 BIFURCATION = "bifurcation"
 
 TWO_PI = 2.0 * math.pi
+# Most minutiae a .min file may hold: the one-byte count of an ISO/IEC
+# 19794-2 finger minutiae record.
+MAX_TEMPLATE_MINUTIAE = 255
 
 # 8-neighborhood ring, clockwise from the top-left pixel (image row/col offsets).
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
@@ -152,7 +155,11 @@ def save_template(template: Template, path: str | Path) -> None:
 
 
 def load_template(path: str | Path) -> Template:
-    """Parse a ``.min`` file written by :func:`save_template`."""
+    """Parse a ``.min`` file written by :func:`save_template`.
+
+    A header count above MAX_TEMPLATE_MINUTIAE is refused before any minutia
+    is parsed.
+    """
     p = Path(path)
     text = p.read_text(encoding="ascii")
     lines = [ln for ln in text.split("\n") if ln.strip()]
@@ -162,6 +169,9 @@ def load_template(path: str | Path) -> Template:
     if len(header) != 2 or header[0] != "MIN1":
         raise ValueError(f"{p}: bad header {lines[0]!r}")
     count = int(header[1])
+    if count > MAX_TEMPLATE_MINUTIAE:
+        raise ValueError(f"{p}: header claims {count} minutiae, "
+                         f"more than the limit of {MAX_TEMPLATE_MINUTIAE}")
     body = lines[1:]
     if len(body) != count:
         raise ValueError(f"{p}: header claims {count} minutiae, found {len(body)}")

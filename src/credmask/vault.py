@@ -18,6 +18,7 @@ protect nothing; only the passphrase-derived key does.
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import os
 import struct
@@ -289,14 +290,41 @@ def create_vault(path: str | os.PathLike, passphrase: bytes | str,
 
 
 def open_vault(path: str | os.PathLike, passphrase: bytes | str) -> VaultFile:
-    """Decrypt and authenticate a vault file into memory.
+    """Lock, decrypt and authenticate a vault file into memory.
 
-    WrongSecretError when the tag fails under a well-formed header (a wrong
-    passphrase and a flipped body byte are indistinguishable by design);
-    TamperedVaultError for structural corruption; BadVersionError for formats
-    this build does not speak. Never returns partially decrypted data.
+    The lock is taken before the file is read, so no other handle can commit
+    between this read and this handle's own commit. VaultLockedError when
+    another handle holds it; WrongSecretError when the tag fails under a
+    well-formed header (a wrong passphrase and a flipped body byte are
+    indistinguishable by design); TamperedVaultError for structural
+    corruption; BadVersionError for formats this build does not speak. Never
+    returns partially decrypted data, and releases the lock on every error.
     """
     p = Path(path)
+    if not p.exists():  # fail without leaving a lock file beside no vault
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(p))
+    lock_fd = _acquire_lock(p)
+    try:
+        vault = _read_locked(p, passphrase, lock_fd)
+    except BaseException:
+        _release_lock(lock_fd)
+        raise
+    vault.open_proof = auth.AuthProof(
+        kinds=frozenset({auth.KIND_PASSPHRASE}), vault_token=vault.auth_token
+    )
+    return vault
+
+
+# -- internals --------------------------------------------------------------------------
+
+def _passphrase_bytes(passphrase: bytes | str) -> bytes:
+    secret = passphrase.encode("utf-8") if isinstance(passphrase, str) else bytes(passphrase)
+    if not secret:
+        raise ValueError("passphrase must not be empty")
+    return secret
+
+
+def _read_locked(p: Path, passphrase: bytes | str, lock_fd: int) -> VaultFile:
     blob = p.read_bytes()
     if len(blob) < _MIN_FILE:
         raise TamperedVaultError(f"vault file truncated: {p}")
@@ -319,26 +347,12 @@ def open_vault(path: str | os.PathLike, passphrase: bytes | str) -> VaultFile:
         raise WrongSecretError(
             "vault did not authenticate (wrong passphrase or modified file)"
         ) from None
-    lock_fd = _acquire_lock(p)
     vault = VaultFile(p, params, key, lock_fd)
     try:
         vault._deserialize(payload)
     except (TruncatedError, ValueError, KeyError) as exc:
-        vault.close()
         raise TamperedVaultError(f"vault payload corrupt: {exc}") from exc
-    vault.open_proof = auth.AuthProof(
-        kinds=frozenset({auth.KIND_PASSPHRASE}), vault_token=vault.auth_token
-    )
     return vault
-
-
-# -- internals --------------------------------------------------------------------------
-
-def _passphrase_bytes(passphrase: bytes | str) -> bytes:
-    secret = passphrase.encode("utf-8") if isinstance(passphrase, str) else bytes(passphrase)
-    if not secret:
-        raise ValueError("passphrase must not be empty")
-    return secret
 
 
 def _lock_path(p: Path) -> Path:

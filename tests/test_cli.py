@@ -304,6 +304,77 @@ def test_unmask_good_probe_succeeds(run, fingerprint_world):
     assert code == 0, err
 
 
+def oversized_min(path):
+    path.write_text("MIN1 256\n" + "".join(f"{i}.5 {i}.25 1.0 T\n" for i in range(256)))
+    return path
+
+
+def test_unmask_probe_over_255_minutiae_exits_1(run, fingerprint_world, tmp_path):
+    store_path, vault_path, _, _ = fingerprint_world
+    store_hash = file_sha256(store_path)
+    vault_hash = file_sha256(vault_path)
+    code, out, err = run("unmask", "--store", store_path, "--vault", vault_path, "--all",
+                         "--fingerprint", oversized_min(tmp_path / "big.min"),
+                         passphrase=PASS)
+    assert code == 1
+    assert "255" in err and "17.25" not in out + err
+    assert file_sha256(store_path) == store_hash
+    assert file_sha256(vault_path) == vault_hash
+
+
+def test_enroll_template_over_255_minutiae_exits_1(run, fingerprint_world, tmp_path):
+    store_path, vault_path, _, _ = fingerprint_world
+    store_hash = file_sha256(store_path)
+    vault_hash = file_sha256(vault_path)
+    code, out, err = run("auth", "enroll-fingerprint", "--vault", vault_path,
+                         "--template", oversized_min(tmp_path / "big.min"), passphrase=PASS)
+    assert code == 1
+    assert "255" in err and "17.25" not in out + err
+    assert file_sha256(store_path) == store_hash
+    assert file_sha256(vault_path) == vault_hash
+
+
+# -- concurrent maskers ------------------------------------------------------------------
+
+def test_interleaved_maskers_lose_no_row(store_factory, tmp_path, capsys, monkeypatch,
+                                         tiny_kdf):
+    # mask b.example runs to completion while mask a.example derives its key
+    from credmask import crypto
+    from credmask.vault import create_vault, open_vault
+
+    handle = store_factory({"a.example": 2, "b.example": 3})
+    before = handle.list_logins()
+    handle.close()
+    vault_path = tmp_path / "vault.cmv"
+    create_vault(vault_path, PASS, tiny_kdf).close()
+    real_derive = crypto.derive_key
+    loser = {}
+
+    def mask(host):
+        return main(["mask", "--store", str(handle.path), "--vault", str(vault_path),
+                     "--hosts", host, "--passphrase-fd", str(feed_fd(PASS))])
+
+    def derive_key(secret, params):
+        if not loser:
+            loser["started"] = True  # the nested mask derives without the hook
+            loser["code"] = mask("b.example")
+            loser["err"] = capsys.readouterr().err
+        return real_derive(secret, params)
+
+    monkeypatch.setattr(crypto, "derive_key", derive_key)
+    assert mask("a.example") == 0
+    assert loser["code"] == 1
+    assert "vault is locked" in loser["err"]
+    monkeypatch.undo()
+
+    with open_vault(vault_path, PASS) as vf:
+        vaulted = [row for entry in vf.entries for row in entry.rows]
+    with open_store(handle.path) as after:
+        live = after.list_logins()
+    assert [e.hostname for e in vf.entries] == ["a.example"]
+    assert sorted(vaulted + live, key=lambda row: row.row_id) == before
+
+
 # -- status ---------------------------------------------------------------------------
 
 def test_status_fresh_vault(run, world, tiny_kdf):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from credmask import minutiae as minutiae_module
 from credmask.errors import BadMarginError, NotBinaryError, TraceTooShortError
 from credmask.minutiae import (
     BIFURCATION,
+    MAX_TEMPLATE_MINUTIAE,
     TERMINATION,
     Minutia,
     Template,
@@ -252,6 +254,29 @@ def test_min_rejects_bad_kind(tmp_path):
     p.write_text("MIN1 1\n0 0 0 Q\n")
     with pytest.raises(ValueError):
         load_template(p)
+
+
+def write_min(path, count, x=31415.92653, y=-27182.81828):
+    path.write_text(f"MIN1 {count}\n" + f"{x!r} {y!r} 1.0 T\n" * count)
+    return path
+
+
+def test_min_loads_255_minutiae(tmp_path):
+    loaded = load_template(write_min(tmp_path / "full.min", 255))
+    assert len(loaded) == MAX_TEMPLATE_MINUTIAE == 255
+
+
+def test_min_refuses_256_minutiae_before_parsing_any(tmp_path, monkeypatch):
+    path = write_min(tmp_path / "over.min", 256)
+    built = []
+    monkeypatch.setattr(minutiae_module, "Minutia",
+                        lambda *args: built.append(args) or Minutia(*args))
+    with pytest.raises(ValueError) as info:
+        load_template(path)
+    assert built == []
+    message = str(info.value)
+    assert "256" in message and "255" in message
+    assert "31415.92653" not in message and "27182.81828" not in message
 
 
 # -- skeleton images ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import fcntl
+import os
 import time
 
 import pytest
@@ -166,6 +168,54 @@ def test_unknown_version_reported(vault_path, tiny_kdf):
     vault_path.write_bytes(blob)
     with pytest.raises(BadVersionError):
         open_vault(vault_path, "secret")
+
+
+def assert_unlocked(path):
+    fd = os.open(f"{path}.lock", os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+
+
+def test_failed_open_releases_the_lock(vault_path, tiny_kdf, monkeypatch):
+    with create_vault(vault_path, "secret", tiny_kdf) as vf:
+        good = vault_path.read_bytes()
+        monkeypatch.setattr(vf, "_serialize", lambda: b"\xff" * 9)
+        vf.commit()
+        corrupt_payload = vault_path.read_bytes()
+    bad_version = bytearray(good)
+    bad_version[4:6] = (2).to_bytes(2, "big")
+    cases = [
+        (good[:20], "secret", TamperedVaultError),
+        (b"XXXX" + good[4:], "secret", TamperedVaultError),
+        (bytes(bad_version), "secret", BadVersionError),
+        (good, "wrong", WrongSecretError),
+        (corrupt_payload, "secret", TamperedVaultError),
+    ]
+    for blob, passphrase, error in cases:
+        vault_path.write_bytes(blob)
+        with pytest.raises(error):
+            open_vault(vault_path, passphrase)
+        assert_unlocked(vault_path)
+    vault_path.write_bytes(good)
+    open_vault(vault_path, "secret").close()
+
+
+def test_open_takes_the_lock_before_reading(vault_path, tiny_kdf, monkeypatch):
+    with create_vault(vault_path, "secret", tiny_kdf):
+        read = []
+        monkeypatch.setattr(type(vault_path), "read_bytes",
+                            lambda self: read.append(self) or b"")
+        with pytest.raises(VaultLockedError):
+            open_vault(vault_path, "secret")
+        assert read == []
+
+
+def test_missing_vault_leaves_no_lock_file(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        open_vault(tmp_path / "absent.cmv", "secret")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_on_disk_layout_is_bit_exact(vault_path, tiny_kdf):
