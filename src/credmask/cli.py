@@ -87,7 +87,8 @@ def _read_passphrase(passphrase_fd: int | None, confirm: bool = False) -> str:
             data += chunk
             if b"\n" in data:
                 break
-        return data.split(b"\n", 1)[0].decode("utf-8")
+        line, newline, _ = data.partition(b"\n")
+        return (line.removesuffix(b"\r") if newline else line).decode("utf-8")  # LF or CRLF
     return click.prompt("Vault passphrase", hide_input=True,
                         confirmation_prompt=confirm)
 
@@ -128,15 +129,10 @@ def cli() -> None:
 @click.option("--config", "config_path", metavar="PATH", default=None)
 def cmd_list(store_path, vault_path, fmt, passphrase_fd, config_path):
     """List hosts with stored credentials and whether each is live or masked."""
-    _load_config(config_path)
-    rows: list[tuple[str, int, str]] = []
+    vault_path = vault_path or _load_config(config_path).get("vault")
     with ExitStack() as stack:
         handle = stack.enter_context(store.open_store(store_path, store.READ_ONLY))
-        counts: dict[str, int] = {}
-        for row in handle.list_logins():
-            counts[row.hostname] = counts.get(row.hostname, 0) + 1
-        for host in counts:
-            rows.append((host, counts[host], "live"))
+        rows = [(host, len(ids), "live") for host, ids in handle.host_row_ids().items()]
         if vault_path and Path(vault_path).exists():
             vf = stack.enter_context(
                 vault.open_vault(vault_path, _read_passphrase(passphrase_fd)))
@@ -167,7 +163,7 @@ def cmd_list(store_path, vault_path, fmt, passphrase_fd, config_path):
 @click.option("--kdf-iterations", type=int, default=3, show_default=True,
               help="Argon2id iterations for a vault created with --init.")
 @click.option("--dry-run", is_flag=True, help="Plan and print, mutate nothing.")
-@click.option("--force", is_flag=True, help="Skip the store-busy check.")
+@click.option("--force", is_flag=True, help="Skip only the browser lock-file check.")
 @click.option("--passphrase-fd", type=int, default=None, hidden=True)
 @click.option("--config", "config_path", metavar="PATH", default=None)
 def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
@@ -182,7 +178,8 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
     keystore_path = keystore_path or _default_keystore(store_path)
 
     with ExitStack() as stack:
-        handle = stack.enter_context(store.open_store(store_path, store.READ_ONLY))
+        mode = store.READ_ONLY if dry_run else store.READ_WRITE
+        handle = stack.enter_context(store.open_store(store_path, mode))
         if init_vault and not Path(vault_path).exists():
             params = KdfParams.generate(kdf_memory_mib * 1024 * 1024, kdf_iterations)
             vf = stack.enter_context(
@@ -210,18 +207,14 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
                 click.echo(f"  {hostname}  rows {list(row_ids)}")
             return
 
-        handle.close()
-        rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
-        report = engine.apply_mask(plan, rw, vf, force=force, sibling_locks=locks)
+        report = engine.apply_mask(plan, handle, vf, force=force, sibling_locks=locks)
 
     click.echo(f"masked {len(plan.selections)} host(s); mode: {report.mode}")
     click.echo("Log off and log back in now so open sessions drop their cached logins.")
 
 
 def _interactive_selection(handle: store.StoreHandle, vf) -> list[str]:
-    counts: dict[str, int] = {}
-    for row in handle.list_logins():
-        counts[row.hostname] = counts.get(row.hostname, 0) + 1
+    counts = {host: len(ids) for host, ids in handle.host_row_ids().items()}
     vaulted = set(vf.hosts()) if vf is not None else set()
     options = [h for h in sorted(counts) if h not in vaulted]
     if not options:
@@ -262,7 +255,7 @@ def _interactive_selection(handle: store.StoreHandle, vf) -> list[str]:
               help="What to do when a masked host has live rows again.")
 @click.option("--fingerprint", "probe_path", metavar="PROBE.min",
               help="Minutiae probe file, required when the policy includes one.")
-@click.option("--force", is_flag=True, help="Skip the store-busy check.")
+@click.option("--force", is_flag=True, help="Skip only the browser lock-file check.")
 @click.option("--passphrase-fd", type=int, default=None, hidden=True)
 @click.option("--config", "config_path", metavar="PATH", default=None)
 def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,

@@ -101,9 +101,7 @@ def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
     already = [h for h in wanted if h in vaulted]
     if already:
         raise AlreadyMaskedError(f"already masked: {already}")
-    by_host: dict[str, list[int]] = {}
-    for row in store.list_logins():
-        by_host.setdefault(row.hostname, []).append(row.row_id)
+    by_host = store.host_row_ids()
     unknown = [h for h in wanted if h not in by_host]
     if unknown:
         raise UnknownHostError(f"no stored rows for: {unknown}")
@@ -121,44 +119,46 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
                sibling_locks: Sequence[str] = store_mod.DEFAULT_SIBLING_LOCKS) -> StatusReport:
     """Move the planned rows into the vault: vault commit first, then delete.
 
-    The order means an interruption can only ever duplicate rows, never lose
-    them. Fails with StalePlanError when the store or vault no longer matches
-    the plan, leaving both files untouched.
+    One store write transaction holds the re-read, the vault commit and the
+    delete. The order means an interruption can only ever duplicate rows, never
+    lose them. Fails with StalePlanError when the store or vault no longer
+    matches the plan, leaving both files untouched.
     """
     _require_same_path(plan.store_path, store.path, "store")
     _require_same_path(plan.vault_path, vault.path, "vault")
     if not force:
         check_not_busy(store.path, sibling_locks)
 
-    rows_by_id = {row.row_id: row for row in store.list_logins()}
-    vaulted = set(vault.hosts())
-    entries = []
-    all_ids: list[int] = []
-    now = int(time.time())
-    for hostname, row_ids in plan.selections:
-        if hostname in vaulted:
-            raise StalePlanError(f"{hostname} was vaulted after planning")
-        rows = []
-        for rid in row_ids:
-            row = rows_by_id.get(rid)
-            if row is None or row.hostname != hostname:
-                raise StalePlanError(f"row {rid} of {hostname} changed after planning")
-            rows.append(row)
-        entries.append(VaultEntry(
-            hostname=hostname,
-            rows=tuple(rows),
-            masked_at=now,
-            store_path=str(store.path),
-            schema_columns=store.schema,
-        ))
-        all_ids.extend(row_ids)
+    with store.write_transaction():
+        rows_by_id = {row.row_id: row for row in store.list_logins()}
+        vaulted = set(vault.hosts())
+        entries = []
+        all_ids: list[int] = []
+        now = int(time.time())
+        for hostname, row_ids in plan.selections:
+            if hostname in vaulted:
+                raise StalePlanError(f"{hostname} was vaulted after planning")
+            rows = []
+            for rid in row_ids:
+                row = rows_by_id.get(rid)
+                if row is None or row.hostname != hostname:
+                    raise StalePlanError(f"row {rid} of {hostname} changed after planning")
+                rows.append(row)
+            entries.append(VaultEntry(
+                hostname=hostname,
+                rows=tuple(rows),
+                masked_at=now,
+                store_path=str(store.path),
+                schema_columns=store.schema,
+            ))
+            all_ids.extend(row_ids)
 
-    vault.put_entries(entries)
-    if plan.keystore_before is not None and vault.keystore_record is None:
-        vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
-    vault.commit()
-    crash_point("after-vault-commit")
-    store.delete_rows(all_ids)
+        vault.put_entries(entries)
+        if plan.keystore_before is not None and vault.keystore_record is None:
+            vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
+        vault.commit()
+        crash_point("after-vault-commit")
+        store.delete_rows(all_ids)
     crash_point("after-store-delete")
     return status(store, vault)
 
@@ -196,8 +196,9 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     """Restore vaulted rows after the proof satisfies the vault's policy.
 
     Authentication is checked before any store access; an invalid proof
-    performs zero writes. Store rows are reinserted before the vault forgets
-    them, so an interruption never loses a credential.
+    performs zero writes. The read, deletes and inserts run as one store
+    write transaction, which commits before the vault forgets the rows, so
+    an interruption never loses a credential.
     """
     if proof is None or proof.vault_token != vault.auth_token:
         raise AuthFailedError("proof was not issued by this vault instance")
@@ -209,78 +210,79 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     if not force:
         check_not_busy(store.path, sibling_locks)
 
-    live_rows = store.list_logins()
-    live_by_host: dict[str, list[LoginRow]] = {}
-    for row in live_rows:
-        live_by_host.setdefault(row.hostname, []).append(row)
-    occupied = {row.row_id for row in live_rows}
-    next_id = max(occupied, default=0) + 1
+    with store.write_transaction():
+        live_rows = store.list_logins()
+        live_by_host: dict[str, list[LoginRow]] = {}
+        for row in live_rows:
+            live_by_host.setdefault(row.hostname, []).append(row)
+        occupied = {row.row_id for row in live_rows}
+        next_id = max(occupied, default=0) + 1
 
-    to_insert: list[LoginRow] = []
-    to_delete: list[int] = []
-    reports: list[ConflictReport] = []
-    conflicted = False
+        to_insert: list[LoginRow] = []
+        to_delete: list[int] = []
+        reports: list[ConflictReport] = []
+        conflicted = False
 
-    for entry in entries:
-        live = live_by_host.get(entry.hostname, [])
-        if not live:
-            # No host-level conflict; only a cross-host row-id collision can
-            # force a remap, and that is never reported as a conflict.
-            for row in entry.rows:
-                if row.row_id in occupied:
-                    if plan.conflict_policy == FAIL:
-                        conflicted = True
-                        reports.append(ConflictReport(
-                            entry.hostname, 0, len(entry.rows), 0, FAIL))
-                        break
-                    row, next_id = _with_fresh_id(row, next_id, store)
-                to_insert.append(row)
-                occupied.add(row.row_id)
-            continue
+        for entry in entries:
+            live = live_by_host.get(entry.hostname, [])
+            if not live:
+                # No host-level conflict; only a cross-host row-id collision can
+                # force a remap, and that is never reported as a conflict.
+                for row in entry.rows:
+                    if row.row_id in occupied:
+                        if plan.conflict_policy == FAIL:
+                            conflicted = True
+                            reports.append(ConflictReport(
+                                entry.hostname, 0, len(entry.rows), 0, FAIL))
+                            break
+                        row, next_id = _with_fresh_id(row, next_id, store)
+                    to_insert.append(row)
+                    occupied.add(row.row_id)
+                continue
 
-        if plan.conflict_policy == FAIL:
-            conflicted = True
-            reports.append(ConflictReport(
-                entry.hostname, len(live), len(entry.rows), 0, FAIL))
-            continue
+            if plan.conflict_policy == FAIL:
+                conflicted = True
+                reports.append(ConflictReport(
+                    entry.hostname, len(live), len(entry.rows), 0, FAIL))
+                continue
 
-        if plan.conflict_policy == OVERWRITE_LIVE:
-            for row in live:
-                to_delete.append(row.row_id)
-                occupied.discard(row.row_id)
+            if plan.conflict_policy == OVERWRITE_LIVE:
+                for row in live:
+                    to_delete.append(row.row_id)
+                    occupied.discard(row.row_id)
+                restored = 0
+                for row in entry.rows:
+                    if row.row_id in occupied:
+                        row, next_id = _with_fresh_id(row, next_id, store)
+                    to_insert.append(row)
+                    occupied.add(row.row_id)
+                    restored += 1
+                reports.append(ConflictReport(
+                    entry.hostname, len(live), len(entry.rows), restored, OVERWRITE_LIVE))
+                continue
+
+            # keep-live: newer live rows win; vaulted rows that do not duplicate a
+            # live credential come back under fresh row ids (the one sanctioned
+            # deviation from byte-exactness, and only under an actual conflict).
+            live_keys = {_dedup_key(row, store) for row in live}
             restored = 0
             for row in entry.rows:
-                if row.row_id in occupied:
-                    row, next_id = _with_fresh_id(row, next_id, store)
+                if _dedup_key(row, store) in live_keys:
+                    continue
+                row, next_id = _with_fresh_id(row, next_id, store)
                 to_insert.append(row)
                 occupied.add(row.row_id)
                 restored += 1
             reports.append(ConflictReport(
-                entry.hostname, len(live), len(entry.rows), restored, OVERWRITE_LIVE))
-            continue
+                entry.hostname, len(live), len(entry.rows), restored, KEEP_LIVE))
 
-        # keep-live: newer live rows win; vaulted rows that do not duplicate a
-        # live credential come back under fresh row ids (the one sanctioned
-        # deviation from byte-exactness, and only under an actual conflict).
-        live_keys = {_dedup_key(row, store) for row in live}
-        restored = 0
-        for row in entry.rows:
-            if _dedup_key(row, store) in live_keys:
-                continue
-            row, next_id = _with_fresh_id(row, next_id, store)
-            to_insert.append(row)
-            occupied.add(row.row_id)
-            restored += 1
-        reports.append(ConflictReport(
-            entry.hostname, len(live), len(entry.rows), restored, KEEP_LIVE))
-
-    if conflicted:
-        raise UnresolvedConflictError([r for r in reports if r.action == FAIL])
-
-    if to_delete:
-        store.delete_rows(to_delete)
-    if to_insert:
-        store.insert_rows(to_insert)
+        if conflicted:
+            raise UnresolvedConflictError([r for r in reports if r.action == FAIL])
+        if to_delete:
+            store.delete_rows(to_delete)
+        if to_insert:
+            store.insert_rows(to_insert)
+    crash_point("after-store-insert")
     vault.take_entries(plan.hosts)
     if not vault.entries:
         vault.keystore_record = None
@@ -291,9 +293,6 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
 def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
     """Current mode plus host inventories; masked mode is simply a non-empty vault."""
     masked = tuple(vault.hosts()) if vault is not None else ()
-    seen: dict[str, None] = {}
-    for row in store.list_logins():
-        seen.setdefault(row.hostname)
     keystore_ok = True
     if vault is not None and vault.keystore_record is not None:
         path, recorded = vault.keystore_record
@@ -304,7 +303,7 @@ def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
     return StatusReport(
         mode=MODE_MASKED if masked else MODE_NORMAL,
         masked_hosts=masked,
-        live_hosts=tuple(seen),
+        live_hosts=tuple(store.host_row_ids()),
         keystore_ok=keystore_ok,
     )
 

@@ -6,7 +6,8 @@ point, standing in for abrupt process death in crash-safety tests. Production
 runs never set the variable.
 
 Known points: ``vault-commit-pre-replace``, ``after-vault-commit``,
-``after-store-delete``.
+``after-store-delete`` (mask) and ``after-store-insert`` (unmask, after the
+store commit and before the vault commit).
 """
 
 from __future__ import annotations

@@ -45,6 +45,10 @@ class MatchParams:
     def __post_init__(self):
         if not self.distance_tolerance > 0:
             raise ValueError("distance_tolerance must be positive")
+        # the matcher squares it; inf (no distance limit) stays allowed
+        tol = self.distance_tolerance
+        if math.isfinite(tol) and not math.isfinite(tol * tol):
+            raise ValueError("distance_tolerance must be inf or have a finite square")
         if not 0 < self.angle_tolerance <= math.pi:
             raise ValueError("angle_tolerance must be in (0, pi]")
 

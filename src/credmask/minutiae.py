@@ -30,6 +30,11 @@ TWO_PI = 2.0 * math.pi
 # Most minutiae a .min file may hold: the one-byte count of an ISO/IEC
 # 19794-2 finger minutiae record.
 MAX_TEMPLATE_MINUTIAE = 255
+# Largest .min file save_template writes: the header, then that many lines of
+# three floats, a kind letter, three spaces and LF. The longest float repr is
+# 24 characters, e.g. -2.2250738585072014e-308.
+MAX_TEMPLATE_BYTES = (len(f"MIN1 {MAX_TEMPLATE_MINUTIAE}\n")
+                      + MAX_TEMPLATE_MINUTIAE * (3 * 24 + 1 + 3 + 1))
 
 # 8-neighborhood ring, clockwise from the top-left pixel (image row/col offsets).
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
@@ -157,11 +162,15 @@ def save_template(template: Template, path: str | Path) -> None:
 def load_template(path: str | Path) -> Template:
     """Parse a ``.min`` file written by :func:`save_template`.
 
-    A header count above MAX_TEMPLATE_MINUTIAE is refused before any minutia
-    is parsed.
+    A file over MAX_TEMPLATE_BYTES is refused after reading one byte more, and
+    a header count above MAX_TEMPLATE_MINUTIAE before any minutia is parsed.
     """
     p = Path(path)
-    text = p.read_text(encoding="ascii")
+    with p.open(encoding="ascii") as fh:
+        text = fh.read(MAX_TEMPLATE_BYTES + 1)
+    if len(text) > MAX_TEMPLATE_BYTES:
+        raise ValueError(f"{p}: larger than the {MAX_TEMPLATE_BYTES}-byte limit "
+                         f"of a {MAX_TEMPLATE_MINUTIAE}-minutia file")
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ValueError(f"{p}: empty minutiae file")

@@ -17,8 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sqlite3
-import struct
-import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -34,7 +33,7 @@ from .errors import (
     SchemaMismatchError,
     StoreBusyError,
 )
-from .wire import NULL_LENGTH, decode_cell_value, encode_cell_value
+from .wire import Writer, decode_cell_value, encode_cell_value
 
 LOGINS_TABLE = "moz_logins"
 DISABLED_TABLE = "moz_disabledHosts"
@@ -62,10 +61,6 @@ CANONICAL_COLUMNS = (
     "guid",
     "encType",
 )
-
-_rw_registry_lock = threading.Lock()
-_rw_registry: set[str] = set()
-
 
 @dataclass(frozen=True)
 class LoginRow:
@@ -106,18 +101,11 @@ class StoreHandle:
         self.schema = schema
         self.pk_column = pk_column
         self._conn = conn
-        self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         self._conn.close()
-        if self.mode == READ_WRITE:
-            with _rw_registry_lock:
-                _rw_registry.discard(_registry_key(self.path))
 
     def __enter__(self) -> "StoreHandle":
         return self
@@ -128,6 +116,28 @@ class StoreHandle:
     def _require_writable(self) -> None:
         if self.mode != READ_WRITE:
             raise ReadOnlyStoreError(f"store opened read-only: {self.path}")
+
+    @contextmanager
+    def write_transaction(self):
+        """Run the body under the database write lock; commit it whole or roll it back.
+
+        Joins an open transaction. Raises StoreBusyError once another connection
+        has held the lock past sqlite3's default 5 s busy timeout.
+        """
+        self._require_writable()
+        if self._conn.in_transaction:
+            yield
+            return
+        try:
+            self._conn.execute("BEGIN IMMEDIATE")
+        except sqlite3.OperationalError as exc:
+            raise StoreBusyError(f"database lock held on {self.path}: {exc}") from exc
+        try:
+            yield
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.rollback()
+            raise
 
     # -- reads ----------------------------------------------------------------
 
@@ -142,10 +152,7 @@ class StoreHandle:
         pk_index = self.schema.index(self.pk_column)
         for raw in cur:
             hostname = raw[host_index]
-            if not isinstance(hostname, str):
-                raise SchemaError(
-                    f"{HOSTNAME_COLUMN} must be TEXT, got {type(hostname).__name__}"
-                )
+            _require_text_hostname(hostname)
             rows.append(
                 LoginRow(
                     row_id=int(raw[pk_index]),
@@ -157,6 +164,18 @@ class StoreHandle:
                 )
             )
         return rows
+
+    def host_row_ids(self) -> dict[str, list[int]]:
+        """Row ids per hostname in row-id order, hosts in first-row order; reads no cells."""
+        cur = self._conn.execute(
+            f'SELECT "{self.pk_column}", "{HOSTNAME_COLUMN}" FROM "{LOGINS_TABLE}" '
+            f'ORDER BY "{self.pk_column}"'
+        )
+        by_host: dict[str, list[int]] = {}
+        for row_id, hostname in cur:
+            _require_text_hostname(hostname)
+            by_host.setdefault(hostname, []).append(int(row_id))
+        return by_host
 
     def list_disabled_hosts(self) -> list[str]:
         """Hostnames from the never-save table; empty when the table is absent."""
@@ -180,17 +199,14 @@ class StoreHandle:
         per cell a 4-byte BE length plus the tagged value bytes (NULL is the
         sentinel length 0xFFFFFFFF).
         """
-        out = bytearray([DUMP_VERSION])
+        w = Writer()
+        w.u8(DUMP_VERSION)
         for row in self.list_logins():
-            out += struct.pack(">q", row.row_id)
-            out += struct.pack(">H", len(row.cells))
+            w.i64(row.row_id)
+            w.u16(len(row.cells))
             for _, value in row.cells:
-                if value is None:
-                    out += struct.pack(">I", NULL_LENGTH)
-                else:
-                    out += struct.pack(">I", len(value))
-                    out += value
-        return bytes(out)
+                w.cell(value)
+        return w.getvalue()
 
     # -- mutations ------------------------------------------------------------
 
@@ -203,11 +219,10 @@ class StoreHandle:
         ids = sorted(set(int(i) for i in row_ids))
         if not ids:
             return 0
-        existing = self._existing_ids(ids)
-        missing = [i for i in ids if i not in existing]
-        if missing:
-            raise RowNotFoundError(missing)
-        with self._conn:
+        with self.write_transaction():
+            missing = sorted(set(ids) - self._existing_ids(ids))
+            if missing:
+                raise RowNotFoundError(missing)
             for chunk in _chunks(ids, 500):
                 marks = ", ".join("?" for _ in chunk)
                 self._conn.execute(
@@ -232,12 +247,12 @@ class StoreHandle:
             if row.row_id in seen:
                 raise RowIdConflictError([row.row_id])
             seen.add(row.row_id)
-        existing = self._existing_ids(sorted(seen))
-        if existing:
-            raise RowIdConflictError(existing)
         cols = ", ".join(f'"{c}"' for c in self.schema)
         marks = ", ".join("?" for _ in self.schema)
-        with self._conn:
+        with self.write_transaction():
+            existing = self._existing_ids(sorted(seen))
+            if existing:
+                raise RowIdConflictError(existing)
             for row in rows:
                 by_name = dict(row.cells)
                 values = [decode_cell_value(by_name[c]) for c in self.schema]
@@ -271,33 +286,21 @@ class StoreHandle:
 def open_store(path: str | os.PathLike, mode: str = READ_ONLY) -> StoreHandle:
     """Open a login store, introspecting the logins table schema.
 
-    Raises NotADatabaseError for files without the SQLite magic, SchemaError
-    when the logins table (or its hostname / integer-pk column) is missing,
-    and StoreBusyError when a second read-write handle is requested for the
-    same path in this process.
+    Raises NotADatabaseError for files without the SQLite magic and
+    SchemaError when the logins table (or its hostname / integer-pk column)
+    is missing. Opening takes no lock.
     """
     if mode not in (READ_ONLY, READ_WRITE):
         raise ValueError(f"mode must be {READ_ONLY!r} or {READ_WRITE!r}")
     p = Path(path)
     _check_sqlite_magic(p)
-    if mode == READ_WRITE:
-        key = _registry_key(p)
-        with _rw_registry_lock:
-            if key in _rw_registry:
-                raise StoreBusyError(f"read-write handle already open for {p}")
-            _rw_registry.add(key)
+    uri = f"file:{p}?mode={'ro' if mode == READ_ONLY else 'rw'}"
+    # autocommit: only write_transaction opens transactions
+    conn = sqlite3.connect(uri, uri=True, isolation_level=None)
     try:
-        uri = f"file:{p}?mode={'ro' if mode == READ_ONLY else 'rw'}"
-        conn = sqlite3.connect(uri, uri=True)
-        try:
-            schema, pk = _introspect(conn)
-        except Exception:
-            conn.close()
-            raise
+        schema, pk = _introspect(conn)
     except Exception:
-        if mode == READ_WRITE:
-            with _rw_registry_lock:
-                _rw_registry.discard(_registry_key(p))
+        conn.close()
         raise
     return StoreHandle(p, mode, conn, schema, pk)
 
@@ -435,8 +438,11 @@ def _introspect(conn: sqlite3.Connection) -> tuple[tuple[str, ...], str]:
     return columns, pk_cols[0][1]
 
 
-def _registry_key(p: Path) -> str:
-    return os.path.realpath(p)
+def _require_text_hostname(hostname) -> None:
+    if not isinstance(hostname, str):
+        raise SchemaError(
+            f"{HOSTNAME_COLUMN} must be TEXT, got {type(hostname).__name__}"
+        )
 
 
 def _chunks(items: list, size: int):

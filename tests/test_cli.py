@@ -1,17 +1,23 @@
 import io
 import json
 import os
+import sqlite3
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from credmask.cli import main
 from credmask.minutiae import save_template
-from credmask.store import open_store
+from credmask.store import canonical_login_row, open_store
 from credmask.evaluation import generate_synthetic
 
 from conftest import file_sha256, ten_host_counts
 
 PASS = "correct horse"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -109,6 +115,48 @@ def test_list_shows_masked_hosts(run, world):
     assert len(masked) == 1 and "host00.example" in masked[0]
 
 
+def test_list_config_supplies_vault(run, world, tmp_path):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    config = tmp_path / "credmask.conf"
+    config.write_text(f"vault={vault_path}\n")
+    code, out, _ = run("list", "--store", store_path, "--config", config, passphrase=PASS)
+    assert code == 0
+    masked = [ln for ln in out.splitlines() if "masked" in ln]
+    assert len(masked) == 1 and "host00.example" in masked[0]
+
+
+def test_list_status_and_planning_encode_no_cells(run, world, monkeypatch):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+
+    def refuse(value):
+        raise AssertionError("a cell was encoded")
+
+    monkeypatch.setattr("credmask.store.encode_cell_value", refuse)
+    for args in (["list"], ["status"], ["mask", "--hosts", "host01.example", "--dry-run"]):
+        code, out, err = run(*args, "--store", store_path, "--vault", vault_path,
+                             passphrase=PASS)
+        assert code == 0, err
+        assert ".example" in out
+
+
+def test_crlf_passphrase_line_opens_a_vault_made_with_lf(run, world):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    fd = feed_fd(PASS + "\r")  # PASS\r\n
+    code, out, err = run("status", "--store", store_path, "--vault", vault_path,
+                         extra_fds=["--passphrase-fd", fd])
+    os.close(fd)
+    assert code == 0, err
+    assert "mode: masked" in out
+    fd = feed_fd(PASS + "\r\r")  # only one \r belongs to the line ending
+    code, _, _ = run("status", "--store", store_path, "--vault", vault_path,
+                     extra_fds=["--passphrase-fd", fd])
+    os.close(fd)
+    assert code == 4
+
+
 # -- mask -----------------------------------------------------------------------
 
 def test_mask_then_status_masked(run, world):
@@ -133,6 +181,29 @@ def test_mask_busy_store_exits_3(run, world):
     assert code == 3
     assert file_sha256(store_path) == before
     lock.unlink()
+
+
+def test_mask_force_against_held_database_lock_exits_3(run, world, tiny_kdf):
+    from credmask.vault import create_vault, open_vault
+
+    store_path, vault_path, _ = world
+    create_vault(vault_path, PASS, tiny_kdf).close()
+    before = dump_of(store_path)
+    blocker = sqlite3.connect(store_path)
+    blocker.execute("BEGIN IMMEDIATE")
+    try:
+        start = time.monotonic()
+        code, _, err = run("mask", "--store", store_path, "--vault", vault_path,
+                           "--hosts", "host00.example", "--force", passphrase=PASS)
+        elapsed = time.monotonic() - start
+    finally:
+        blocker.rollback()
+        blocker.close()
+    assert code == 3, err
+    assert elapsed < 6
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.hosts() == []
+    assert dump_of(store_path) == before
 
 
 def test_mask_dry_run_changes_nothing(run, world):
@@ -233,6 +304,26 @@ def test_unmask_conflict_fail_exits_5(run, world):
                        "--all", "--conflicts", "keep-live", passphrase=PASS)
     assert code == 0
     assert "conflict on host00.example" in out
+
+
+def test_unmask_overwrite_live_failing_insert_keeps_the_live_row(run, world):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    with open_store(store_path, "rw") as handle:  # the browser saves a newer row
+        handle.insert_rows([canonical_login_row(100, "host00.example",
+                                                encryptedUsername="ENC-USER-resaved")])
+    conn = sqlite3.connect(store_path)  # and then upgrades its schema
+    conn.execute("ALTER TABLE moz_logins ADD COLUMN timesUsed INTEGER")
+    conn.commit()
+    conn.close()
+    before = dump_of(store_path)
+    vault_hash = file_sha256(vault_path)
+    code, _, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                       "--all", "--conflicts", "overwrite-live", passphrase=PASS)
+    assert code == 1
+    assert "schema" in err
+    assert dump_of(store_path) == before
+    assert file_sha256(vault_path) == vault_hash
 
 
 def test_unmask_requires_selection(run, world):
@@ -373,6 +464,49 @@ def test_interleaved_maskers_lose_no_row(store_factory, tmp_path, capsys, monkey
         live = after.list_logins()
     assert [e.hostname for e in vf.entries] == ["a.example"]
     assert sorted(vaulted + live, key=lambda row: row.row_id) == before
+
+
+def test_masker_during_another_vault_commit_exits_3(store_factory, tmp_path, monkeypatch,
+                                                    tiny_kdf):
+    # a second process masks the same host while the first seals its vault
+    from credmask import crypto
+    from credmask.vault import create_vault, open_vault
+
+    handle = store_factory({"a.example": 2, "b.example": 3})
+    before = handle.list_logins()
+    handle.close()
+    vault_a, vault_b = tmp_path / "a.cmv", tmp_path / "b.cmv"
+    for path in (vault_a, vault_b):
+        create_vault(path, PASS, tiny_kdf).close()
+    real_seal = crypto.seal
+    other = {}
+
+    def seal(*args):
+        if not other:
+            other["proc"] = subprocess.run(
+                [sys.executable, "-m", "credmask", "mask", "--store", str(handle.path),
+                 "--vault", str(vault_b), "--hosts", "a.example", "--passphrase-fd", "0"],
+                input=PASS + "\n", capture_output=True, text=True, timeout=60, cwd=REPO_ROOT,
+                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+        return real_seal(*args)
+
+    monkeypatch.setattr(crypto, "seal", seal)
+    fd = feed_fd(PASS)
+    code = main(["mask", "--store", str(handle.path), "--vault", str(vault_a),
+                 "--hosts", "a.example", "--passphrase-fd", str(fd)])
+    os.close(fd)
+    monkeypatch.undo()
+    assert code == 0
+    assert other["proc"].returncode == 3, other["proc"].stderr
+
+    places = []
+    for path in (vault_a, vault_b):
+        with open_vault(path, PASS) as vf:
+            places.append([row for entry in vf.entries for row in entry.rows])
+    with open_store(handle.path) as after:
+        places.append(after.list_logins())
+    everywhere = [row for rows in places for row in rows]
+    assert sorted(everywhere, key=lambda row: row.row_id) == before
 
 
 # -- status ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from credmask.errors import (
 )
 from credmask.faults import CRASH_ENV, SimulatedCrash
 from credmask.store import canonical_login_row
-from credmask.vault import create_vault
+from credmask.vault import create_vault, open_vault
 
 from conftest import file_sha256, ten_host_counts
 
@@ -301,6 +301,31 @@ def test_crash_after_store_delete_is_recoverable(world, monkeypatch):
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert handle.dump_canonical() == original
+
+
+def test_crash_after_store_insert_loses_nothing(world, monkeypatch):
+    handle, vf, keystore = world
+    original = handle.dump_canonical()
+    rows = row_multiset(handle)
+    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
+    monkeypatch.setenv(CRASH_ENV, "after-store-insert")
+    with pytest.raises(SimulatedCrash):
+        engine.apply_unmask(up, vf.open_proof, handle, vf)
+    monkeypatch.delenv(CRASH_ENV)
+    vf.close()  # the process died: only what reached the disk counts
+    with open_vault(vf.path, "secret") as reopened:
+        in_store = row_multiset(handle)
+        in_vault = Counter(
+            (r.row_id, r.hostname, r.cells) for e in reopened.entries for r in e.rows)
+        assert sorted(reopened.hosts()) == SIX
+        for key in rows:
+            assert in_store[key] or in_vault[key]
+        # recovery: keep-live drops the vaulted copies of the restored rows
+        up = engine.plan_unmask(reopened, None, engine.KEEP_LIVE)
+        engine.apply_unmask(up, reopened.open_proof, handle, reopened)
+        assert handle.dump_canonical() == original
+        assert reopened.hosts() == []
 
 
 # -- status ------------------------------------------------------------------------------

@@ -133,6 +133,15 @@ def test_params_validation():
         MatchParams(angle_tolerance=4.0)
 
 
+def test_params_refuse_a_finite_tolerance_whose_square_overflows():
+    for tolerance in (1e200, 1.35e154, 1.7976931348623157e308):
+        with pytest.raises(ValueError):
+            MatchParams(distance_tolerance=tolerance)
+    a = Template((Minutia(0.0, 0.0, 0.0, TERMINATION), Minutia(5.0, 0.0, 1.0, TERMINATION)))
+    for tolerance in (1e150, math.inf):
+        assert match_templates(a, a, MatchParams(distance_tolerance=tolerance)).score == 1.0
+
+
 def test_decide_boundary_inclusive():
     rng = np.random.default_rng(6)
     t = random_template(rng)

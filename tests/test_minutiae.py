@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from credmask import minutiae as minutiae_module
 from credmask.errors import BadMarginError, NotBinaryError, TraceTooShortError
 from credmask.minutiae import (
     BIFURCATION,
+    MAX_TEMPLATE_BYTES,
     MAX_TEMPLATE_MINUTIAE,
     TERMINATION,
     Minutia,
@@ -277,6 +279,37 @@ def test_min_refuses_256_minutiae_before_parsing_any(tmp_path, monkeypatch):
     message = str(info.value)
     assert "256" in message and "255" in message
     assert "31415.92653" not in message and "27182.81828" not in message
+
+
+def test_min_loads_255_minutiae_at_the_longest_float_repr(tmp_path):
+    tiny = 2.2250738585072014e-308
+    template = Template(tuple(Minutia(-tiny, -tiny, tiny, BIFURCATION) for _ in range(255)))
+    path = tmp_path / "longest.min"
+    save_template(template, path)
+    assert len(repr(-tiny)) == 24
+    assert path.stat().st_size <= MAX_TEMPLATE_BYTES
+    assert load_template(path) == Template(template.minutiae, source_id="longest")
+
+
+@pytest.mark.parametrize("header", ["MIN1 256\n", "MIN1 255\n"])
+def test_min_refuses_a_20_mib_file_in_bounded_memory(tmp_path, header):
+    # MIN1 256 over 20 MiB of minutiae, or a valid header over one 20 MiB line
+    line = "31415.92653 -27182.81828 1.0 T\n" if header == "MIN1 256\n" else "7"
+    path = tmp_path / "huge.min"
+    with path.open("w") as fh:
+        fh.write(header)
+        chunk = line * (1024 * 1024 // len(line))
+        for _ in range(20):
+            fh.write(chunk)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load_template(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert "31415" not in str(info.value) and "777" not in str(info.value)
 
 
 # -- skeleton images ------------------------------------------------------------------

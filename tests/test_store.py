@@ -281,10 +281,81 @@ def test_check_not_busy_sees_sibling_lock_file(store_factory):
         check_not_busy(handle.path)
 
 
-def test_single_writer_per_process(store_factory):
-    handle = store_factory()
-    with pytest.raises(StoreBusyError):
-        open_store(handle.path, READ_WRITE)
-    handle.close()
-    again = open_store(handle.path, READ_WRITE)
-    again.close()
+CHILD_WRITER = """
+import sys
+from credmask.errors import StoreBusyError
+from credmask.store import open_store
+handle = open_store(sys.argv[1], "rw")
+try:
+    handle.delete_rows({1})
+    print("wrote")
+except StoreBusyError:
+    print("busy")
+"""
+
+
+def test_one_writer_at_a_time(store_factory):
+    first = store_factory()
+    second = open_store(first.path, READ_WRITE)
+    before = second.dump_canonical()
+    try:
+        with first.write_transaction():
+            child = subprocess.Popen(
+                [sys.executable, "-c", CHILD_WRITER, str(first.path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO_ROOT,
+                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+            with pytest.raises(StoreBusyError):
+                second.delete_rows({1})
+            out, err = child.communicate(timeout=60)
+            assert (out, child.returncode) == ("busy\n", 0), err
+            assert second.dump_canonical() == before
+        assert second.delete_rows({1}) == 1
+        assert second.dump_canonical() != before
+    finally:
+        second.close()
+
+
+def test_dump_canonical_bytes_are_pinned(tmp_path):
+    p = tmp_path / "golden.sqlite"
+    conn = sqlite3.connect(p)
+    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY, hostname TEXT,"
+                 " note BLOB, score REAL)")
+    conn.execute("INSERT INTO moz_logins VALUES (7, 'a.example', NULL, 0.5)")
+    conn.execute("INSERT INTO moz_logins VALUES (-3, 'b', x'00ff', NULL)")
+    conn.commit()
+    conn.close()
+    expected = (
+        b"\x01"                                            # dump version
+        b"\xff\xff\xff\xff\xff\xff\xff\xfd" b"\x00\x04"      # row -3, 4 cells
+        b"\x00\x00\x00\x09" b"i\xff\xff\xff\xff\xff\xff\xff\xfd"
+        b"\x00\x00\x00\x02" b"tb"
+        b"\x00\x00\x00\x03" b"b\x00\xff"
+        b"\xff\xff\xff\xff"                                # NULL
+        b"\x00\x00\x00\x00\x00\x00\x00\x07" b"\x00\x04"      # row 7, 4 cells
+        b"\x00\x00\x00\x09" b"i\x00\x00\x00\x00\x00\x00\x00\x07"
+        b"\x00\x00\x00\x0a" b"ta.example"
+        b"\xff\xff\xff\xff"                                # NULL
+        b"\x00\x00\x00\x09" b"f\x3f\xe0\x00\x00\x00\x00\x00\x00"  # 0.5
+    )
+    with open_store(p) as handle:
+        assert handle.dump_canonical() == expected
+
+
+def test_host_row_ids_reads_ids_only_and_checks_text(tmp_path):
+    p = tmp_path / "hosts.sqlite"
+    conn = sqlite3.connect(p)
+    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY, hostname)")
+    conn.executemany("INSERT INTO moz_logins VALUES (?, ?)",
+                     [(3, "b.example"), (1, "b.example"), (2, "a.example")])
+    conn.commit()
+    with open_store(p) as handle:
+        by_host = handle.host_row_ids()
+    assert list(by_host.items()) == [("b.example", [1, 3]), ("a.example", [2])]
+    conn.execute("INSERT INTO moz_logins VALUES (4, 42)")
+    conn.commit()
+    conn.close()
+    with open_store(p) as handle:
+        with pytest.raises(SchemaError, match="TEXT"):
+            handle.host_row_ids()
+        with pytest.raises(SchemaError, match="TEXT"):
+            handle.list_logins()
