@@ -77,7 +77,8 @@ def _vault_path(config: dict[str, str], option: str | None) -> str:
     return path
 
 
-def _read_passphrase(passphrase_fd: int | None, confirm: bool = False) -> str:
+def _read_passphrase(passphrase_fd: int | None, confirm: bool = False,
+                     prompt: str = "Vault passphrase") -> str:
     if passphrase_fd is not None:
         data = b""
         while True:
@@ -89,8 +90,7 @@ def _read_passphrase(passphrase_fd: int | None, confirm: bool = False) -> str:
                 break
         line, newline, _ = data.partition(b"\n")
         return (line.removesuffix(b"\r") if newline else line).decode("utf-8")  # LF or CRLF
-    return click.prompt("Vault passphrase", hide_input=True,
-                        confirmation_prompt=confirm)
+    return click.prompt(prompt, hide_input=True, confirmation_prompt=confirm)
 
 
 def _default_keystore(store_path: str) -> str | None:
@@ -230,13 +230,11 @@ def _interactive_selection(handle: store.StoreHandle, vf) -> list[str]:
         for part in answer.replace(" ", "").split(","):
             if not part:
                 continue
-            if "-" in part:
-                lo, hi = part.split("-", 1)
-                for n in range(int(lo), int(hi) + 1):
-                    picked.append(options[n - 1])
-            else:
-                n = int(part)
-                picked.append(options[n - 1])
+            lo, sep, hi = part.partition("-")
+            first, last = int(lo), int(hi if sep else lo)
+            if first < 1:
+                raise ValueError  # options[0 - 1] would be the last host
+            picked.extend(options[n - 1] for n in range(first, last + 1))
     except (ValueError, IndexError):
         raise click.UsageError(f"cannot parse selection {answer!r}")
     if not picked:
@@ -257,9 +255,10 @@ def _interactive_selection(handle: store.StoreHandle, vf) -> list[str]:
               help="Minutiae probe file, required when the policy includes one.")
 @click.option("--force", is_flag=True, help="Skip only the browser lock-file check.")
 @click.option("--passphrase-fd", type=int, default=None, hidden=True)
+@click.option("--gate-passphrase-fd", type=int, default=None, hidden=True)
 @click.option("--config", "config_path", metavar="PATH", default=None)
 def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
-               probe_path, force, passphrase_fd, config_path):
+               probe_path, force, passphrase_fd, gate_passphrase_fd, config_path):
     """Authenticate, then restore masked rows byte-exactly into the store."""
     config = _load_config(config_path)
     vault_path = _vault_path(config, vault_path)
@@ -270,7 +269,7 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
 
     with ExitStack() as stack:
         vf = stack.enter_context(_open_vault_as_auth(vault_path, passphrase))
-        proof = _collect_proof(vf, passphrase, probe_path)
+        proof = _collect_proof(vf, gate_passphrase_fd, probe_path)
         hosts = None if unmask_all else [h.strip() for h in hosts_csv.split(",") if h.strip()]
         plan = engine.plan_unmask(vf, hosts, conflict_policy, store_path=store_path)
         rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
@@ -284,7 +283,7 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
     click.echo(f"restored {len(plan.hosts)} host(s); mode: {report.mode}")
 
 
-def _collect_proof(vf: vault.VaultFile, passphrase: str,
+def _collect_proof(vf: vault.VaultFile, gate_passphrase_fd: int | None,
                    probe_path: str | None) -> auth.AuthProof:
     """Assemble the proof set the vault's policy asks for."""
     needed = auth.required_kinds(vf.policy)
@@ -292,7 +291,8 @@ def _collect_proof(vf: vault.VaultFile, passphrase: str,
     if auth.KIND_PASSPHRASE in needed:
         records = [r for r in vf.auth_records if r.kind == auth.KIND_PASSPHRASE]
         if records:
-            proofs.append(auth.verify_passphrase(records[0], passphrase))
+            gate = _read_passphrase(gate_passphrase_fd, prompt="Gate passphrase")
+            proofs.append(auth.verify_passphrase(records[0], gate))
         else:
             # decrypting the vault is itself proof of the passphrase
             proofs.append(vf.open_proof)
@@ -355,15 +355,12 @@ def cmd_auth() -> None:
 @click.option("--passphrase-fd", type=int, default=None, hidden=True)
 @click.option("--gate-passphrase-fd", type=int, default=None, hidden=True)
 def cmd_enroll_passphrase(vault_path, passphrase_fd, gate_passphrase_fd):
-    """Enroll the gate passphrase (may differ from the vault passphrase)."""
+    """Enroll or replace the gate passphrase (may differ from the vault
+    passphrase); unmask then asks for it."""
     passphrase = _read_passphrase(passphrase_fd)
     with _open_vault_as_auth(vault_path, passphrase) as vf:
-        if gate_passphrase_fd is not None:
-            gate = _read_passphrase(gate_passphrase_fd)
-        else:
-            gate = click.prompt("Gate passphrase", hide_input=True,
-                                confirmation_prompt=True)
-        auth.enroll_passphrase(vf, gate)
+        gate = _read_passphrase(gate_passphrase_fd, confirm=True, prompt="Gate passphrase")
+        auth.enroll_passphrase(vf, gate, proof=vf.open_proof)
         vf.commit()
     click.echo("passphrase enrolled")
 

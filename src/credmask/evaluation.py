@@ -4,6 +4,9 @@ FAR (alias FMR) at threshold t is the fraction of impostor comparisons
 scoring at or above t; FRR (alias FNMR) is the fraction of genuine
 comparisons scoring below t. The equal error rate is read off where the two
 curves cross, linearly interpolated between adjacent thresholds.
+
+numpy is imported inside the functions that compute with it, so importing
+this module (the CLI does, for every command) does not load numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .errors import BadParamsError, EmptyScoresError
 from .matching import DEFAULT_PARAMS, MatchParams, match_templates
@@ -30,6 +31,7 @@ class EvalReport:
 
 def evaluate(genuine_scores: Sequence[float], impostor_scores: Sequence[float]) -> EvalReport:
     """FAR/FRR over all observed thresholds plus the interpolated EER."""
+    import numpy as np
     genuine = np.asarray(list(genuine_scores), dtype=np.float64)
     impostor = np.asarray(list(impostor_scores), dtype=np.float64)
     if genuine.size == 0 or impostor.size == 0:
@@ -56,6 +58,7 @@ def evaluate(genuine_scores: Sequence[float], impostor_scores: Sequence[float]) 
 
 def _crossing(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> float:
     """Where the linearly interpolated FAR and FRR curves meet."""
+    import numpy as np
     diff = far - frr  # non-increasing in t
     above = np.nonzero(diff >= 0.0)[0]
     if above.size == 0:
@@ -96,6 +99,7 @@ def generate_synthetic(seed: int,
     applying a random rigid motion, and impostor probes drawn from the other
     templates.
     """
+    import numpy as np
     width, height = field
     if n_templates < 2:
         raise BadParamsError("need at least 2 templates to form impostor pairs")

@@ -21,14 +21,15 @@ are processed in chunks of at most _CHUNK_ELEMENTS pairs, so memory stays
 bounded whatever the template size or coordinates. Each visited hypothesis
 costs one (n1, n2) pass. Scores, pair counts and transforms are those of
 testing every pair of every hypothesis.
+
+numpy is imported inside the functions that compute with it, so commands
+that never match a fingerprint start without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BadThresholdError
 from .minutiae import TERMINATION, TWO_PI, Template
@@ -113,6 +114,7 @@ def decide(result: MatchResult, threshold: float) -> bool:
 # -- internals ------------------------------------------------------------------
 
 def _as_arrays(t: Template):
+    import numpy as np
     x = np.array([m.x for m in t.minutiae], dtype=np.float64)
     y = np.array([m.y for m in t.minutiae], dtype=np.float64)
     theta = np.array([m.theta for m in t.minutiae], dtype=np.float64)
@@ -122,6 +124,7 @@ def _as_arrays(t: Template):
 
 
 def _best_alignment(a, b, params: MatchParams) -> tuple[int, tuple[float, float, float]]:
+    import numpy as np
     hyp = _hypotheses(a, b, params.kind_strict)
     phi, _, _, tx, ty = hyp
     if phi.size == 0:
@@ -152,6 +155,7 @@ def _best_alignment(a, b, params: MatchParams) -> tuple[int, tuple[float, float,
 
 def _hypotheses(a, b, kind_strict: bool):
     """(phi, cos, sin, tx, ty) of the rigid motion each reference pair implies."""
+    import numpy as np
     ax, ay, atheta, akind = a
     bx, by, btheta, bkind = b
     if kind_strict:
@@ -167,6 +171,7 @@ def _hypotheses(a, b, kind_strict: bool):
 
 def _moved(b, phi, cos, sin, tx, ty):
     """b under each given hypothesis: three (H, n2) arrays."""
+    import numpy as np
     bx, by, btheta, _ = b
     tbx = cos[:, None] * bx[None, :] - sin[:, None] * by[None, :] + tx[:, None]
     tby = sin[:, None] * bx[None, :] + cos[:, None] * by[None, :] + ty[:, None]
@@ -176,6 +181,7 @@ def _moved(b, phi, cos, sin, tx, ty):
 
 def _pair_test(a, moved, ia, jb, params: MatchParams):
     """Candidate flags and squared distances of the pairs (a[ia], moved[jb])."""
+    import numpy as np
     ax, ay, atheta, akind = a
     tbx, tby, tbtheta, bkind = moved
     dist2 = (ax[ia] - tbx[jb]) ** 2 + (ay[ia] - tby[jb]) ** 2
@@ -193,6 +199,7 @@ def _bounds(a, b, hyp, params: MatchParams) -> np.ndarray:
     Only the pairs whose ends lie in neighbouring grid cells are tested, a
     chunk of hypotheses at a time, so memory stays within _CHUNK_ELEMENTS.
     """
+    import numpy as np
     n1, n2 = a[0].size, b[0].size
     side = _CELL_SCALE * max(params.distance_tolerance, _MIN_CELL_TOLERANCE)
     cells, starts, counts, members = _cell_blocks(a, side)
@@ -226,6 +233,7 @@ def _cell_blocks(a, side: float):
     """Index template a by 3x3 block of grid cells: the sorted keys of the
     cells whose block holds a minutia, each block's start and length in the
     member list, and the member list (indices into a)."""
+    import numpy as np
     dx, dy = np.divmod(np.arange(9), 3)
     key = _cell_key((_cells(a[0], side)[:, None] + dx - 1).ravel(),
                     (_cells(a[1], side)[:, None] + dy - 1).ravel())
@@ -243,6 +251,7 @@ def _cells(x: np.ndarray, side: float) -> np.ndarray:
     only under an infinite tolerance, where every finite coordinate is in
     cell 0, so NaN (inf / inf) goes to cell 0 too.
     """
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.floor(x / side)
     return np.clip(np.nan_to_num(k, nan=0.0), -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
@@ -253,6 +262,7 @@ def _cell_key(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
 
 
 def _greedy_pairs(mask: np.ndarray, dist2: np.ndarray) -> int:
+    import numpy as np
     pairs = np.argwhere(mask)
     if pairs.size == 0:
         return 0

@@ -10,6 +10,9 @@ Coordinate conventions, stated once because a mismatch silently breaks angle
 tests: x grows rightward (image column), y grows upward (so y = height-1-row),
 and theta is measured counterclockwise from +x in radians, normalized to
 [0, 2pi). A minutia's direction points from the feature into the ridge.
+
+numpy is imported inside the functions that compute with it, so the vault,
+auth and CLI modules, which only build and read templates, start without it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .errors import BadMarginError, NotBinaryError, TraceTooShortError
 
@@ -93,6 +94,7 @@ def extract_minutiae(skeleton, border_margin: int = 0,
     ends at the image border are artifacts of cropping, not features).
     Output order is deterministic: image row-major scan.
     """
+    import numpy as np
     img = _as_binary(skeleton)
     if int(border_margin) != border_margin or border_margin < 0:
         raise BadMarginError(f"border_margin must be a non-negative integer: {border_margin}")
@@ -207,6 +209,7 @@ def load_skeleton_image(path: str | Path) -> np.ndarray:
 
     Graymap pixels above 127 are ridge; bitmap 1-bits (black) are ridge.
     """
+    import numpy as np
     data = Path(path).read_bytes()
     magic, fields, offset = _parse_pnm_header(data)
     if magic == b"P1":
@@ -261,6 +264,7 @@ def _parse_pnm_header(data: bytes) -> tuple[bytes, tuple[int, ...], int]:
 
 
 def _as_binary(skeleton) -> np.ndarray:
+    import numpy as np
     img = np.asarray(skeleton)
     if img.ndim != 2:
         raise NotBinaryError("skeleton must be a 2-D image")

@@ -239,6 +239,22 @@ def test_mask_interactive_menu(run, world):
     assert masked == ["host00.example", "host02.example"]
 
 
+@pytest.mark.parametrize("answer", ["0", "0-1"])
+def test_mask_menu_refuses_numbers_below_1(run, world, answer):
+    # options[0 - 1] is the last host, so 0 used to mask host #10 of 10
+    from credmask.vault import open_vault
+    store_path, vault_path, _ = world
+    before = dump_of(store_path)
+    code, _, err = run("mask", "--store", store_path, "--vault", vault_path,
+                       "--init", "--kdf-memory-mib", "1", "--kdf-iterations", "1",
+                       passphrase=PASS, stdin_text=answer + "\n")
+    assert code == 1
+    assert "cannot parse selection" in err
+    assert dump_of(store_path) == before
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.entries == []
+
+
 # -- unmask ---------------------------------------------------------------------
 
 def dump_of(path):
@@ -571,6 +587,78 @@ def test_auth_enroll_passphrase(run, world, tiny_kdf):
     assert code == 0
     with open_vault(vault_path, PASS) as vf:
         assert [r.kind for r in vf.auth_records] == ["passphrase"]
+
+
+def run_with_gate(run, gate, *args):
+    fd = feed_fd(gate)
+    try:
+        return run(*args, passphrase=PASS, extra_fds=["--gate-passphrase-fd", fd])
+    finally:
+        os.close(fd)
+
+
+def enroll_gate(run, vault_path, gate):
+    return run_with_gate(run, gate, "auth", "enroll-passphrase", "--vault", vault_path)
+
+
+def unmask_with_gate(run, store_path, vault_path, gate):
+    return run_with_gate(run, gate, "unmask", "--store", store_path, "--vault", vault_path,
+                         "--all")
+
+
+def test_unmask_verifies_a_distinct_gate_passphrase(run, world):
+    store_path, vault_path, _ = world
+    original = dump_of(store_path)
+    assert cli_mask(run, store_path, vault_path, ["host00.example", "host01.example"])[0] == 0
+    code, out, err = enroll_gate(run, vault_path, "gate secret")
+    assert code == 0, err
+    shown = out + err
+    store_hash, vault_hash = file_sha256(store_path), file_sha256(vault_path)
+    for wrong in (PASS, "gate secreT"):
+        code, out, err = unmask_with_gate(run, store_path, vault_path, wrong)
+        assert code == 2
+        shown += out + err
+        assert file_sha256(store_path) == store_hash
+        assert file_sha256(vault_path) == vault_hash
+    code, out, err = unmask_with_gate(run, store_path, vault_path, "gate secret")
+    assert code == 0, err
+    assert dump_of(store_path) == original
+    shown += out + err
+    assert PASS not in shown and "gate secret" not in shown
+
+
+def test_unmask_prompts_for_the_gate_passphrase(run, world, monkeypatch):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    assert enroll_gate(run, vault_path, "gate secret")[0] == 0
+    prompts = []
+
+    def getpass(prompt):
+        prompts.append(prompt)
+        return "gate secret"
+
+    monkeypatch.setattr("getpass.getpass", getpass)
+    code, out, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                         "--all", passphrase=PASS)
+    assert code == 0, err
+    assert prompts == ["Gate passphrase: "]
+    assert "gate secret" not in out + err
+
+
+def test_reenrolling_the_gate_replaces_it(run, world):
+    store_path, vault_path, _ = world
+    original = dump_of(store_path)
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    assert enroll_gate(run, vault_path, "first gate")[0] == 0
+    code, out, err = enroll_gate(run, vault_path, "second gate")
+    assert code == 0, err
+    assert "first gate" not in out + err and "second gate" not in out + err
+    store_hash, vault_hash = file_sha256(store_path), file_sha256(vault_path)
+    assert unmask_with_gate(run, store_path, vault_path, "first gate")[0] == 2
+    assert file_sha256(store_path) == store_hash
+    assert file_sha256(vault_path) == vault_hash
+    assert unmask_with_gate(run, store_path, vault_path, "second gate")[0] == 0
+    assert dump_of(store_path) == original
 
 
 def test_auth_wrong_vault_passphrase_exits_2(run, world, tiny_kdf):
