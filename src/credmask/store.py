@@ -1,11 +1,12 @@
 """Login-store adapter: read and mutate the on-disk saved-logins database.
 
 The store is a SQLite 3 file with a ``moz_logins`` table (saved logins) and
-an optional ``moz_disabledHosts`` table (never-save list). The adapter is
-column-agnostic: it introspects the schema when a handle is opened and copies
-every column verbatim, interpreting only the ``hostname`` column and the
-integer primary key. Restores are therefore byte-exact across schema
-versions, and credential ciphertexts are never parsed or decrypted.
+an optional ``moz_disabledHosts`` table (never-save list) that is never read
+here. The adapter is column-agnostic: it introspects the schema when a
+handle is opened and copies every column verbatim, interpreting only the
+``hostname`` column and the integer primary key. Restores are therefore
+byte-exact across schema versions, and credential ciphertexts are never
+parsed or decrypted.
 
 The sibling key-store file is opaque here; its integrity is attested purely
 by hash (:func:`keystore_digest`) and nothing in this module ever opens it
@@ -141,16 +142,15 @@ class StoreHandle:
 
     # -- reads ----------------------------------------------------------------
 
-    def list_logins(self) -> list[LoginRow]:
-        """All rows of the logins table, every column verbatim, ordered by row id."""
-        cols = ", ".join(f'"{c}"' for c in self.schema)
-        cur = self._conn.execute(
-            f'SELECT {cols} FROM "{LOGINS_TABLE}" ORDER BY "{self.pk_column}"'
-        )
+    def list_logins(self, ids: Iterable[int] | None = None) -> list[LoginRow]:
+        """Rows of the logins table, every column verbatim, ordered by row id.
+
+        With ``ids``, only the rows among them; ids not in the table are skipped.
+        """
         rows = []
         host_index = self.schema.index(HOSTNAME_COLUMN)
         pk_index = self.schema.index(self.pk_column)
-        for raw in cur:
+        for raw in self._select(self.schema, ids):
             hostname = raw[host_index]
             _require_text_hostname(hostname)
             rows.append(
@@ -167,28 +167,11 @@ class StoreHandle:
 
     def host_row_ids(self) -> dict[str, list[int]]:
         """Row ids per hostname in row-id order, hosts in first-row order; reads no cells."""
-        cur = self._conn.execute(
-            f'SELECT "{self.pk_column}", "{HOSTNAME_COLUMN}" FROM "{LOGINS_TABLE}" '
-            f'ORDER BY "{self.pk_column}"'
-        )
         by_host: dict[str, list[int]] = {}
-        for row_id, hostname in cur:
+        for row_id, hostname in self._select((self.pk_column, HOSTNAME_COLUMN)):
             _require_text_hostname(hostname)
             by_host.setdefault(hostname, []).append(int(row_id))
         return by_host
-
-    def list_disabled_hosts(self) -> list[str]:
-        """Hostnames from the never-save table; empty when the table is absent."""
-        present = self._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' AND name=?",
-            (DISABLED_TABLE,),
-        ).fetchone()
-        if present is None:
-            return []
-        cur = self._conn.execute(
-            f'SELECT "{HOSTNAME_COLUMN}" FROM "{DISABLED_TABLE}" ORDER BY rowid'
-        )
-        return [str(r[0]) for r in cur]
 
     def dump_canonical(self) -> bytes:
         """Deterministic serialization of the logins table.
@@ -269,16 +252,20 @@ class StoreHandle:
     # -- helpers --------------------------------------------------------------
 
     def _existing_ids(self, ids: Sequence[int]) -> set[int]:
-        found: set[int] = set()
-        for chunk in _chunks(list(ids), 500):
+        return {int(r[0]) for r in self._select((self.pk_column,), ids)}
+
+    def _select(self, columns: Sequence[str], ids: Iterable[int] | None = None):
+        """The given columns of every row, or of the rows in ``ids``, in row-id order."""
+        cols = ", ".join(f'"{c}"' for c in columns)
+        query = f'SELECT {cols} FROM "{LOGINS_TABLE}"'
+        order = f' ORDER BY "{self.pk_column}"'
+        if ids is None:
+            yield from self._conn.execute(query + order)
+            return
+        for chunk in _chunks(sorted(set(int(i) for i in ids)), 500):
             marks = ", ".join("?" for _ in chunk)
-            cur = self._conn.execute(
-                f'SELECT "{self.pk_column}" FROM "{LOGINS_TABLE}" '
-                f'WHERE "{self.pk_column}" IN ({marks})',
-                chunk,
-            )
-            found.update(int(r[0]) for r in cur)
-        return found
+            yield from self._conn.execute(
+                f'{query} WHERE "{self.pk_column}" IN ({marks}){order}', chunk)
 
 
 # -- module-level operations --------------------------------------------------
@@ -294,7 +281,8 @@ def open_store(path: str | os.PathLike, mode: str = READ_ONLY) -> StoreHandle:
         raise ValueError(f"mode must be {READ_ONLY!r} or {READ_WRITE!r}")
     p = Path(path)
     _check_sqlite_magic(p)
-    uri = f"file:{p}?mode={'ro' if mode == READ_ONLY else 'rw'}"
+    # as_uri() percent-escapes '#', '?' and '%', which a file: URI would parse
+    uri = f"{p.resolve().as_uri()}?mode={'ro' if mode == READ_ONLY else 'rw'}"
     # autocommit: only write_transaction opens transactions
     conn = sqlite3.connect(uri, uri=True, isolation_level=None)
     try:
@@ -315,35 +303,22 @@ def keystore_digest(path: str | os.PathLike) -> KeyStoreDigest:
 
 def check_not_busy(path: str | os.PathLike,
                    sibling_locks: Sequence[str] = DEFAULT_SIBLING_LOCKS) -> None:
-    """Fail with StoreBusyError if anything appears to hold the store.
+    """Fail with StoreBusyError if a browser lock file sits next to the store.
 
-    Two probes: a browser lock file next to the store, and a zero-timeout
-    write-transaction attempt against the database itself.
+    This is the only busy test made before a write. A database lock held by
+    another connection is found by write_transaction's BEGIN IMMEDIATE.
     """
-    p = Path(path)
     for name in sibling_locks:
-        lock = p.parent / name
+        lock = Path(path).parent / name
         if lock.exists():
             raise StoreBusyError(f"browser lock file present: {lock}")
-    if not p.is_file():
-        return
-    try:
-        conn = sqlite3.connect(f"file:{p}?mode=rw", uri=True, timeout=0)
-    except sqlite3.OperationalError:
-        return  # not openable read-write here; lock probing is advisory
-    try:
-        conn.execute("BEGIN IMMEDIATE")
-        conn.rollback()
-    except sqlite3.OperationalError as exc:
-        raise StoreBusyError(f"database lock held on {p}: {exc}") from exc
-    finally:
-        conn.close()
 
 
-def init_fixture(path: str | os.PathLike,
-                 rows: Sequence[LoginRow] = (),
-                 disabled: Sequence[str] = ()) -> StoreHandle:
-    """Create a fresh store with the canonical schema and the given contents."""
+def init_fixture(path: str | os.PathLike, rows: Sequence[LoginRow] = ()) -> StoreHandle:
+    """Create a fresh store with the canonical schema and the given rows.
+
+    The never-save table is created empty, as in a real profile.
+    """
     p = Path(path)
     if p.exists():
         raise AlreadyExistsError(f"store already exists: {p}")
@@ -369,11 +344,6 @@ def init_fixture(path: str | os.PathLike,
                 ' "id" INTEGER PRIMARY KEY,'
                 f' "{HOSTNAME_COLUMN}" TEXT UNIQUE NOT NULL)'
             )
-            for host in disabled:
-                conn.execute(
-                    f'INSERT INTO "{DISABLED_TABLE}" ("{HOSTNAME_COLUMN}") VALUES (?)',
-                    (host,),
-                )
     finally:
         conn.close()
     handle = open_store(p, READ_WRITE)

@@ -45,11 +45,11 @@ def store_factory(tmp_path):
     """Create fixture stores under unique paths inside the test's tmp dir."""
     made = []
 
-    def factory(host_counts=None, name=None, disabled=()):
+    def factory(host_counts=None, name=None):
         if host_counts is None:
             host_counts = {"a.example": 2, "b.example": 1}
         path = tmp_path / (name or f"store{len(made)}") / "signons.sqlite"
-        handle = init_fixture(path, make_rows(host_counts), disabled)
+        handle = init_fixture(path, make_rows(host_counts))
         made.append(handle)
         return handle
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -357,6 +358,158 @@ def test_unmask_busy_store_exits_3(run, world):
                      "--all", passphrase=PASS)
     assert code == 3
     (store_path.parent / ".parentlock").unlink()
+
+
+def held_database_lock(store_path):
+    blocker = sqlite3.connect(store_path)
+    blocker.execute("BEGIN IMMEDIATE")
+    return blocker
+
+
+def test_mask_against_held_database_lock_exits_3(run, world, tiny_kdf):
+    from credmask.vault import create_vault
+
+    store_path, vault_path, _ = world
+    create_vault(vault_path, PASS, tiny_kdf).close()
+    before, vault_hash = dump_of(store_path), file_sha256(vault_path)
+    blocker = held_database_lock(store_path)
+    try:
+        start = time.monotonic()
+        code, _, err = cli_mask(run, store_path, vault_path, ["host00.example"], init=False)
+        elapsed = time.monotonic() - start
+    finally:
+        blocker.rollback()
+        blocker.close()
+    assert code == 3, err
+    assert elapsed < 6
+    assert dump_of(store_path) == before
+    assert file_sha256(vault_path) == vault_hash
+
+
+def test_unmask_against_held_database_lock_exits_3(run, world):
+    from credmask.vault import open_vault
+
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    before, vault_hash = dump_of(store_path), file_sha256(vault_path)
+    blocker = held_database_lock(store_path)
+    try:
+        start = time.monotonic()
+        code, _, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                           "--all", passphrase=PASS)
+        elapsed = time.monotonic() - start
+    finally:
+        blocker.rollback()
+        blocker.close()
+    assert code == 3, err
+    assert elapsed < 6
+    assert dump_of(store_path) == before
+    assert file_sha256(vault_path) == vault_hash
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.hosts() == ["host00.example"]
+
+
+def test_mask_init_on_busy_profile_leaves_an_empty_vault_a_rerun_opens(run, world):
+    from credmask.vault import open_vault
+
+    store_path, vault_path, _ = world
+    before = dump_of(store_path)
+    lock = store_path.parent / ".parentlock"
+    lock.touch()
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 3
+    lock.unlink()
+    assert dump_of(store_path) == before
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.entries == []
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.hosts() == ["host00.example"]
+
+
+def test_mask_dry_run_ignores_a_browser_lock_file(run, world):
+    store_path, vault_path, _ = world
+    (store_path.parent / ".parentlock").touch()
+    store_hash = file_sha256(store_path)
+    code, out, err = run("mask", "--store", store_path, "--vault", vault_path,
+                         "--hosts", "host00.example", "--dry-run")
+    assert code == 0, err
+    assert "would mask" in out
+    assert file_sha256(store_path) == store_hash
+    assert not vault_path.exists()
+
+
+@pytest.fixture
+def encoded_cells(monkeypatch):
+    """One entry per cell the store encodes, that is per cell it reads."""
+    from credmask import store
+
+    calls = []
+    encode = store.encode_cell_value
+
+    def counting(value):
+        calls.append(None)
+        return encode(value)
+
+    monkeypatch.setattr(store, "encode_cell_value", counting)
+    return calls
+
+
+def test_mask_reads_only_the_cells_it_moves(run, world, tiny_kdf, encoded_cells):
+    from credmask.vault import create_vault
+
+    store_path, vault_path, _ = world
+    create_vault(vault_path, PASS, tiny_kdf).close()
+    encoded_cells.clear()
+    code, _, err = cli_mask(run, store_path, vault_path,
+                            ["host00.example", "host05.example"], init=False)
+    assert code == 0, err
+    assert len(encoded_cells) == (3 + 2) * 10  # moved rows x columns
+
+
+def test_unmask_without_live_conflict_reads_no_cells(run, world, encoded_cells):
+    store_path, vault_path, _ = world
+    original = dump_of(store_path)
+    assert cli_mask(run, store_path, vault_path, ["host00.example", "host01.example"])[0] == 0
+    encoded_cells.clear()
+    code, _, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                       "--all", passphrase=PASS)
+    assert code == 0, err
+    assert encoded_cells == []
+    assert dump_of(store_path) == original
+
+
+@pytest.mark.parametrize("policy", ["keep-live", "overwrite-live", "fail"])
+def test_unmask_remaps_only_an_id_another_host_took(run, world, policy):
+    from credmask.vault import open_vault
+
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    with open_vault(vault_path, PASS) as vf:
+        vaulted = vf.get_entry("host00.example").rows
+    taker = canonical_login_row(vaulted[1].row_id, "host01.example",
+                                encryptedUsername="ENC-USER-new")
+    with open_store(store_path, "rw") as handle:
+        handle.insert_rows([taker])
+    before, vault_hash = dump_of(store_path), file_sha256(vault_path)
+    code, out, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                         "--all", "--conflicts", policy, passphrase=PASS)
+    if policy == "fail":
+        assert code == 5
+        assert dump_of(store_path) == before
+        assert file_sha256(vault_path) == vault_hash
+        return
+    assert code == 0, err
+    assert "conflict" not in out
+    with open_store(store_path) as handle:
+        rows = {row.row_id: row for row in handle.list_logins()}
+    assert rows[taker.row_id] == taker
+    assert rows[vaulted[0].row_id] == vaulted[0]
+    assert rows[vaulted[2].row_id] == vaulted[2]
+    moved = [r for r in rows.values()
+             if r.cell("encryptedUsername") == vaulted[1].cell("encryptedUsername")]
+    assert len(moved) == 1 and moved[0].row_id not in {r.row_id for r in vaulted}
+    assert [v for n, v in moved[0].cells if n != "id"] == \
+        [v for n, v in vaulted[1].cells if n != "id"]
 
 
 # -- fingerprint policy -------------------------------------------------------------
@@ -781,6 +934,50 @@ def test_config_supplies_vault_and_lock_name(run, world, tmp_path):
                      passphrase=PASS)
     assert code == 0
     (store_path.parent / ".parentlock").unlink()
+
+
+@pytest.mark.parametrize("line, named", [("lockfile=custom.lock", "lockfile"),
+                                         ("lock_file=", "lock_file")])
+def test_config_mistake_is_refused(run, world, tmp_path, line, named):
+    store_path, vault_path, _ = world
+    config = tmp_path / "credmask.conf"
+    config.write_text(f"vault={vault_path}\n{line}\n")
+    before = dump_of(store_path)
+    code, _, err = run("mask", "--store", store_path, "--hosts", "host00.example",
+                       "--init", "--kdf-memory-mib", "1", "--kdf-iterations", "1",
+                       "--config", config, passphrase=PASS)
+    assert code == 1
+    assert repr(named) in err
+    assert dump_of(store_path) == before
+    assert not vault_path.exists()
+
+
+def copy_store(source, directory):
+    directory.mkdir()
+    shutil.copy(source, directory / "s.sqlite")
+    return directory / "s.sqlite"
+
+
+def test_store_path_percent_escape_opens_that_file(run, world, tmp_path):
+    store_path, vault_path, _ = world
+    target = copy_store(store_path, tmp_path / "p%41")
+    decoy = copy_store(store_path, tmp_path / "pA")
+    decoy_dump = dump_of(decoy)
+    assert cli_mask(run, target, vault_path, ["host00.example"])[0] == 0
+    assert dump_of(decoy) == decoy_dump
+    conn = sqlite3.connect(target)  # a plain path, no URI parsing
+    hosts = {h for (h,) in conn.execute("SELECT hostname FROM moz_logins")}
+    conn.close()
+    assert "host01.example" in hosts and "host00.example" not in hosts
+
+
+def test_store_path_with_hash_lists_and_creates_nothing(run, world, tmp_path):
+    store_path, _, _ = world
+    target = copy_store(store_path, tmp_path / "c#d")
+    code, out, err = run("list", "--store", target)
+    assert code == 0, err
+    assert "host00.example" in out
+    assert not (tmp_path / "c").exists()
 
 
 def test_unknown_option_exits_1(run):

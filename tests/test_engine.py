@@ -265,6 +265,24 @@ def test_conflict_fail_aborts_without_mutation(world):
     assert file_sha256(vf.path) == vault_hash
 
 
+def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf):
+    # ids: x 1, b 2, a 3. a comes back verbatim at 3; b's vaulted row 2 lost its
+    # id to a newer live b row, so keep-live gives it a fresh id, which is not 3.
+    handle = store_factory({"x.example": 1, "b.example": 1, "a.example": 1})
+    with create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
+        original = {r.row_id: r for r in handle.list_logins()}
+        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example", "b.example"]), handle, vf)
+        resaved = canonical_login_row(2, "b.example", encryptedUsername="ENC-USER-new")
+        handle.insert_rows([resaved])
+        up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
+        report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+    rows = {r.row_id: r for r in handle.list_logins()}
+    assert rows[1] == original[1] and rows[2] == resaved and rows[3] == original[3]
+    assert content_multiset(rows.values()) == content_multiset(
+        list(original.values()) + [resaved])
+    assert [(c.hostname, c.restored_rows) for c in conflicts] == [("b.example", 1)]
+
+
 # -- crash safety ----------------------------------------------------------------------
 
 def test_crash_after_vault_commit_loses_nothing(world, monkeypatch):

@@ -83,6 +83,16 @@ def test_list_logins_matches_direct_query(store_factory):
     assert [(r.row_id, r.hostname) for r in rows] == direct
 
 
+def test_list_logins_by_ids_reads_only_those_in_row_id_order(store_factory):
+    handle = store_factory({"a.example": 700, "b.example": 600})
+    everything = handle.list_logins()
+    wanted = [1300, 5, 1301, 999, 5, 2, 501, 500, 0]  # unordered, repeated, absent
+    assert handle.list_logins(wanted) == [r for r in everything if r.row_id in wanted]
+    many = range(1301, 0, -2)  # more than one 500-id chunk
+    assert handle.list_logins(many) == [r for r in everything if r.row_id % 2]
+    assert handle.list_logins([]) == []
+
+
 def test_list_logins_empty_table(store_factory):
     handle = store_factory({})
     assert handle.list_logins() == []
@@ -190,31 +200,6 @@ def test_insert_schema_mismatch(store_factory):
         handle.insert_rows([bad])
 
 
-def test_list_disabled_hosts(tmp_path):
-    handle = init_fixture(tmp_path / "s.sqlite", [], disabled=["c.example"])
-    try:
-        assert handle.list_disabled_hosts() == ["c.example"]
-    finally:
-        handle.close()
-
-
-def test_disabled_hosts_table_absent_gives_empty(tmp_path):
-    p = tmp_path / "bare.sqlite"
-    conn = sqlite3.connect(p)
-    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY, hostname TEXT)")
-    conn.commit()
-    conn.close()
-    handle = open_store(p)
-    try:
-        assert handle.list_disabled_hosts() == []
-    finally:
-        handle.close()
-
-
-def test_disabled_hosts_empty_table(store_factory):
-    assert store_factory().list_disabled_hosts() == []
-
-
 def test_keystore_digest_deterministic(keystore_file):
     assert keystore_digest(keystore_file) == keystore_digest(keystore_file)
     assert len(keystore_digest(keystore_file).digest) == 32
@@ -259,18 +244,6 @@ def test_dump_stable_across_processes(store_factory):
 def test_check_not_busy_quiescent(store_factory):
     handle = store_factory()
     check_not_busy(handle.path)
-
-
-def test_check_not_busy_sees_write_lock(store_factory):
-    handle = store_factory()
-    blocker = sqlite3.connect(handle.path)
-    try:
-        blocker.execute("BEGIN IMMEDIATE")
-        with pytest.raises(StoreBusyError):
-            check_not_busy(handle.path)
-    finally:
-        blocker.rollback()
-        blocker.close()
 
 
 def test_check_not_busy_sees_sibling_lock_file(store_factory):
