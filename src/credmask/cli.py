@@ -144,7 +144,7 @@ def cmd_list(store_path, vault_path, fmt, passphrase_fd, config_path):
             vf = stack.enter_context(
                 vault.open_vault(vault_path, _read_passphrase(passphrase_fd)))
             for entry in vf.entries:
-                rows.append((entry.hostname, len(entry.rows), "masked"))
+                rows.append((entry.hostname, entry.row_count, "masked"))
     rows.sort(key=lambda r: r[0])
     if fmt == "json-lines":
         for host, count, state in rows:
@@ -258,12 +258,16 @@ def _interactive_selection(handle: store.StoreHandle, vf) -> list[str]:
               help="What to do when a masked host has live rows again.")
 @click.option("--fingerprint", "probe_path", metavar="PROBE.min",
               help="Minutiae probe file, required when the policy includes one.")
+@click.option("--store-moved", is_flag=True,
+              help="Restore hosts masked from another store path (a moved profile); "
+                   "a recorded key store must match the one beside --store.")
 @click.option("--force", is_flag=True, help="Skip only the browser lock-file check.")
 @click.option("--passphrase-fd", type=int, default=None, hidden=True)
 @click.option("--gate-passphrase-fd", type=int, default=None, hidden=True)
 @click.option("--config", "config_path", metavar="PATH", default=None)
 def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
-               probe_path, force, passphrase_fd, gate_passphrase_fd, config_path):
+               probe_path, store_moved, force, passphrase_fd, gate_passphrase_fd,
+               config_path):
     """Authenticate, then restore masked rows byte-exactly into the store."""
     config = _load_config(config_path)
     vault_path = _vault_path(config, vault_path)
@@ -276,7 +280,8 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
         vf = stack.enter_context(_open_vault_as_auth(vault_path, passphrase))
         proof = _collect_proof(vf, gate_passphrase_fd, probe_path)
         hosts = None if unmask_all else [h.strip() for h in hosts_csv.split(",") if h.strip()]
-        plan = engine.plan_unmask(vf, hosts, conflict_policy, store_path=store_path)
+        plan = engine.plan_unmask(vf, hosts, conflict_policy, store_path=store_path,
+                                  store_moved=store_moved)
         rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
         report, conflicts = engine.apply_unmask(plan, proof, rw, vf,
                                                 force=force, sibling_locks=locks)
@@ -348,6 +353,8 @@ def cmd_status(store_path, vault_path, passphrase_fd, config_path):
             click.echo("masked hosts: " + ", ".join(report.masked_hosts))
         click.echo(f"live hosts: {len(report.live_hosts)}")
         click.echo(f"keystore: {'ok' if report.keystore_ok else 'CHANGED'}")
+        for other in report.foreign_stores:
+            click.echo(f"store: MISMATCH, hosts masked from {other}")
 
 
 @cli.group("auth")

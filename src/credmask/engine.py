@@ -30,6 +30,7 @@ from .errors import (
     MissingKeyStoreError,
     NothingMaskedError,
     StalePlanError,
+    StoreMismatchError,
     UnknownHostError,
     UnresolvedConflictError,
 )
@@ -65,6 +66,7 @@ class UnmaskPlan:
     store_path: str
     hosts: frozenset[str]
     conflict_policy: str
+    store_moved: bool = False  # restore hosts masked from another store path
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,7 @@ class StatusReport:
     masked_hosts: tuple[str, ...]
     live_hosts: tuple[str, ...]
     keystore_ok: bool
+    foreign_stores: tuple[str, ...] = ()  # stores other masked hosts came from
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,10 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
     """
     _require_same_path(plan.store_path, store.path, "store")
     _require_same_path(plan.vault_path, vault.path, "vault")
+    foreign = _foreign_stores(vault.entries, store.path)
+    if foreign:
+        raise StoreMismatchError(
+            f"the vault holds hosts masked from another store: {', '.join(foreign)}")
     if not force:
         check_not_busy(store.path, sibling_locks)
 
@@ -138,6 +145,7 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
         vaulted = set(vault.hosts())
         entries = []
         now = int(time.time())
+        store_path = str(Path(store.path).resolve())
         for hostname, row_ids in plan.selections:
             if hostname in vaulted:
                 raise StalePlanError(f"{hostname} was vaulted after planning")
@@ -151,7 +159,7 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
                 hostname=hostname,
                 rows=tuple(rows),
                 masked_at=now,
-                store_path=str(store.path),
+                store_path=store_path,
                 schema_columns=store.schema,
             ))
 
@@ -167,8 +175,12 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
 
 def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
                 conflict_policy: str = KEEP_LIVE,
-                store_path: str | Path = "") -> UnmaskPlan:
-    """Pick which vaulted hosts to restore; reads only. None means all."""
+                store_path: str | Path = "", store_moved: bool = False) -> UnmaskPlan:
+    """Pick which vaulted hosts to restore; reads only. None means all.
+
+    ``store_moved`` lets the apply step restore hosts masked from another
+    store path, as after moving the profile.
+    """
     if conflict_policy not in CONFLICT_POLICIES:
         raise ValueError(f"conflict_policy must be one of {CONFLICT_POLICIES}")
     vaulted = vault.hosts()
@@ -188,6 +200,7 @@ def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
         store_path=str(store_path),
         hosts=wanted,
         conflict_policy=conflict_policy,
+        store_moved=store_moved,
     )
 
 
@@ -198,11 +211,14 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     """Restore vaulted rows after the proof satisfies the vault's policy.
 
     Authentication is checked before any store access; an invalid proof
-    performs zero writes. Unless ``force`` is set, a browser lock file next to
-    the store then raises StoreBusyError. The read, deletes and inserts run as
-    one store write transaction, which commits before the vault forgets the
-    rows, so an interruption never loses a credential. Cells are read only
-    for the live rows of hosts that keep-live must compare.
+    performs zero writes. A selected host masked from another store path
+    raises StoreMismatchError, unless the plan says the store moved and the
+    key store beside it still matches the recorded digest. Unless ``force``
+    is set, a browser lock file next to the store then raises StoreBusyError.
+    The read, deletes and inserts run as one store write transaction, which
+    commits before the vault forgets the rows, so an interruption never loses
+    a credential. Cells are read only for the live rows of hosts that
+    keep-live must compare, and the report is built from the ids read there.
     """
     if proof is None or proof.vault_token != vault.auth_token:
         raise AuthFailedError("proof was not issued by this vault instance")
@@ -211,6 +227,14 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     _require_same_path(plan.store_path, store.path, "store")
 
     entries = [vault.get_entry(h) for h in sorted(plan.hosts)]
+    foreign = _foreign_stores(entries, store.path)
+    if foreign and not plan.store_moved:
+        raise StoreMismatchError(
+            f"selected hosts were masked from {', '.join(foreign)}, not {store.path}; "
+            "pass --store-moved to restore them here")
+    if foreign and not _keystore_ok(vault, Path(store.path).resolve().parent):
+        raise StoreMismatchError(
+            f"the key store beside {store.path} is not the one recorded at mask time")
     if not force:
         check_not_busy(store.path, sibling_locks)
 
@@ -276,32 +300,63 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
         if to_insert:
             store.insert_rows(to_insert)
     crash_point("after-store-insert")
+    # hosts in first-row order, as host_row_ids() would list them now
+    cleared = {r.hostname for r in reports if r.action == OVERWRITE_LIVE}
+    first_id = {h: ids[0] for h, ids in live_ids.items() if h not in cleared}
+    for row in to_insert:
+        if row.row_id < first_id.get(row.hostname, next_id):
+            first_id[row.hostname] = row.row_id
+    live_hosts = tuple(sorted(first_id, key=first_id.__getitem__))
     vault.take_entries(plan.hosts)
     if not vault.entries:
         vault.keystore_record = None
     vault.commit()
-    return status(store, vault), reports
+    return _report(vault, live_hosts, store.path), reports
 
 
 def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
-    """Current mode plus host inventories; masked mode is simply a non-empty vault."""
-    masked = tuple(vault.hosts()) if vault is not None else ()
-    keystore_ok = True
-    if vault is not None and vault.keystore_record is not None:
-        path, recorded = vault.keystore_record
-        try:
-            keystore_ok = keystore_digest(path).digest == recorded
-        except MissingKeyStoreError:
-            keystore_ok = False
-    return StatusReport(
-        mode=MODE_MASKED if masked else MODE_NORMAL,
-        masked_hosts=masked,
-        live_hosts=tuple(store.host_row_ids()),
-        keystore_ok=keystore_ok,
-    )
+    """Current mode plus host inventories; masked mode is simply a non-empty vault.
+
+    ``foreign_stores`` names the stores, other than this one, that vaulted
+    hosts were masked from.
+    """
+    return _report(vault, tuple(store.host_row_ids()), store.path)
 
 
 # -- internals ------------------------------------------------------------------
+
+def _report(vault: VaultFile | None, live_hosts: tuple[str, ...],
+            store_path: Path) -> StatusReport:
+    masked = tuple(vault.hosts()) if vault is not None else ()
+    return StatusReport(
+        mode=MODE_MASKED if masked else MODE_NORMAL,
+        masked_hosts=masked,
+        live_hosts=live_hosts,
+        keystore_ok=_keystore_ok(vault),
+        foreign_stores=_foreign_stores(vault.entries, store_path) if vault is not None else (),
+    )
+
+
+def _keystore_ok(vault: VaultFile | None, directory: Path | None = None) -> bool:
+    """False when the vault recorded a key-store digest that the key store no
+    longer has: the recorded file, or the one of that name in ``directory``."""
+    if vault is None or vault.keystore_record is None:
+        return True
+    path, recorded = vault.keystore_record
+    if directory is not None:
+        path = directory / Path(path).name
+    try:
+        return keystore_digest(path).digest == recorded
+    except MissingKeyStoreError:
+        return False
+
+
+def _foreign_stores(entries: Iterable[VaultEntry], store_path: Path) -> tuple[str, ...]:
+    """The recorded store paths of ``entries`` that do not resolve to ``store_path``."""
+    target = Path(store_path).resolve()
+    recorded = dict.fromkeys(e.store_path for e in entries)
+    return tuple(p for p in recorded if Path(p).resolve() != target)
+
 
 def _require_same_path(planned: str, actual: Path, label: str) -> None:
     if planned and Path(planned).resolve() != Path(actual).resolve():

@@ -93,6 +93,10 @@ class StalePlanError(CredmaskError):
     """The store or vault changed after the plan was computed."""
 
 
+class StoreMismatchError(CredmaskError):
+    """Vaulted hosts were masked from a store other than the one given."""
+
+
 class NothingMaskedError(CredmaskError):
     """The vault holds no entries to restore."""
 

@@ -220,7 +220,9 @@ class StoreHandle:
         if not rows:
             return 0
         schema_set = set(self.schema)
+        pk_index = self.schema.index(self.pk_column)
         seen: set[int] = set()
+        values = []
         for row in rows:
             if set(row.column_names()) != schema_set:
                 raise SchemaMismatchError(
@@ -230,23 +232,21 @@ class StoreHandle:
             if row.row_id in seen:
                 raise RowIdConflictError([row.row_id])
             seen.add(row.row_id)
+            by_name = dict(row.cells)
+            cells = [decode_cell_value(by_name[c]) for c in self.schema]
+            if cells[pk_index] != row.row_id:
+                raise SchemaMismatchError(
+                    f"row_id {row.row_id} disagrees with its {self.pk_column} cell"
+                )
+            values.append(cells)
         cols = ", ".join(f'"{c}"' for c in self.schema)
         marks = ", ".join("?" for _ in self.schema)
         with self.write_transaction():
             existing = self._existing_ids(sorted(seen))
             if existing:
                 raise RowIdConflictError(existing)
-            for row in rows:
-                by_name = dict(row.cells)
-                values = [decode_cell_value(by_name[c]) for c in self.schema]
-                pk_value = values[self.schema.index(self.pk_column)]
-                if pk_value != row.row_id:
-                    raise SchemaMismatchError(
-                        f"row_id {row.row_id} disagrees with its {self.pk_column} cell"
-                    )
-                self._conn.execute(
-                    f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', values
-                )
+            self._conn.executemany(
+                f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', values)
         return len(rows)
 
     # -- helpers --------------------------------------------------------------
@@ -294,8 +294,9 @@ def open_store(path: str | os.PathLike, mode: str = READ_ONLY) -> StoreHandle:
 
 
 def keystore_digest(path: str | os.PathLike) -> KeyStoreDigest:
-    """SHA-256 over the key-store file; equal files give equal digests."""
-    p = Path(path)
+    """SHA-256 over the key-store file, which is named by its resolved path;
+    equal files give equal digests."""
+    p = Path(path).resolve()
     if not p.is_file():
         raise MissingKeyStoreError(f"key store not found: {p}")
     return KeyStoreDigest(path=str(p), digest=hashlib.sha256(p.read_bytes()).digest())

@@ -7,10 +7,14 @@ On-disk layout, all integers big-endian:
     AEAD ciphertext of the serialized payload | tag (16, trailing)
 
 The payload reuses the store adapter's tagged cell encoding for every row, so
-a vaulted row restores byte-exactly. Every commit re-encrypts the whole state
-under a fresh nonce and replaces the file atomically (write temp, fsync,
-rename); a crash mid-commit leaves the previous version intact. The header is
-bound as associated data, so any ciphertext or header flip fails the tag.
+a vaulted row restores byte-exactly. Opening checks the whole payload but
+keeps each entry's rows encoded, as a slice of it, until something reads the
+entry's ``rows``; listing hosts and counting rows decode none, and a commit
+writes untouched entries back as the same bytes. Every commit re-encrypts the
+whole state under a fresh nonce and replaces the file atomically (write temp,
+fsync, rename); a crash mid-commit leaves the previous version intact. The
+header is bound as associated data, so any ciphertext or header flip fails
+the tag.
 
 The stated threat holds the machine's root credentials, so file permissions
 protect nothing; only the passphrase-derived key does.
@@ -23,7 +27,6 @@ import fcntl
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -40,12 +43,15 @@ from .errors import (
 from .faults import crash_point
 from .minutiae import BIFURCATION, TERMINATION, Minutia, Template
 from .store import LoginRow
-from .wire import Reader, TruncatedError, Writer
+from .wire import NULL_LENGTH, Reader, TruncatedError, Writer
 
 MAGIC = b"CMV1"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct(">4sHIIB16s")  # magic, version, mem, iters, parallelism, salt
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_ROW_HEAD = struct.Struct(">qH")  # row id, cell count
 _MIN_FILE = _HEADER.size + crypto.NONCE_LEN + crypto.TAG_LEN
 
 _RECORD_PASSPHRASE = 1
@@ -60,24 +66,68 @@ _KIND_CODE = {TERMINATION: 1, BIFURCATION: 2}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
-@dataclass(frozen=True)
 class VaultEntry:
-    """The masked rows of one hostname plus what is needed to restore them."""
+    """The masked rows of one hostname plus what is needed to restore them.
 
-    hostname: str
-    rows: tuple[LoginRow, ...]
-    masked_at: int  # UTC seconds
-    store_path: str
-    schema_columns: tuple[str, ...]
+    An entry read from a vault file holds its rows encoded, as a slice of the
+    decrypted payload, and decodes them the first time ``rows`` is read;
+    ``row_count`` and the other fields need no decoding. Treat it as a value.
+    """
 
-    def __post_init__(self):
-        if not self.rows:
+    __slots__ = ("hostname", "masked_at", "store_path", "schema_columns",
+                 "row_count", "_rows", "_encoded", "_rows_at")
+
+    def __init__(self, hostname: str, rows: Iterable[LoginRow], masked_at: int,
+                 store_path: str, schema_columns: Iterable[str]):
+        rows = tuple(rows)
+        if not rows:
             raise ValueError("a vault entry must hold at least one row")
-        for row in self.rows:
-            if row.hostname != self.hostname:
+        for row in rows:
+            if row.hostname != hostname:
                 raise ValueError(
-                    f"row {row.row_id} is for {row.hostname!r}, entry is {self.hostname!r}"
+                    f"row {row.row_id} is for {row.hostname!r}, entry is {hostname!r}"
                 )
+        self.hostname = hostname
+        self.masked_at = masked_at  # UTC seconds
+        self.store_path = store_path
+        self.schema_columns = tuple(schema_columns)
+        self.row_count = len(rows)
+        self._rows: tuple[LoginRow, ...] | None = rows
+        self._encoded: memoryview | None = None  # the entry's payload bytes
+        self._rows_at = 0  # offset of its first row in _encoded
+
+    @classmethod
+    def _from_payload(cls, hostname: str, masked_at: int, store_path: str,
+                      schema_columns: tuple[str, ...], row_count: int,
+                      encoded: memoryview, rows_at: int) -> "VaultEntry":
+        entry = cls.__new__(cls)
+        entry.hostname = hostname
+        entry.masked_at = masked_at
+        entry.store_path = store_path
+        entry.schema_columns = schema_columns
+        entry.row_count = row_count
+        entry._rows = None
+        entry._encoded = encoded
+        entry._rows_at = rows_at
+        return entry
+
+    @property
+    def rows(self) -> tuple[LoginRow, ...]:
+        if self._rows is None:
+            self._rows = _decode_rows(self._encoded, self._rows_at, self.row_count,
+                                      self.hostname)
+        return self._rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VaultEntry):
+            return NotImplemented
+        return (self.hostname, self.masked_at, self.store_path, self.schema_columns,
+                self.rows) == (other.hostname, other.masked_at, other.store_path,
+                               other.schema_columns, other.rows)
+
+    def __repr__(self) -> str:
+        return (f"VaultEntry(hostname={self.hostname!r}, rows={self.row_count}, "
+                f"masked_at={self.masked_at}, store_path={self.store_path!r})")
 
 
 class VaultFile:
@@ -171,13 +221,16 @@ class VaultFile:
         w = Writer()
         w.u32(len(self.entries))
         for entry in self.entries:
+            if entry._encoded is not None:  # read from the file: its bytes as they were
+                w.raw(entry._encoded)
+                continue
             w.text(entry.hostname)
             w.u64(entry.masked_at)
             w.text(entry.store_path)
             w.u16(len(entry.schema_columns))
             for col in entry.schema_columns:
                 w.text(col)
-            w.u32(len(entry.rows))
+            w.u32(entry.row_count)
             for row in entry.rows:
                 w.i64(row.row_id)
                 w.u16(len(row.cells))
@@ -213,20 +266,29 @@ class VaultFile:
         return w.getvalue()
 
     def _deserialize(self, payload: bytes) -> None:
+        """Check the whole payload, decoding all but the entries' rows.
+
+        Every length, every text field and every record is checked here, so
+        the rows decoded later from an entry's slice need no checks.
+        """
         r = Reader(payload)
+        view = memoryview(payload)
+        names: set[bytes] = set()  # cell names already checked to be UTF-8
         entries = []
         for _ in range(r.u32()):
+            start = r.pos
             hostname = r.text()
             masked_at = r.u64()
             store_path = r.text()
             columns = tuple(r.text() for _ in range(r.u16()))
-            rows = []
-            for _ in range(r.u32()):
-                row_id = r.i64()
-                cells = tuple((r.text(), r.cell()) for _ in range(r.u16()))
-                rows.append(LoginRow(row_id=row_id, hostname=hostname, cells=cells))
-            entries.append(VaultEntry(hostname, tuple(rows), masked_at,
-                                      store_path, columns))
+            count = r.u32()
+            if not count:
+                raise ValueError(f"vault entry {hostname!r} holds no rows")
+            rows_at = r.pos
+            r.pos = _skip_rows(payload, rows_at, count, names)
+            entries.append(VaultEntry._from_payload(
+                hostname, masked_at, store_path, columns, count,
+                view[start:r.pos], rows_at - start))
         records: list[auth.AuthRecord] = []
         for _ in range(r.u32()):
             tag = r.u8()
@@ -262,6 +324,62 @@ class VaultFile:
             record.vault_token = self.auth_token
         self.policy = policy
         self.keystore_record = keystore
+
+
+def _skip_rows(payload: bytes, pos: int, count: int, names: set[bytes]) -> int:
+    """Check ``count`` encoded rows from ``pos``; return the offset past them.
+
+    Each row is row id i64, cell count u16, then per cell its name (u32
+    length, UTF-8) and its value (u32 length or NULL_LENGTH, bytes). A length
+    that runs past the payload fails the next unpack_from, or the last check.
+    """
+    u16, u32 = _U16.unpack_from, _U32.unpack_from
+    for _ in range(count):
+        (cells,) = u16(payload, pos + 8)
+        pos += 10
+        for _ in range(cells):
+            (n,) = u32(payload, pos)
+            name_end = pos + 4 + n
+            name = payload[pos + 4:name_end]
+            if name not in names:
+                name.decode("utf-8")
+                names.add(name)
+            (n,) = u32(payload, name_end)
+            pos = name_end + 4
+            if n != NULL_LENGTH:
+                pos += n
+    if pos > len(payload):
+        raise TruncatedError("a row runs past the payload")
+    return pos
+
+
+def _decode_rows(encoded: memoryview, pos: int, count: int,
+                 hostname: str) -> tuple[LoginRow, ...]:
+    """Decode the rows _skip_rows already checked; no bound is checked again."""
+    buf = encoded.tobytes()
+    u32, head = _U32.unpack_from, _ROW_HEAD.unpack_from
+    names: dict[bytes, str] = {}
+    rows = []
+    for _ in range(count):
+        row_id, n_cells = head(buf, pos)
+        pos += 10
+        cells = []
+        for _ in range(n_cells):
+            (n,) = u32(buf, pos)
+            raw = buf[pos + 4:pos + 4 + n]
+            pos += 4 + n
+            name = names.get(raw)
+            if name is None:
+                name = names[raw] = raw.decode("utf-8")
+            (n,) = u32(buf, pos)
+            pos += 4
+            if n == NULL_LENGTH:
+                cells.append((name, None))
+            else:
+                cells.append((name, buf[pos:pos + n]))
+                pos += n
+        rows.append(LoginRow(row_id=row_id, hostname=hostname, cells=tuple(cells)))
+    return tuple(rows)
 
 
 # -- module operations ---------------------------------------------------------------
@@ -350,7 +468,7 @@ def _read_locked(p: Path, passphrase: bytes | str, lock_fd: int) -> VaultFile:
     vault = VaultFile(p, params, key, lock_fd)
     try:
         vault._deserialize(payload)
-    except (TruncatedError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError, struct.error) as exc:
         raise TamperedVaultError(f"vault payload corrupt: {exc}") from exc
     return vault
 

@@ -103,15 +103,17 @@ class Writer:
 
 
 class Reader:
+    """Bounds-checked decoder over ``data``; ``pos`` is the next byte to read."""
+
     def __init__(self, data: bytes):
         self._data = data
-        self._pos = 0
+        self.pos = 0
 
     def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        if self.pos + n > len(self._data):
             raise TruncatedError("truncated input")
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
+        out = self._data[self.pos:self.pos + n]
+        self.pos += n
         return out
 
     def u8(self) -> int:
@@ -148,4 +150,4 @@ class Reader:
         return self._take(n)
 
     def exhausted(self) -> bool:
-        return self._pos == len(self._data)
+        return self.pos == len(self._data)

@@ -12,7 +12,7 @@ import pytest
 
 from credmask.cli import main
 from credmask.minutiae import save_template
-from credmask.store import canonical_login_row, open_store
+from credmask.store import canonical_login_row, init_fixture, open_store
 from credmask.evaluation import generate_synthetic
 
 from conftest import file_sha256, ten_host_counts
@@ -140,6 +140,33 @@ def test_list_status_and_planning_encode_no_cells(run, world, monkeypatch):
                              passphrase=PASS)
         assert code == 0, err
         assert ".example" in out
+
+
+def test_list_status_and_mask_decode_no_vaulted_row(run, world, monkeypatch):
+    store_path, vault_path, _ = world
+    original = dump_of(store_path)
+    assert cli_mask(run, store_path, vault_path, ["host00.example", "host01.example"])[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("a vaulted row was decoded")
+
+    monkeypatch.setattr("credmask.vault._decode_rows", refuse)
+    code, out, err = run("list", "--store", store_path, "--vault", vault_path,
+                         "--format", "json-lines", passphrase=PASS)
+    assert code == 0, err
+    assert {"hostname": "host00.example", "rows": 3, "state": "masked"} in [
+        json.loads(line) for line in out.splitlines()]
+    code, out, err = run("status", "--store", store_path, "--vault", vault_path,
+                         passphrase=PASS)
+    assert code == 0, err
+    assert "masked hosts: host00.example, host01.example" in out
+    code, _, err = cli_mask(run, store_path, vault_path, ["host02.example"], init=False)
+    assert code == 0, err
+    monkeypatch.undo()
+    code, _, err = run("unmask", "--store", store_path, "--vault", vault_path, "--all",
+                       passphrase=PASS)
+    assert code == 0, err
+    assert dump_of(store_path) == original
 
 
 def test_crlf_passphrase_line_opens_a_vault_made_with_lf(run, world):
@@ -718,6 +745,100 @@ def test_status_reports_keystore(run, world):
     code, out, _ = run("status", "--store", store_path, "--vault", vault_path,
                        passphrase=PASS)
     assert "keystore: CHANGED" in out
+
+
+def test_paths_are_recorded_resolved(run, tmp_path, monkeypatch):
+    # mask from x/ with a relative store path, then look from x/elsewhere/
+    x = tmp_path / "x"
+    init_fixture(x / "prof" / "logins.sqlite",
+                 [canonical_login_row(1, "a.example"), canonical_login_row(2, "b.example")]
+                 ).close()
+    (x / "prof" / "key3.db").write_bytes(os.urandom(64))
+    (x / "elsewhere").mkdir()
+    vault_path = tmp_path / "vault.cmv"
+    original = dump_of(x / "prof" / "logins.sqlite")
+    monkeypatch.chdir(x)
+    assert cli_mask(run, "prof/logins.sqlite", vault_path, ["a.example"])[0] == 0
+    monkeypatch.chdir(x / "elsewhere")
+    code, out, err = run("status", "--store", "../prof/logins.sqlite", "--vault", vault_path,
+                         passphrase=PASS)
+    assert code == 0, err
+    assert "keystore: ok" in out.splitlines()
+    assert "MISMATCH" not in out
+    code, _, err = run("unmask", "--store", "../prof/logins.sqlite", "--vault", vault_path,
+                       "--all", passphrase=PASS)
+    assert code == 0, err
+    assert dump_of(x / "prof" / "logins.sqlite") == original
+
+
+# -- entries bound to their store --------------------------------------------------------
+
+@pytest.fixture
+def two_stores(run, world, store_factory):
+    """world's store A with host00 masked, and a second store B of the same shape."""
+    store_a, vault_path, _ = world
+    store_b = store_factory(ten_host_counts(), name="B")
+    store_b.close()
+    assert cli_mask(run, store_a, vault_path, ["host00.example"])[0] == 0
+    return store_a, store_b.path, vault_path
+
+
+def test_unmask_into_another_store_changes_nothing(run, two_stores):
+    store_a, store_b, vault_path = two_stores
+    hashes = [file_sha256(p) for p in (store_a, store_b, vault_path)]
+    for extra in ([], ["--conflicts", "overwrite-live"]):
+        code, _, err = run("unmask", "--store", store_b, "--vault", vault_path, "--all",
+                           *extra, passphrase=PASS)
+        assert code == 1
+        assert "--store-moved" in err
+        assert [file_sha256(p) for p in (store_a, store_b, vault_path)] == hashes
+
+
+def test_mask_refuses_a_vault_holding_another_stores_hosts(run, two_stores):
+    store_a, store_b, vault_path = two_stores
+    hashes = [file_sha256(p) for p in (store_a, store_b, vault_path)]
+    code, _, err = cli_mask(run, store_b, vault_path, ["host01.example"], init=False)
+    assert code == 1
+    assert str(store_a.resolve()) in err
+    assert [file_sha256(p) for p in (store_a, store_b, vault_path)] == hashes
+
+
+def test_status_reports_hosts_from_another_store(run, two_stores):
+    store_a, store_b, vault_path = two_stores
+    code, out, _ = run("status", "--store", store_b, "--vault", vault_path, passphrase=PASS)
+    assert code == 0
+    assert f"store: MISMATCH, hosts masked from {store_a.resolve()}" in out.splitlines()
+    code, out, _ = run("status", "--store", store_a, "--vault", vault_path, passphrase=PASS)
+    assert "MISMATCH" not in out
+
+
+def test_store_moved_restores_a_moved_profile(run, world, tmp_path):
+    store_path, vault_path, _ = world
+    original = dump_of(store_path)
+    assert cli_mask(run, store_path, vault_path, ["host00.example", "host03.example"])[0] == 0
+    moved = shutil.move(store_path.parent, tmp_path / "moved") / store_path.name
+    vault_hash = file_sha256(vault_path)
+    code, _, err = run("unmask", "--store", moved, "--vault", vault_path, "--all",
+                       passphrase=PASS)
+    assert code == 1, err
+    assert file_sha256(vault_path) == vault_hash
+    code, out, err = run("unmask", "--store", moved, "--vault", vault_path, "--all",
+                         "--store-moved", passphrase=PASS)
+    assert code == 0, err
+    assert dump_of(moved) == original
+
+
+def test_store_moved_checks_the_key_store_beside_the_target(run, world, tmp_path):
+    store_path, vault_path, keystore = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    moved = shutil.move(store_path.parent, tmp_path / "moved") / store_path.name
+    (moved.parent / keystore.name).write_bytes(b"another profile's key store")
+    hashes = [file_sha256(p) for p in (moved, vault_path)]
+    code, _, err = run("unmask", "--store", moved, "--vault", vault_path, "--all",
+                       "--store-moved", passphrase=PASS)
+    assert code == 1
+    assert "key store" in err
+    assert [file_sha256(p) for p in (moved, vault_path)] == hashes
 
 
 def test_status_unreadable_store_exits_1(run, tmp_path):

@@ -283,6 +283,27 @@ def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf)
     assert [(c.hostname, c.restored_rows) for c in conflicts] == [("b.example", 1)]
 
 
+@pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)
+def test_unmask_report_equals_a_fresh_status_without_a_second_scan(world, policy,
+                                                                   monkeypatch):
+    handle, vf, keystore = world
+    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    if policy != engine.FAIL:  # host00 saved again under its old id 1: a conflict
+        handle.insert_rows([canonical_login_row(1, "host00.example",
+                                                encryptedUsername="ENC-USER-new")])
+    scans = []
+    scan = type(handle).host_row_ids
+    monkeypatch.setattr(type(handle), "host_row_ids",
+                        lambda self: scans.append(1) or scan(self))
+    up = engine.plan_unmask(vf, ["host00.example", "host03.example", "host05.example"],
+                            policy)
+    report, _ = engine.apply_unmask(up, vf.open_proof, handle, vf)
+    assert len(scans) == 1
+    monkeypatch.undo()
+    assert report == engine.status(handle, vf)
+    assert report.masked_hosts == ("host01.example", "host02.example", "host04.example")
+
+
 # -- crash safety ----------------------------------------------------------------------
 
 def test_crash_after_vault_commit_loses_nothing(world, monkeypatch):

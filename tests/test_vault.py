@@ -18,6 +18,7 @@ from credmask.faults import CRASH_ENV, SimulatedCrash
 from credmask.minutiae import Minutia, Template
 from credmask.store import canonical_login_row
 from credmask.vault import VaultEntry, create_vault, open_vault
+from credmask.wire import Writer
 
 from conftest import make_rows
 
@@ -322,3 +323,151 @@ def test_auth_records_and_policy_round_trip(vault_path, tiny_kdf):
         assert fp.threshold == 0.4
         # reopened records are bound to the new instance
         assert all(r.vault_token == vf.auth_token for r in vf.auth_records)
+
+
+# -- entries stay encoded: the walk against the payload -------------------------------
+
+def decrypted_payload(path, passphrase):
+    from credmask import crypto
+
+    blob = path.read_bytes()
+    params = crypto.KdfParams(int.from_bytes(blob[6:10], "big"),
+                              int.from_bytes(blob[10:14], "big"), blob[14], blob[15:31])
+    key = crypto.derive_key(passphrase.encode(), params)
+    return crypto.open_sealed(key, blob[31:55], blob[55:], blob[:55])
+
+
+def varied_entries():
+    """Rows holding NULL, blob, real, text, empty and non-ASCII cells."""
+    rows = [
+        canonical_login_row(1, "bücher.example", httpRealm=None, encType=1.5,
+                            encryptedUsername=b"\x00\xff\xfe", encryptedPassword=b"",
+                            formSubmitURL=""),
+        canonical_login_row(2, "bücher.example", encryptedPassword="пароль 世界",
+                            guid=None, encType=-(2 ** 63)),
+    ]
+    other = [canonical_login_row(7, "plain.example", usernameField="ü" * 300)]
+    return [entry_for("bücher.example", rows), entry_for("plain.example", other)]
+
+
+def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
+    template = Template(tuple(
+        Minutia(float(i * 9), float(i * 5 % 30), 0.2 * i,
+                "termination" if i % 2 else "bifurcation")
+        for i in range(12)
+    ), source_id="enrolled-ü")
+    entries = varied_entries()
+    with create_vault(vault_path, "secret", tiny_kdf) as vf:
+        vf.put_entries(entries)
+        auth.enroll_passphrase(vf, "gate-secret", tiny_kdf)
+        auth.enroll_fingerprint(vf, template, threshold=0.4)
+        vf.keystore_record = ("/profile/key3.db", bytes(range(32)))
+        vf.commit()
+
+    def check_reopened(expected_entries):
+        payload = decrypted_payload(vault_path, "secret")
+        with open_vault(vault_path, "secret") as vf:
+            assert vf._serialize() == payload
+            assert vf.entries == expected_entries
+            assert [e.row_count for e in vf.entries] == [
+                len(e.rows) for e in expected_entries]
+            vf.commit()  # no entry change: the same payload again
+        assert decrypted_payload(vault_path, "secret") == payload
+
+    check_reopened(entries)
+    added = entries_for({"added.example": 2})
+    with open_vault(vault_path, "secret") as vf:
+        vf.put_entries(added)
+        vf.commit()
+    check_reopened(entries + added)
+    with open_vault(vault_path, "secret") as vf:
+        taken = vf.take_entries({"bücher.example"})
+        assert taken == entries[:1]
+        vf.commit()
+    check_reopened(entries[1:] + added)
+
+
+def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
+    from credmask import vault as vault_mod
+
+    entries = varied_entries()
+    with create_vault(vault_path, "secret", tiny_kdf) as vf:
+        vf.put_entries(entries)
+        vf.commit()
+    decoded = []
+    decode = vault_mod._decode_rows
+    monkeypatch.setattr(vault_mod, "_decode_rows",
+                        lambda *a: decoded.append(a[-1]) or decode(*a))
+    with open_vault(vault_path, "secret") as vf:
+        assert [(e.hostname, e.row_count) for e in vf.entries] == [
+            ("bücher.example", 2), ("plain.example", 1)]
+        assert decoded == []
+        assert vf.get_entry("plain.example").rows == entries[1].rows
+        assert vf.get_entry("plain.example").rows == entries[1].rows
+        assert decoded == ["plain.example"]
+
+
+def u32(n):
+    return n.to_bytes(4, "big")
+
+
+def entry_head(hostname=b"a.example", row_count=1):
+    """An entry's fields up to and including its row count."""
+    w = Writer()
+    w.prefixed(hostname)
+    w.u64(0)
+    w.text("/profile/signons.sqlite")
+    w.u16(1)
+    w.text("id")
+    w.u32(row_count)
+    return w.getvalue()
+
+
+def row_bytes(name=b"id"):
+    w = Writer()
+    w.i64(1)
+    w.u16(1)
+    w.prefixed(name)
+    w.cell(b"i" + (1).to_bytes(8, "big"))
+    return w.getvalue()
+
+
+def payload_of(entry=None, records=u32(0), tail=b"\x01\x00"):
+    """One entry, the auth records, then policy code and key-store flag."""
+    return u32(1) + (entry_head() + row_bytes() if entry is None else entry) + records + tail
+
+
+MALFORMED = {
+    "cell length past the end": u32(1) + entry_head() + row_bytes()[:-13] + u32(10 ** 6) + b"xy",
+    "truncated row header": u32(1) + entry_head() + b"\x00" * 9,
+    "bad UTF-8 in a hostname": payload_of(entry_head(hostname=b"bad-\xff.example") + row_bytes()),
+    "bad UTF-8 in a cell name": payload_of(entry_head() + row_bytes(name=b"i\xc3")),
+    "zero-row entry": payload_of(entry_head(row_count=0)),
+    "unknown record tag": payload_of(records=u32(1) + b"\x09"),
+    "unknown policy code": payload_of(tail=b"\x09\x00"),
+    "trailing bytes": payload_of() + b"\x00",
+}
+
+
+def sealed(vault_path, tiny_kdf, monkeypatch, payload):
+    """Write ``payload`` as a vault sealed under the right key, so the tag passes."""
+    vault_path.unlink(missing_ok=True)
+    with create_vault(vault_path, "secret", tiny_kdf) as vf:
+        monkeypatch.setattr(vf, "_serialize", lambda: payload)
+        vf.commit()
+
+
+def test_hand_built_payload_opens(vault_path, tiny_kdf, monkeypatch):
+    sealed(vault_path, tiny_kdf, monkeypatch, payload_of())
+    with open_vault(vault_path, "secret") as vf:
+        entry = vf.get_entry("a.example")
+        assert (entry.row_count, entry.schema_columns) == (1, ("id",))
+        assert entry.rows[0].cells == (("id", b"i" + (1).to_bytes(8, "big")),)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_is_tampered_at_open(vault_path, tiny_kdf, monkeypatch, case):
+    sealed(vault_path, tiny_kdf, monkeypatch, MALFORMED[case])
+    with pytest.raises(TamperedVaultError):
+        open_vault(vault_path, "secret")
+    assert_unlocked(vault_path)
