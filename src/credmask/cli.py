@@ -179,23 +179,23 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
     """Move selected hosts' saved logins from the store into the vault."""
     config = _load_config(config_path)
     vault_path = _vault_path(config, vault_path)
-    locks = _sibling_locks(config)
+    locks = () if force else _sibling_locks(config)
     keystore_path = keystore_path or _default_keystore(store_path)
 
     with ExitStack() as stack:
         mode = store.READ_ONLY if dry_run else store.READ_WRITE
         handle = stack.enter_context(store.open_store(store_path, mode))
-        if init_vault and not Path(vault_path).exists():
+        if Path(vault_path).exists():
+            vf = stack.enter_context(
+                vault.open_vault(vault_path, _read_passphrase(passphrase_fd)))
+        elif dry_run:  # a dry run creates no vault, --init or not
+            vf = None
+        elif init_vault:
             params = KdfParams.generate(kdf_memory_mib * 1024 * 1024, kdf_iterations)
             vf = stack.enter_context(
                 vault.create_vault(vault_path,
                                    _read_passphrase(passphrase_fd, confirm=True),
                                    params))
-        elif Path(vault_path).exists():
-            vf = stack.enter_context(
-                vault.open_vault(vault_path, _read_passphrase(passphrase_fd)))
-        elif dry_run:
-            vf = None
         else:
             raise click.UsageError(
                 f"vault {vault_path} does not exist (pass --init to create it)")
@@ -212,7 +212,7 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
                 click.echo(f"  {hostname}  rows {list(row_ids)}")
             return
 
-        report = engine.apply_mask(plan, handle, vf, force=force, sibling_locks=locks)
+        report = engine.apply_mask(plan, handle, vf, sibling_locks=locks)
 
     click.echo(f"masked {len(plan.selections)} host(s); mode: {report.mode}")
     click.echo("Log off and log back in now so open sessions drop their cached logins.")
@@ -271,7 +271,7 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
     """Authenticate, then restore masked rows byte-exactly into the store."""
     config = _load_config(config_path)
     vault_path = _vault_path(config, vault_path)
-    locks = _sibling_locks(config)
+    locks = () if force else _sibling_locks(config)
     if not unmask_all and not hosts_csv:
         raise click.UsageError("pass --hosts or --all")
     passphrase = _read_passphrase(passphrase_fd)
@@ -283,8 +283,7 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
         plan = engine.plan_unmask(vf, hosts, conflict_policy, store_path=store_path,
                                   store_moved=store_moved)
         rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
-        report, conflicts = engine.apply_unmask(plan, proof, rw, vf,
-                                                force=force, sibling_locks=locks)
+        report, conflicts = engine.apply_unmask(plan, proof, rw, vf, sibling_locks=locks)
 
     for c in conflicts:
         click.echo(f"conflict on {c.hostname}: {c.live_rows} live / "
@@ -308,9 +307,7 @@ def _collect_proof(vf: vault.VaultFile, gate_passphrase_fd: int | None,
             proofs.append(vf.open_proof)
     if auth.KIND_FINGERPRINT in needed:
         records = [r for r in vf.auth_records if r.kind == auth.KIND_FINGERPRINT]
-        if not records:
-            raise PolicyUnsatisfiedError({auth.KIND_FINGERPRINT})
-        if not probe_path:
+        if not records or not probe_path:
             raise PolicyUnsatisfiedError({auth.KIND_FINGERPRINT})
         probe = minutiae.load_template(probe_path)
         proof = None
@@ -471,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     except UnresolvedConflictError as exc:
         _echo_err(str(exc))
         return EXIT_CONFLICT
-    except click.UsageError as exc:
-        _echo_err(exc.format_message())
-        return EXIT_ERROR
     except click.ClickException as exc:
         _echo_err(exc.format_message())
         return EXIT_ERROR

@@ -71,6 +71,8 @@ class UnmaskPlan:
 
 @dataclass(frozen=True)
 class StatusReport:
+    """Mode plus host inventories; ``live_hosts`` is sorted by hostname."""
+
     mode: str
     masked_hosts: tuple[str, ...]
     live_hosts: tuple[str, ...]
@@ -118,11 +120,10 @@ def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
 
 
 def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
-               force: bool = False,
                sibling_locks: Sequence[str] = store_mod.DEFAULT_SIBLING_LOCKS) -> StatusReport:
     """Move the planned rows into the vault: vault commit first, then delete.
 
-    Unless ``force`` is set, a browser lock file next to the store raises
+    A browser lock file named in ``sibling_locks`` next to the store raises
     StoreBusyError before anything is read. One store write transaction then
     holds the re-read of the planned rows (and only those), the vault commit
     and the delete; a database lock held past sqlite3's 5 s busy wait raises
@@ -136,8 +137,7 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
     if foreign:
         raise StoreMismatchError(
             f"the vault holds hosts masked from another store: {', '.join(foreign)}")
-    if not force:
-        check_not_busy(store.path, sibling_locks)
+    check_not_busy(store.path, sibling_locks)
 
     with store.write_transaction():
         planned = [rid for _, row_ids in plan.selections for rid in row_ids]
@@ -205,7 +205,7 @@ def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
 
 
 def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
-                 vault: VaultFile, force: bool = False,
+                 vault: VaultFile,
                  sibling_locks: Sequence[str] = store_mod.DEFAULT_SIBLING_LOCKS,
                  ) -> tuple[StatusReport, list[ConflictReport]]:
     """Restore vaulted rows after the proof satisfies the vault's policy.
@@ -213,12 +213,17 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     Authentication is checked before any store access; an invalid proof
     performs zero writes. A selected host masked from another store path
     raises StoreMismatchError, unless the plan says the store moved and the
-    key store beside it still matches the recorded digest. Unless ``force``
-    is set, a browser lock file next to the store then raises StoreBusyError.
-    The read, deletes and inserts run as one store write transaction, which
-    commits before the vault forgets the rows, so an interruption never loses
-    a credential. Cells are read only for the live rows of hosts that
-    keep-live must compare, and the report is built from the ids read there.
+    key store beside it still matches the recorded digest. A browser lock
+    file named in ``sibling_locks`` next to the store then raises
+    StoreBusyError. The read, deletes and inserts run as one store write
+    transaction, which commits before the vault forgets the rows, so an
+    interruption never loses a credential.
+
+    A vaulted row keeps its id unless keep-live must remap it or another
+    host's live row holds it; a fresh id lies past every id the store or the
+    vault holds, so it never takes the id of a host that is still masked.
+    Cells are read only for the live rows keep-live compares, and the report
+    is built from the ids read there.
     """
     if proof is None or proof.vault_token != vault.auth_token:
         raise AuthFailedError("proof was not issued by this vault instance")
@@ -235,83 +240,57 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     if foreign and not _keystore_ok(vault, Path(store.path).resolve().parent):
         raise StoreMismatchError(
             f"the key store beside {store.path} is not the one recorded at mask time")
-    if not force:
-        check_not_busy(store.path, sibling_locks)
+    check_not_busy(store.path, sibling_locks)
 
+    policy = plan.conflict_policy
     with store.write_transaction():
         live_ids = store.host_row_ids()
         occupied = {rid for ids in live_ids.values() for rid in ids}
-        # past every live and every vaulted id, so a fresh id never collides
-        vaulted_ids = [row.row_id for e in entries for row in e.rows]
-        next_id = 1 + max([*occupied, *vaulted_ids], default=0)
-        compared: dict[str, list[LoginRow]] = {}
-        if plan.conflict_policy == KEEP_LIVE:
-            ids = [rid for e in entries for rid in live_ids.get(e.hostname, ())]
-            for row in store.list_logins(ids) if ids else ():
-                compared.setdefault(row.hostname, []).append(row)
+        next_id = 1 + max([*occupied, *(e.max_row_id for e in vault.entries)], default=0)
+        ids = [rid for e in entries for rid in live_ids.get(e.hostname, ())]
+        live_keys = ({_dedup_key(row, store) for row in store.list_logins(ids)}
+                     if ids and policy == KEEP_LIVE else set())
 
         to_insert: list[LoginRow] = []
         to_delete: list[int] = []
         reports: list[ConflictReport] = []
-
         for entry in entries:
             live = live_ids.get(entry.hostname, [])
-            if live and plan.conflict_policy == FAIL:
+            if policy == OVERWRITE_LIVE:
+                to_delete.extend(live)
+                occupied.difference_update(live)
+            # Keep-live leaves a host's newer live rows alone and brings back
+            # the vaulted rows that do not duplicate them under fresh ids: the
+            # one sanctioned deviation from byte-exactness.
+            remap = bool(live) and policy == KEEP_LIVE
+            rows = [row for row in entry.rows
+                    if not remap or _dedup_key(row, store) not in live_keys]
+            if policy == FAIL and (live or any(row.row_id in occupied for row in rows)):
                 reports.append(ConflictReport(
-                    entry.hostname, len(live), len(entry.rows), 0, FAIL))
+                    entry.hostname, len(live), entry.row_count, 0, FAIL))
                 continue
-
-            if live and plan.conflict_policy == KEEP_LIVE:
-                # Newer live rows win; vaulted rows that do not duplicate a live
-                # credential come back under fresh row ids (the one sanctioned
-                # deviation from byte-exactness, and only under an actual conflict).
-                live_keys = {_dedup_key(row, store) for row in compared[entry.hostname]}
-                kept = [row for row in entry.rows if _dedup_key(row, store) not in live_keys]
-                for row in kept:
-                    row, next_id = _with_fresh_id(row, next_id, store)
-                    to_insert.append(row)
-                reports.append(ConflictReport(
-                    entry.hostname, len(live), len(entry.rows), len(kept), KEEP_LIVE))
-                continue
-
-            # Restore verbatim, after overwrite-live drops the host's live rows.
-            # Only a row id another host took is remapped; under fail that is a
-            # conflict, and otherwise it is never reported as one.
-            to_delete.extend(live)
-            occupied.difference_update(live)
-            for row in entry.rows:
-                if row.row_id in occupied:
-                    if plan.conflict_policy == FAIL:
-                        reports.append(ConflictReport(
-                            entry.hostname, 0, len(entry.rows), 0, FAIL))
-                        break
+            for row in rows:
+                if remap or row.row_id in occupied:
                     row, next_id = _with_fresh_id(row, next_id, store)
                 to_insert.append(row)
                 occupied.add(row.row_id)
             if live:
                 reports.append(ConflictReport(
-                    entry.hostname, len(live), len(entry.rows), len(entry.rows),
-                    OVERWRITE_LIVE))
+                    entry.hostname, len(live), entry.row_count, len(rows), policy))
 
-        if plan.conflict_policy == FAIL and reports:
+        if policy == FAIL and reports:
             raise UnresolvedConflictError(reports)
         if to_delete:
             store.delete_rows(to_delete)
         if to_insert:
             store.insert_rows(to_insert)
     crash_point("after-store-insert")
-    # hosts in first-row order, as host_row_ids() would list them now
-    cleared = {r.hostname for r in reports if r.action == OVERWRITE_LIVE}
-    first_id = {h: ids[0] for h, ids in live_ids.items() if h not in cleared}
-    for row in to_insert:
-        if row.row_id < first_id.get(row.hostname, next_id):
-            first_id[row.hostname] = row.row_id
-    live_hosts = tuple(sorted(first_id, key=first_id.__getitem__))
     vault.take_entries(plan.hosts)
     if not vault.entries:
         vault.keystore_record = None
     vault.commit()
-    return _report(vault, live_hosts, store.path), reports
+    # every restored host has live rows now: its own or the ones put back
+    return _report(vault, live_ids.keys() | plan.hosts, store.path), reports
 
 
 def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
@@ -320,18 +299,18 @@ def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
     ``foreign_stores`` names the stores, other than this one, that vaulted
     hosts were masked from.
     """
-    return _report(vault, tuple(store.host_row_ids()), store.path)
+    return _report(vault, store.host_row_ids(), store.path)
 
 
 # -- internals ------------------------------------------------------------------
 
-def _report(vault: VaultFile | None, live_hosts: tuple[str, ...],
+def _report(vault: VaultFile | None, live_hosts: Iterable[str],
             store_path: Path) -> StatusReport:
     masked = tuple(vault.hosts()) if vault is not None else ()
     return StatusReport(
         mode=MODE_MASKED if masked else MODE_NORMAL,
         masked_hosts=masked,
-        live_hosts=live_hosts,
+        live_hosts=tuple(sorted(live_hosts)),
         keystore_ok=_keystore_ok(vault),
         foreign_stores=_foreign_stores(vault.entries, store_path) if vault is not None else (),
     )

@@ -49,7 +49,6 @@ MAGIC = b"CMV1"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct(">4sHIIB16s")  # magic, version, mem, iters, parallelism, salt
-_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _ROW_HEAD = struct.Struct(">qH")  # row id, cell count
 _MIN_FILE = _HEADER.size + crypto.NONCE_LEN + crypto.TAG_LEN
@@ -71,11 +70,12 @@ class VaultEntry:
 
     An entry read from a vault file holds its rows encoded, as a slice of the
     decrypted payload, and decodes them the first time ``rows`` is read;
-    ``row_count`` and the other fields need no decoding. Treat it as a value.
+    ``row_count``, ``max_row_id`` and the other fields need no decoding. Treat
+    it as a value.
     """
 
     __slots__ = ("hostname", "masked_at", "store_path", "schema_columns",
-                 "row_count", "_rows", "_encoded", "_rows_at")
+                 "row_count", "max_row_id", "_rows", "_encoded", "_rows_at")
 
     def __init__(self, hostname: str, rows: Iterable[LoginRow], masked_at: int,
                  store_path: str, schema_columns: Iterable[str]):
@@ -92,6 +92,7 @@ class VaultEntry:
         self.store_path = store_path
         self.schema_columns = tuple(schema_columns)
         self.row_count = len(rows)
+        self.max_row_id = max(row.row_id for row in rows)
         self._rows: tuple[LoginRow, ...] | None = rows
         self._encoded: memoryview | None = None  # the entry's payload bytes
         self._rows_at = 0  # offset of its first row in _encoded
@@ -99,13 +100,15 @@ class VaultEntry:
     @classmethod
     def _from_payload(cls, hostname: str, masked_at: int, store_path: str,
                       schema_columns: tuple[str, ...], row_count: int,
-                      encoded: memoryview, rows_at: int) -> "VaultEntry":
+                      max_row_id: int, encoded: memoryview,
+                      rows_at: int) -> "VaultEntry":
         entry = cls.__new__(cls)
         entry.hostname = hostname
         entry.masked_at = masked_at
         entry.store_path = store_path
         entry.schema_columns = schema_columns
         entry.row_count = row_count
+        entry.max_row_id = max_row_id
         entry._rows = None
         entry._encoded = encoded
         entry._rows_at = rows_at
@@ -285,9 +288,9 @@ class VaultFile:
             if not count:
                 raise ValueError(f"vault entry {hostname!r} holds no rows")
             rows_at = r.pos
-            r.pos = _skip_rows(payload, rows_at, count, names)
+            r.pos, max_row_id = _skip_rows(payload, rows_at, count, names)
             entries.append(VaultEntry._from_payload(
-                hostname, masked_at, store_path, columns, count,
+                hostname, masked_at, store_path, columns, count, max_row_id,
                 view[start:r.pos], rows_at - start))
         records: list[auth.AuthRecord] = []
         for _ in range(r.u32()):
@@ -326,16 +329,21 @@ class VaultFile:
         self.keystore_record = keystore
 
 
-def _skip_rows(payload: bytes, pos: int, count: int, names: set[bytes]) -> int:
-    """Check ``count`` encoded rows from ``pos``; return the offset past them.
+def _skip_rows(payload: bytes, pos: int, count: int,
+               names: set[bytes]) -> tuple[int, int]:
+    """Check ``count`` encoded rows from ``pos``; return the offset past them
+    and the highest row id among them.
 
     Each row is row id i64, cell count u16, then per cell its name (u32
     length, UTF-8) and its value (u32 length or NULL_LENGTH, bytes). A length
     that runs past the payload fails the next unpack_from, or the last check.
     """
-    u16, u32 = _U16.unpack_from, _U32.unpack_from
+    u32, head = _U32.unpack_from, _ROW_HEAD.unpack_from
+    max_row_id = -1 << 63  # the least i64
     for _ in range(count):
-        (cells,) = u16(payload, pos + 8)
+        row_id, cells = head(payload, pos)
+        if row_id > max_row_id:
+            max_row_id = row_id
         pos += 10
         for _ in range(cells):
             (n,) = u32(payload, pos)
@@ -350,7 +358,7 @@ def _skip_rows(payload: bytes, pos: int, count: int, names: set[bytes]) -> int:
                 pos += n
     if pos > len(payload):
         raise TruncatedError("a row runs past the payload")
-    return pos
+    return pos, max_row_id
 
 
 def _decode_rows(encoded: memoryview, pos: int, count: int,

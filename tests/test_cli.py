@@ -453,16 +453,20 @@ def test_mask_init_on_busy_profile_leaves_an_empty_vault_a_rerun_opens(run, worl
         assert vf.hosts() == ["host00.example"]
 
 
-def test_mask_dry_run_ignores_a_browser_lock_file(run, world):
+@pytest.mark.parametrize("init", [False, True], ids=["without-init", "with-init"])
+def test_mask_dry_run_ignores_a_browser_lock_file(run, world, init):
     store_path, vault_path, _ = world
     (store_path.parent / ".parentlock").touch()
     store_hash = file_sha256(store_path)
+    extra = ["--init", "--kdf-memory-mib", "1", "--kdf-iterations", "1"] if init else []
     code, out, err = run("mask", "--store", store_path, "--vault", vault_path,
-                         "--hosts", "host00.example", "--dry-run")
+                         "--hosts", "host00.example", "--dry-run", *extra,
+                         passphrase=PASS if init else None)
     assert code == 0, err
     assert "would mask" in out
     assert file_sha256(store_path) == store_hash
     assert not vault_path.exists()
+    assert not vault_path.with_name(vault_path.name + ".lock").exists()
 
 
 @pytest.fixture

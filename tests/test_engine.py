@@ -17,7 +17,7 @@ from credmask.errors import (
     UnresolvedConflictError,
 )
 from credmask.faults import CRASH_ENV, SimulatedCrash
-from credmask.store import canonical_login_row
+from credmask.store import canonical_login_row, init_fixture
 from credmask.vault import create_vault, open_vault
 
 from conftest import file_sha256, ten_host_counts
@@ -110,7 +110,7 @@ def test_apply_mask_respects_busy_store(world):
     with pytest.raises(StoreBusyError):
         engine.apply_mask(plan, handle, vf)
     os.unlink(handle.path.parent / ".parentlock")
-    engine.apply_mask(plan, handle, vf, force=False)
+    engine.apply_mask(plan, handle, vf)
 
 
 def test_round_trip_restores_bytes_and_keystore(world):
@@ -281,6 +281,38 @@ def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf)
     assert content_multiset(rows.values()) == content_multiset(
         list(original.values()) + [resaved])
     assert [(c.hostname, c.restored_rows) for c in conflicts] == [("b.example", 1)]
+
+
+@pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)
+def test_keep_live_fresh_ids_skip_the_ids_of_hosts_still_masked(tmp_path, tiny_kdf,
+                                                                 policy):
+    # ids: a 1-3, c 4-10, b 12-13. With a and b masked the browser saves an a
+    # row as 11, so keep-live gives a's vaulted rows fresh ids. They must lie
+    # past b's vaulted 12-13, so that b later comes back verbatim.
+    ids = {"a.example": range(1, 4), "c.example": range(4, 11), "b.example": range(12, 14)}
+    rows = [canonical_login_row(rid, host) for host, rids in ids.items() for rid in rids]
+    with init_fixture(tmp_path / "profile" / "signons.sqlite", rows) as handle, \
+            create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
+        b_rows = [r for r in handle.list_logins() if r.hostname == "b.example"]
+        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example", "b.example"]),
+                          handle, vf)
+        browser = sqlite3.connect(handle.path)
+        with browser:
+            saved = browser.execute(
+                "INSERT INTO moz_logins (hostname, encryptedUsername) "
+                "VALUES ('a.example', 'ENC-USER-new')").lastrowid
+        browser.close()
+        assert saved == 11
+
+        up = engine.plan_unmask(vf, ["a.example"], engine.KEEP_LIVE)
+        engine.apply_unmask(up, vf.open_proof, handle, vf)
+        assert [r.row_id for r in handle.list_logins() if r.hostname == "a.example"] == [
+            11, 14, 15, 16]
+
+        up = engine.plan_unmask(vf, ["b.example"], policy)
+        _, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+        assert conflicts == []
+        assert [r for r in handle.list_logins() if r.hostname == "b.example"] == b_rows
 
 
 @pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)

@@ -371,6 +371,8 @@ def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
             assert vf.entries == expected_entries
             assert [e.row_count for e in vf.entries] == [
                 len(e.rows) for e in expected_entries]
+            assert [e.max_row_id for e in vf.entries] == [
+                max(row.row_id for row in e.rows) for e in vf.entries]
             vf.commit()  # no entry change: the same payload again
         assert decrypted_payload(vault_path, "secret") == payload
 
