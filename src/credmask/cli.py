@@ -272,16 +272,15 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
     config = _load_config(config_path)
     vault_path = _vault_path(config, vault_path)
     locks = () if force else _sibling_locks(config)
-    if not unmask_all and not hosts_csv:
-        raise click.UsageError("pass --hosts or --all")
+    if unmask_all == bool(hosts_csv):
+        raise click.UsageError("pass exactly one of --hosts or --all")
     passphrase = _read_passphrase(passphrase_fd)
 
     with ExitStack() as stack:
         vf = stack.enter_context(_open_vault_as_auth(vault_path, passphrase))
         proof = _collect_proof(vf, gate_passphrase_fd, probe_path)
         hosts = None if unmask_all else [h.strip() for h in hosts_csv.split(",") if h.strip()]
-        plan = engine.plan_unmask(vf, hosts, conflict_policy, store_path=store_path,
-                                  store_moved=store_moved)
+        plan = engine.plan_unmask(vf, hosts, conflict_policy, store_moved=store_moved)
         rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
         report, conflicts = engine.apply_unmask(plan, proof, rw, vf, sibling_locks=locks)
 

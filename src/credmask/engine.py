@@ -1,8 +1,9 @@
 """Two-phase mask/unmask engine over the store adapter and the vault.
 
 Everything mutating is split into a plan step (pure reads, produces a
-validated intent) and an apply step, which makes stale intents detectable
-and gives the CLI a dry-run for free.
+validated intent) and an apply step, which gives the CLI a dry-run for free.
+The apply step checks the plan against ids read under the store's write
+lock, so a plan the store no longer matches changes nothing.
 
 Write ordering is the crash-safety core: masking commits the vault before
 deleting store rows, and unmasking reinserts store rows before committing
@@ -54,16 +55,12 @@ _DEDUP_COLUMN = "encryptedUsername"
 
 @dataclass(frozen=True)
 class MaskPlan:
-    store_path: str
-    vault_path: str
     selections: tuple[tuple[str, tuple[int, ...]], ...]
     keystore_before: KeyStoreDigest | None
 
 
 @dataclass(frozen=True)
 class UnmaskPlan:
-    vault_path: str
-    store_path: str
     hosts: frozenset[str]
     conflict_policy: str
     store_moved: bool = False  # restore hosts masked from another store path
@@ -112,8 +109,6 @@ def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
         raise UnknownHostError(f"no stored rows for: {unknown}")
     digest = keystore_digest(keystore_path) if keystore_path is not None else None
     return MaskPlan(
-        store_path=str(store.path),
-        vault_path=str(vault.path) if vault is not None else "",
         selections=tuple((h, tuple(by_host[h])) for h in wanted),
         keystore_before=digest,
     )
@@ -125,14 +120,13 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
 
     A browser lock file named in ``sibling_locks`` next to the store raises
     StoreBusyError before anything is read. One store write transaction then
-    holds the re-read of the planned rows (and only those), the vault commit
+    holds one id scan, the read of the planned rows' cells, the vault commit
     and the delete; a database lock held past sqlite3's 5 s busy wait raises
     StoreBusyError. The order means an interruption can only ever duplicate
-    rows, never lose them. Fails with StalePlanError when the store or vault
-    no longer matches the plan, leaving both files untouched.
+    rows, never lose them. A selected host that is vaulted, or whose ids read
+    under the lock are not exactly the planned ids, raises StalePlanError
+    before anything is written. The report is built from the same scan.
     """
-    _require_same_path(plan.store_path, store.path, "store")
-    _require_same_path(plan.vault_path, vault.path, "vault")
     foreign = _foreign_stores(vault.entries, store.path)
     if foreign:
         raise StoreMismatchError(
@@ -140,24 +134,20 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
     check_not_busy(store.path, sibling_locks)
 
     with store.write_transaction():
+        live_ids = store.host_row_ids()
+        vaulted = set(vault.hosts())
+        for hostname, row_ids in plan.selections:
+            if hostname in vaulted or tuple(live_ids.get(hostname, ())) != row_ids:
+                raise StalePlanError(f"{hostname} changed after planning")
         planned = [rid for _, row_ids in plan.selections for rid in row_ids]
         rows_by_id = {row.row_id: row for row in store.list_logins(planned)}
-        vaulted = set(vault.hosts())
         entries = []
         now = int(time.time())
         store_path = str(Path(store.path).resolve())
         for hostname, row_ids in plan.selections:
-            if hostname in vaulted:
-                raise StalePlanError(f"{hostname} was vaulted after planning")
-            rows = []
-            for rid in row_ids:
-                row = rows_by_id.get(rid)
-                if row is None or row.hostname != hostname:
-                    raise StalePlanError(f"row {rid} of {hostname} changed after planning")
-                rows.append(row)
             entries.append(VaultEntry(
                 hostname=hostname,
-                rows=tuple(rows),
+                rows=tuple(rows_by_id[rid] for rid in row_ids),
                 masked_at=now,
                 store_path=store_path,
                 schema_columns=store.schema,
@@ -170,12 +160,11 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
         crash_point("after-vault-commit")
         store.delete_rows(planned)
     crash_point("after-store-delete")
-    return status(store, vault)
+    return _report(vault, live_ids.keys() - {h for h, _ in plan.selections}, store.path)
 
 
 def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
-                conflict_policy: str = KEEP_LIVE,
-                store_path: str | Path = "", store_moved: bool = False) -> UnmaskPlan:
+                conflict_policy: str = KEEP_LIVE, store_moved: bool = False) -> UnmaskPlan:
     """Pick which vaulted hosts to restore; reads only. None means all.
 
     ``store_moved`` lets the apply step restore hosts masked from another
@@ -196,8 +185,6 @@ def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
         if not wanted:
             raise EmptySelectionError("no hosts selected")
     return UnmaskPlan(
-        vault_path=str(vault.path),
-        store_path=str(store_path),
         hosts=wanted,
         conflict_policy=conflict_policy,
         store_moved=store_moved,
@@ -228,8 +215,6 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     if proof is None or proof.vault_token != vault.auth_token:
         raise AuthFailedError("proof was not issued by this vault instance")
     check_policy(vault.policy, [proof])
-    _require_same_path(plan.vault_path, vault.path, "vault")
-    _require_same_path(plan.store_path, store.path, "store")
 
     entries = [vault.get_entry(h) for h in sorted(plan.hosts)]
     foreign = _foreign_stores(entries, store.path)
@@ -335,11 +320,6 @@ def _foreign_stores(entries: Iterable[VaultEntry], store_path: Path) -> tuple[st
     target = Path(store_path).resolve()
     recorded = dict.fromkeys(e.store_path for e in entries)
     return tuple(p for p in recorded if Path(p).resolve() != target)
-
-
-def _require_same_path(planned: str, actual: Path, label: str) -> None:
-    if planned and Path(planned).resolve() != Path(actual).resolve():
-        raise StalePlanError(f"plan was made for a different {label}: {planned}")
 
 
 def _dedup_key(row: LoginRow, store: StoreHandle):

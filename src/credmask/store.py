@@ -255,17 +255,26 @@ class StoreHandle:
         return {int(r[0]) for r in self._select((self.pk_column,), ids)}
 
     def _select(self, columns: Sequence[str], ids: Iterable[int] | None = None):
-        """The given columns of every row, or of the rows in ``ids``, in row-id order."""
+        """The given columns of every row, or of the rows in ``ids``, in row-id order.
+
+        A TEXT cell that is not UTF-8 raises SchemaError; sqlite3's own error
+        quotes the cell, which may be a credential.
+        """
         cols = ", ".join(f'"{c}"' for c in columns)
         query = f'SELECT {cols} FROM "{LOGINS_TABLE}"'
         order = f' ORDER BY "{self.pk_column}"'
-        if ids is None:
-            yield from self._conn.execute(query + order)
-            return
-        for chunk in _chunks(sorted(set(int(i) for i in ids)), 500):
-            marks = ", ".join("?" for _ in chunk)
-            yield from self._conn.execute(
-                f'{query} WHERE "{self.pk_column}" IN ({marks}){order}', chunk)
+        try:
+            if ids is None:
+                yield from self._conn.execute(query + order)
+                return
+            for chunk in _chunks(sorted(set(int(i) for i in ids)), 500):
+                marks = ", ".join("?" for _ in chunk)
+                yield from self._conn.execute(
+                    f'{query} WHERE "{self.pk_column}" IN ({marks}){order}', chunk)
+        except sqlite3.OperationalError as exc:
+            if not str(exc).startswith("Could not decode to UTF-8"):
+                raise
+            raise SchemaError(f"{LOGINS_TABLE} holds a TEXT cell that is not UTF-8") from None
 
 
 # -- module-level operations --------------------------------------------------

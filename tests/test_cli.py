@@ -377,6 +377,17 @@ def test_unmask_requires_selection(run, world):
     assert "--hosts or --all" in err
 
 
+def test_unmask_refuses_both_hosts_and_all(run, world):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example", "host01.example"])[0] == 0
+    hashes = [file_sha256(p) for p in (store_path, vault_path)]
+    code, _, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                       "--hosts", "host00.example", "--all", passphrase=PASS)
+    assert code == 1
+    assert "exactly one of --hosts or --all" in err
+    assert [file_sha256(p) for p in (store_path, vault_path)] == hashes
+
+
 def test_unmask_busy_store_exits_3(run, world):
     store_path, vault_path, _ = world
     assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
@@ -850,6 +861,31 @@ def test_status_unreadable_store_exits_1(run, tmp_path):
     bad.write_bytes(b"junk")
     code, _, err = run("status", "--store", bad)
     assert code == 1
+
+
+def test_mask_of_a_text_cell_that_is_not_utf8_exits_1_and_leaks_nothing(store_factory,
+                                                                      tmp_path):
+    handle = store_factory({"a.example": 2, "b.example": 1})
+    handle.close()
+    conn = sqlite3.connect(handle.path)
+    conn.execute("UPDATE moz_logins SET encryptedPassword = "
+                 "CAST(x'53454352455466ff' AS TEXT) WHERE id = 1")
+    conn.commit()
+    conn.close()
+    store_hash = file_sha256(handle.path)
+    vault_path = tmp_path / "vault.cmv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "credmask", "mask", "--store", str(handle.path),
+         "--vault", str(vault_path), "--hosts", "a.example", "--init",
+         "--kdf-memory-mib", "1", "--kdf-iterations", "1", "--passphrase-fd", "0"],
+        input=PASS + "\n", capture_output=True, text=True, timeout=60, cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 1, proc.stderr
+    assert "SECRET" not in proc.stderr and "Traceback" not in proc.stderr
+    assert file_sha256(handle.path) == store_hash
+    from credmask.vault import open_vault
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.hosts() == []
 
 
 # -- auth command -----------------------------------------------------------------------

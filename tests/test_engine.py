@@ -17,7 +17,7 @@ from credmask.errors import (
     UnresolvedConflictError,
 )
 from credmask.faults import CRASH_ENV, SimulatedCrash
-from credmask.store import canonical_login_row, init_fixture
+from credmask.store import StoreHandle, canonical_login_row, init_fixture
 from credmask.vault import create_vault, open_vault
 
 from conftest import file_sha256, ten_host_counts
@@ -103,6 +103,45 @@ def test_apply_mask_twice_is_stale(world):
     assert handle.dump_canonical() == dump
 
 
+@pytest.mark.parametrize("change", [
+    "INSERT INTO moz_logins (id, hostname, encryptedUsername, encryptedPassword)"
+    " VALUES (100, 'host00.example', 'ENC-USER-new', 'ENC-PASS-new')",
+    "DELETE FROM moz_logins WHERE id = 2",
+    "UPDATE moz_logins SET hostname = 'host09.example' WHERE id = 2",
+], ids=["row-added", "row-deleted", "row-moved"])
+def test_apply_mask_refuses_a_plan_the_store_no_longer_matches(world, change):
+    handle, vf, keystore = world
+    plan = engine.plan_mask(handle, vf, SIX, keystore)
+    assert 2 in dict(plan.selections)["host00.example"]
+    browser = sqlite3.connect(handle.path)  # saves between planning and the write
+    browser.execute(change)
+    browser.commit()
+    browser.close()
+    dump = handle.dump_canonical()
+    vault_bytes = vf.path.read_bytes()
+    with pytest.raises(StalePlanError):
+        engine.apply_mask(plan, handle, vf)
+    assert handle.dump_canonical() == dump
+    assert vf.path.read_bytes() == vault_bytes
+
+
+def test_mask_report_comes_from_one_scan_inside_the_transaction(world, monkeypatch):
+    handle, vf, keystore = world
+    plan = engine.plan_mask(handle, vf, SIX, keystore)
+    in_transaction = []
+    real_scan = StoreHandle.host_row_ids
+
+    def host_row_ids(self):
+        in_transaction.append(self._conn.in_transaction)
+        return real_scan(self)
+
+    monkeypatch.setattr(StoreHandle, "host_row_ids", host_row_ids)
+    report = engine.apply_mask(plan, handle, vf)
+    assert in_transaction == [True]
+    monkeypatch.undo()
+    assert report == engine.status(handle, vf)
+
+
 def test_apply_mask_respects_busy_store(world):
     handle, vf, keystore = world
     plan = engine.plan_mask(handle, vf, SIX, keystore)
@@ -120,7 +159,7 @@ def test_round_trip_restores_bytes_and_keystore(world):
     plan = engine.plan_mask(handle, vf, SIX, keystore)
     engine.apply_mask(plan, handle, vf)
     assert handle.dump_canonical() != original
-    up = engine.plan_unmask(vf, None, engine.KEEP_LIVE, store_path=handle.path)
+    up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert report.mode == engine.MODE_NORMAL
     assert conflicts == []
