@@ -36,7 +36,7 @@ from .errors import (
     UnresolvedConflictError,
 )
 from .faults import crash_point
-from .store import KeyStoreDigest, LoginRow, StoreHandle, check_not_busy, keystore_digest
+from .store import KeyStoreDigest, StoreHandle, check_not_busy, keystore_digest
 from .vault import VaultEntry, VaultFile
 from .wire import encode_cell_value
 
@@ -140,18 +140,15 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
             if hostname in vaulted or tuple(live_ids.get(hostname, ())) != row_ids:
                 raise StalePlanError(f"{hostname} changed after planning")
         planned = [rid for _, row_ids in plan.selections for rid in row_ids]
-        rows_by_id = {row.row_id: row for row in store.list_logins(planned)}
-        entries = []
+        pk_index = store.schema.index(store.pk_column)
+        rows_by_id = {row[pk_index]: row for row in store.read_rows(planned)}
         now = int(time.time())
         store_path = str(Path(store.path).resolve())
-        for hostname, row_ids in plan.selections:
-            entries.append(VaultEntry(
-                hostname=hostname,
-                rows=tuple(rows_by_id[rid] for rid in row_ids),
-                masked_at=now,
-                store_path=store_path,
-                schema_columns=store.schema,
-            ))
+        entries = [
+            VaultEntry.from_store_rows(hostname, [rows_by_id[rid] for rid in row_ids], now,
+                                       store_path, store.schema, store.pk_column)
+            for hostname, row_ids in plan.selections
+        ]
 
         vault.put_entries(entries)
         if plan.keystore_before is not None and vault.keystore_record is None:
@@ -228,15 +225,17 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     check_not_busy(store.path, sibling_locks)
 
     policy = plan.conflict_policy
+    pk_index = store.schema.index(store.pk_column)
+    host_index = store.schema.index(store_mod.HOSTNAME_COLUMN)
     with store.write_transaction():
         live_ids = store.host_row_ids()
         occupied = {rid for ids in live_ids.values() for rid in ids}
         next_id = 1 + max([*occupied, *(e.max_row_id for e in vault.entries)], default=0)
         ids = [rid for e in entries for rid in live_ids.get(e.hostname, ())]
-        live_keys = ({_dedup_key(row, store) for row in store.list_logins(ids)}
+        live_keys = ({_dedup_key(row[host_index], row, store) for row in store.read_rows(ids)}
                      if ids and policy == KEEP_LIVE else set())
 
-        to_insert: list[LoginRow] = []
+        to_insert: list[tuple] = []
         to_delete: list[int] = []
         reports: list[ConflictReport] = []
         for entry in entries:
@@ -248,17 +247,18 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
             # the vaulted rows that do not duplicate them under fresh ids: the
             # one sanctioned deviation from byte-exactness.
             remap = bool(live) and policy == KEEP_LIVE
-            rows = [row for row in entry.rows
-                    if not remap or _dedup_key(row, store) not in live_keys]
-            if policy == FAIL and (live or any(row.row_id in occupied for row in rows)):
+            rows = [row for row in entry.store_rows(store.schema, store.pk_column)
+                    if not remap or _dedup_key(entry.hostname, row, store) not in live_keys]
+            if policy == FAIL and (live or any(row[pk_index] in occupied for row in rows)):
                 reports.append(ConflictReport(
                     entry.hostname, len(live), entry.row_count, 0, FAIL))
                 continue
             for row in rows:
-                if remap or row.row_id in occupied:
-                    row, next_id = _with_fresh_id(row, next_id, store)
+                if remap or row[pk_index] in occupied:
+                    row = (*row[:pk_index], next_id, *row[pk_index + 1:])
+                    next_id += 1
                 to_insert.append(row)
-                occupied.add(row.row_id)
+                occupied.add(row[pk_index])
             if live:
                 reports.append(ConflictReport(
                     entry.hostname, len(live), entry.row_count, len(rows), policy))
@@ -322,16 +322,10 @@ def _foreign_stores(entries: Iterable[VaultEntry], store_path: Path) -> tuple[st
     return tuple(p for p in recorded if Path(p).resolve() != target)
 
 
-def _dedup_key(row: LoginRow, store: StoreHandle):
+def _dedup_key(hostname: str, row: tuple, store: StoreHandle):
+    """What makes two rows of a host the same saved credential, storage class
+    included: 1 and 1.0, or "x" and b"x", are different credentials."""
     if _DEDUP_COLUMN in store.schema:
-        return (row.hostname, row.cell(_DEDUP_COLUMN))
-    non_pk = tuple(v for name, v in row.cells if name != store.pk_column)
-    return (row.hostname, non_pk)
-
-
-def _with_fresh_id(row: LoginRow, next_id: int, store: StoreHandle) -> tuple[LoginRow, int]:
-    cells = tuple(
-        (name, encode_cell_value(next_id) if name == store.pk_column else value)
-        for name, value in row.cells
-    )
-    return LoginRow(row_id=next_id, hostname=row.hostname, cells=cells), next_id + 1
+        return (hostname, encode_cell_value(row[store.schema.index(_DEDUP_COLUMN)]))
+    pk_index = store.schema.index(store.pk_column)
+    return (hostname, tuple(encode_cell_value(v) for i, v in enumerate(row) if i != pk_index))

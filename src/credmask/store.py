@@ -18,10 +18,11 @@ from __future__ import annotations
 import hashlib
 import os
 import sqlite3
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlreadyExistsError,
@@ -142,28 +143,27 @@ class StoreHandle:
 
     # -- reads ----------------------------------------------------------------
 
-    def list_logins(self, ids: Iterable[int] | None = None) -> list[LoginRow]:
-        """Rows of the logins table, every column verbatim, ordered by row id.
+    def read_rows(self, ids: Iterable[int] | None = None) -> Iterator[tuple]:
+        """Rows of the logins table as SQLite returns them, ordered by row id.
 
-        With ``ids``, only the rows among them; ids not in the table are skipped.
+        Each row is a tuple of native values in schema order. With ``ids``, only
+        the rows among them; ids not in the table are skipped. A hostname that
+        is not TEXT raises SchemaError.
         """
-        rows = []
+        host_index = self.schema.index(HOSTNAME_COLUMN)
+        for row in self._select(self.schema, ids):
+            _require_text_hostname(row[host_index])
+            yield row
+
+    def list_logins(self, ids: Iterable[int] | None = None) -> list[LoginRow]:
+        """:meth:`read_rows` with every cell in its tagged byte form."""
         host_index = self.schema.index(HOSTNAME_COLUMN)
         pk_index = self.schema.index(self.pk_column)
-        for raw in self._select(self.schema, ids):
-            hostname = raw[host_index]
-            _require_text_hostname(hostname)
-            rows.append(
-                LoginRow(
-                    row_id=int(raw[pk_index]),
-                    hostname=hostname,
-                    cells=tuple(
-                        (name, encode_cell_value(value))
-                        for name, value in zip(self.schema, raw)
-                    ),
-                )
-            )
-        return rows
+        return [
+            LoginRow(row_id=int(row[pk_index]), hostname=row[host_index],
+                     cells=tuple(zip(self.schema, map(encode_cell_value, row))))
+            for row in self.read_rows(ids)
+        ]
 
     def host_row_ids(self) -> dict[str, list[int]]:
         """Row ids per hostname in row-id order, hosts in first-row order; reads no cells."""
@@ -214,35 +214,25 @@ class StoreHandle:
                 )
         return len(ids)
 
-    def insert_rows(self, rows: Sequence[LoginRow]) -> int:
-        """Insert rows with their original ids and cell bytes; all-or-nothing."""
+    def insert_rows(self, rows: Sequence[tuple | LoginRow]) -> int:
+        """Insert rows with their original ids and cell values; all-or-nothing.
+
+        A row is a tuple of native values in schema order, or a LoginRow. A
+        duplicate id, or an id the table holds, raises RowIdConflictError.
+        """
         self._require_writable()
         if not rows:
             return 0
-        schema_set = set(self.schema)
+        values = self._values_of(rows)
         pk_index = self.schema.index(self.pk_column)
-        seen: set[int] = set()
-        values = []
-        for row in rows:
-            if set(row.column_names()) != schema_set:
-                raise SchemaMismatchError(
-                    f"row {row.row_id} columns {sorted(row.column_names())} "
-                    f"!= store schema {sorted(schema_set)}"
-                )
-            if row.row_id in seen:
-                raise RowIdConflictError([row.row_id])
-            seen.add(row.row_id)
-            by_name = dict(row.cells)
-            cells = [decode_cell_value(by_name[c]) for c in self.schema]
-            if cells[pk_index] != row.row_id:
-                raise SchemaMismatchError(
-                    f"row_id {row.row_id} disagrees with its {self.pk_column} cell"
-                )
-            values.append(cells)
+        ids = [row[pk_index] for row in values]
+        unique = set(ids)
+        if len(unique) != len(ids):
+            raise RowIdConflictError(sorted(i for i, n in Counter(ids).items() if n > 1))
         cols = ", ".join(f'"{c}"' for c in self.schema)
         marks = ", ".join("?" for _ in self.schema)
         with self.write_transaction():
-            existing = self._existing_ids(sorted(seen))
+            existing = self._existing_ids(sorted(unique))
             if existing:
                 raise RowIdConflictError(existing)
             self._conn.executemany(
@@ -250,6 +240,30 @@ class StoreHandle:
         return len(rows)
 
     # -- helpers --------------------------------------------------------------
+
+    def _values_of(self, rows: Sequence[tuple | LoginRow]) -> list[tuple]:
+        """Rows as tuples of native values in schema order, a LoginRow's cells
+        decoded; SchemaMismatchError unless a LoginRow has exactly the schema's
+        columns and its primary-key cell is its id."""
+        schema_set = set(self.schema)
+        pk_index = self.schema.index(self.pk_column)
+        values = []
+        for row in rows:
+            if isinstance(row, LoginRow):
+                by_name = dict(row.cells)
+                if by_name.keys() != schema_set:
+                    raise SchemaMismatchError(
+                        f"row {row.row_id} columns {sorted(by_name)} "
+                        f"!= store schema {sorted(schema_set)}"
+                    )
+                cells = tuple([decode_cell_value(by_name[c]) for c in self.schema])
+                if cells[pk_index] != row.row_id:
+                    raise SchemaMismatchError(
+                        f"row_id {row.row_id} disagrees with its {self.pk_column} cell"
+                    )
+                row = cells
+            values.append(row)
+        return values
 
     def _existing_ids(self, ids: Sequence[int]) -> set[int]:
         return {int(r[0]) for r in self._select((self.pk_column,), ids)}

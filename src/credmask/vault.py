@@ -6,15 +6,16 @@ On-disk layout, all integers big-endian:
     kdf iterations u32 | kdf parallelism u8 | salt (16) | nonce (24) |
     AEAD ciphertext of the serialized payload | tag (16, trailing)
 
-The payload reuses the store adapter's tagged cell encoding for every row, so
-a vaulted row restores byte-exactly. Opening checks the whole payload but
-keeps each entry's rows encoded, as a slice of it, until something reads the
-entry's ``rows``; listing hosts and counting rows decode none, and a commit
-writes untouched entries back as the same bytes. Every commit re-encrypts the
-whole state under a fresh nonce and replaces the file atomically (write temp,
-fsync, rename); a crash mid-commit leaves the previous version intact. The
-header is bound as associated data, so any ciphertext or header flip fails
-the tag.
+The payload (laid out in the README) reuses the store adapter's tagged cell
+encoding for every row, so a vaulted row restores byte-exactly. Every entry
+is held encoded, as its slice of the payload: ``mask`` encodes the rows it
+reads from SQLite straight into a new entry's bytes, and opening checks the
+whole payload and keeps each entry's slice. Listing hosts and counting rows
+decode nothing, a commit copies the slices, and ``unmask`` decodes a slice
+straight into the values it inserts. Every commit re-encrypts the whole state
+under a fresh nonce and replaces the file atomically (write temp, fsync,
+rename); a crash mid-commit leaves the previous version intact. The header is
+bound as associated data, so any ciphertext or header flip fails the tag.
 
 The stated threat holds the machine's root credentials, so file permissions
 protect nothing; only the passphrase-derived key does.
@@ -24,17 +25,19 @@ from __future__ import annotations
 
 import errno
 import fcntl
+import operator
 import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import auth, crypto
 from .errors import (
     AlreadyExistsError,
     BadVersionError,
     DuplicateHostError,
+    SchemaMismatchError,
     TamperedVaultError,
     UnknownHostError,
     VaultLockedError,
@@ -43,7 +46,8 @@ from .errors import (
 from .faults import crash_point
 from .minutiae import BIFURCATION, TERMINATION, Minutia, Template
 from .store import LoginRow
-from .wire import NULL_LENGTH, Reader, TruncatedError, Writer
+from .wire import (NULL_LENGTH, Reader, TruncatedError, Writer, decode_cell_value,
+                   encode_cell_value)
 
 MAGIC = b"CMV1"
 FORMAT_VERSION = 1
@@ -51,6 +55,12 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct(">4sHIIB16s")  # magic, version, mem, iters, parallelism, salt
 _U32 = struct.Struct(">I")
 _ROW_HEAD = struct.Struct(">qH")  # row id, cell count
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+_TAGGED_HEAD = struct.Struct(">Ic")  # cell length, storage-class tag
+_INT_CELL = struct.Struct(">Icq")  # length 9, tag i, value
+_REAL_CELL = struct.Struct(">Icd")  # length 9, tag f, value
+_NULL_FIELD = _U32.pack(NULL_LENGTH)
 _MIN_FILE = _HEADER.size + crypto.NONCE_LEN + crypto.TAG_LEN
 
 _RECORD_PASSPHRASE = 1
@@ -68,10 +78,10 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 class VaultEntry:
     """The masked rows of one hostname plus what is needed to restore them.
 
-    An entry read from a vault file holds its rows encoded, as a slice of the
-    decrypted payload, and decodes them the first time ``rows`` is read;
-    ``row_count``, ``max_row_id`` and the other fields need no decoding. Treat
-    it as a value.
+    An entry holds its payload bytes, whether it was built from rows or read
+    from a vault file, and decodes its rows only when they are read:
+    ``row_count``, ``max_row_id`` and the other fields need no decoding, and a
+    commit copies the bytes. Treat it as a value.
     """
 
     __slots__ = ("hostname", "masked_at", "store_path", "schema_columns",
@@ -79,6 +89,7 @@ class VaultEntry:
 
     def __init__(self, hostname: str, rows: Iterable[LoginRow], masked_at: int,
                  store_path: str, schema_columns: Iterable[str]):
+        """An entry of ``rows``, whose tagged cell bytes are written verbatim."""
         rows = tuple(rows)
         if not rows:
             raise ValueError("a vault entry must hold at least one row")
@@ -87,46 +98,78 @@ class VaultEntry:
                 raise ValueError(
                     f"row {row.row_id} is for {row.hostname!r}, entry is {hostname!r}"
                 )
+        self._fill(*_framed(hostname, masked_at, store_path, tuple(schema_columns),
+                            len(rows), max(row.row_id for row in rows),
+                            _encode_login_rows(rows)))
+        self._rows = rows
+
+    @classmethod
+    def from_store_rows(cls, hostname: str, rows: Sequence[tuple], masked_at: int,
+                        store_path: str, schema_columns: tuple[str, ...],
+                        pk_column: str) -> "VaultEntry":
+        """An entry of rows as the store reads them, tuples of native values in
+        ``schema_columns`` order, encoded straight into payload bytes."""
+        if not rows:
+            raise ValueError("a vault entry must hold at least one row")
+        pk_index = schema_columns.index(pk_column)
+        entry = cls.__new__(cls)
+        entry._fill(*_framed(hostname, masked_at, store_path, tuple(schema_columns),
+                             len(rows), max(row[pk_index] for row in rows),
+                             _encode_store_rows(rows, schema_columns, pk_index)))
+        return entry
+
+    @classmethod
+    def _from_payload(cls, *fields) -> "VaultEntry":
+        entry = cls.__new__(cls)
+        entry._fill(*fields)
+        return entry
+
+    def _fill(self, hostname: str, masked_at: int, store_path: str,
+              schema_columns: tuple[str, ...], row_count: int, max_row_id: int,
+              encoded: memoryview, rows_at: int) -> None:
         self.hostname = hostname
         self.masked_at = masked_at  # UTC seconds
         self.store_path = store_path
-        self.schema_columns = tuple(schema_columns)
-        self.row_count = len(rows)
-        self.max_row_id = max(row.row_id for row in rows)
-        self._rows: tuple[LoginRow, ...] | None = rows
-        self._encoded: memoryview | None = None  # the entry's payload bytes
-        self._rows_at = 0  # offset of its first row in _encoded
-
-    @classmethod
-    def _from_payload(cls, hostname: str, masked_at: int, store_path: str,
-                      schema_columns: tuple[str, ...], row_count: int,
-                      max_row_id: int, encoded: memoryview,
-                      rows_at: int) -> "VaultEntry":
-        entry = cls.__new__(cls)
-        entry.hostname = hostname
-        entry.masked_at = masked_at
-        entry.store_path = store_path
-        entry.schema_columns = schema_columns
-        entry.row_count = row_count
-        entry.max_row_id = max_row_id
-        entry._rows = None
-        entry._encoded = encoded
-        entry._rows_at = rows_at
-        return entry
+        self.schema_columns = schema_columns
+        self.row_count = row_count
+        self.max_row_id = max_row_id
+        self._rows: tuple[LoginRow, ...] | None = None
+        self._encoded = encoded  # the entry's payload bytes
+        self._rows_at = rows_at  # offset of its first row in _encoded
 
     @property
     def rows(self) -> tuple[LoginRow, ...]:
+        """The rows; decoded once, with cells in ``schema_columns`` order, unless
+        the entry was built from them."""
         if self._rows is None:
-            self._rows = _decode_rows(self._encoded, self._rows_at, self.row_count,
-                                      self.hostname)
+            columns = self.schema_columns
+            self._rows = tuple(
+                LoginRow(row_id=row_id, hostname=self.hostname,
+                         cells=tuple(zip(columns, map(encode_cell_value, values))))
+                for row_id, values in _decode_rows(self._encoded, self._rows_at,
+                                                   self.row_count, columns, self.hostname))
         return self._rows
+
+    def store_rows(self, columns: tuple[str, ...], pk_column: str) -> list[tuple]:
+        """The rows as tuples of native values in ``columns`` order, ready to insert.
+
+        SchemaMismatchError when a row's cells are not exactly ``columns`` or
+        its ``pk_column`` cell is not its row id; ValueError for a cell that is
+        not a well-formed tagged value.
+        """
+        pk_index = columns.index(pk_column)
+        rows = _decode_rows(self._encoded, self._rows_at, self.row_count, columns,
+                            self.hostname)
+        for row_id, values in rows:
+            if values[pk_index] != row_id:
+                raise SchemaMismatchError(
+                    f"row_id {row_id} disagrees with its {pk_column} cell")
+        return [values for _, values in rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VaultEntry):
             return NotImplemented
-        return (self.hostname, self.masked_at, self.store_path, self.schema_columns,
-                self.rows) == (other.hostname, other.masked_at, other.store_path,
-                               other.schema_columns, other.rows)
+        return self._encoded == other._encoded  # every field is in these bytes
 
     def __repr__(self) -> str:
         return (f"VaultEntry(hostname={self.hostname!r}, rows={self.row_count}, "
@@ -224,22 +267,7 @@ class VaultFile:
         w = Writer()
         w.u32(len(self.entries))
         for entry in self.entries:
-            if entry._encoded is not None:  # read from the file: its bytes as they were
-                w.raw(entry._encoded)
-                continue
-            w.text(entry.hostname)
-            w.u64(entry.masked_at)
-            w.text(entry.store_path)
-            w.u16(len(entry.schema_columns))
-            for col in entry.schema_columns:
-                w.text(col)
-            w.u32(entry.row_count)
-            for row in entry.rows:
-                w.i64(row.row_id)
-                w.u16(len(row.cells))
-                for name, value in row.cells:
-                    w.text(name)
-                    w.cell(value)
+            w.raw(entry._encoded)
         w.u32(len(self.auth_records))
         for record in self.auth_records:
             if record.kind == auth.KIND_PASSPHRASE:
@@ -361,33 +389,118 @@ def _skip_rows(payload: bytes, pos: int, count: int,
     return pos, max_row_id
 
 
-def _decode_rows(encoded: memoryview, pos: int, count: int,
-                 hostname: str) -> tuple[LoginRow, ...]:
-    """Decode the rows _skip_rows already checked; no bound is checked again."""
+def _decode_rows(encoded: memoryview, pos: int, count: int, columns: tuple[str, ...],
+                 hostname: str) -> list[tuple[int, tuple]]:
+    """Decode the rows _skip_rows already checked into (row id, values) pairs,
+    the values native and in ``columns`` order; no bound is checked again.
+
+    SchemaMismatchError when a row's cell names are not exactly ``columns``;
+    ValueError for a cell that is not a well-formed tagged value.
+    """
     buf = encoded.tobytes()
-    u32, head = _U32.unpack_from, _ROW_HEAD.unpack_from
-    names: dict[bytes, str] = {}
+    u32, head, i64, f64 = (_U32.unpack_from, _ROW_HEAD.unpack_from,
+                           _I64.unpack_from, _F64.unpack_from)
+    layouts: dict[tuple[bytes, ...], Callable[[list], tuple]] = {}
     rows = []
     for _ in range(count):
         row_id, n_cells = head(buf, pos)
         pos += 10
-        cells = []
+        names = []
+        values = []
         for _ in range(n_cells):
             (n,) = u32(buf, pos)
-            raw = buf[pos + 4:pos + 4 + n]
             pos += 4 + n
-            name = names.get(raw)
-            if name is None:
-                name = names[raw] = raw.decode("utf-8")
+            names.append(buf[pos - n:pos])
             (n,) = u32(buf, pos)
             pos += 4
             if n == NULL_LENGTH:
-                cells.append((name, None))
-            else:
-                cells.append((name, buf[pos:pos + n]))
-                pos += n
-        rows.append(LoginRow(row_id=row_id, hostname=hostname, cells=tuple(cells)))
-    return tuple(rows)
+                values.append(None)
+                continue
+            end = pos + n
+            tag = buf[pos] if n else None
+            if tag == 0x74:  # t: UTF-8 text
+                values.append(buf[pos + 1:end].decode("utf-8"))
+            elif tag == 0x69 and n == 9:  # i: 64-bit integer
+                values.append(i64(buf, pos + 1)[0])
+            elif tag == 0x66 and n == 9:  # f: double
+                values.append(f64(buf, pos + 1)[0])
+            else:  # b: blob; decode_cell_value refuses a malformed cell
+                values.append(decode_cell_value(buf[pos:end]))
+            pos = end
+        layout = layouts.get(key := tuple(names))
+        if layout is None:
+            layout = layouts[key] = _layout(key, columns, row_id, hostname)
+        rows.append((row_id, layout(values)))
+    return rows
+
+
+def _layout(names: tuple[bytes, ...], columns: tuple[str, ...], row_id: int,
+            hostname: str) -> Callable[[list], tuple]:
+    """The function putting values in ``names`` order into ``columns`` order."""
+    order = [name.decode("utf-8") for name in names]
+    if sorted(order) != sorted(columns):
+        raise SchemaMismatchError(
+            f"vaulted row {row_id} of {hostname}: columns {sorted(order)} "
+            f"!= schema {sorted(columns)}")
+    if order == list(columns):
+        return tuple
+    return operator.itemgetter(*(order.index(c) for c in columns))
+
+
+def _framed(hostname: str, masked_at: int, store_path: str, columns: tuple[str, ...],
+            count: int, max_row_id: int, rows: bytes) -> tuple:
+    """An entry's fields, its payload bytes and the offset of its rows in them."""
+    w = Writer()
+    w.text(hostname)
+    w.u64(masked_at)
+    w.text(store_path)
+    w.u16(len(columns))
+    for col in columns:
+        w.text(col)
+    w.u32(count)
+    head = w.getvalue()
+    return (hostname, masked_at, store_path, columns, count, max_row_id,
+            memoryview(head + rows), len(head))
+
+
+def _encode_login_rows(rows: Iterable[LoginRow]) -> bytes:
+    """Rows in the layout _skip_rows reads, their tagged cell bytes copied."""
+    w = Writer()
+    for row in rows:
+        w.i64(row.row_id)
+        w.u16(len(row.cells))
+        for name, cell in row.cells:
+            w.text(name)
+            w.cell(cell)
+    return w.getvalue()
+
+
+def _encode_store_rows(rows: Iterable[tuple], columns: tuple[str, ...],
+                       pk_index: int) -> bytes:
+    """Rows of native values in the layout _skip_rows reads, each value
+    written as the cell :func:`wire.encode_cell_value` gives it."""
+    names = [_U32.pack(len(name)) + name for name in (c.encode("utf-8") for c in columns)]
+    out = bytearray()
+    for row in rows:
+        out += _ROW_HEAD.pack(row[pk_index], len(row))
+        for name, value in zip(names, row):
+            out += name
+            kind = type(value)
+            if kind is str:
+                data = value.encode("utf-8")
+                out += _TAGGED_HEAD.pack(len(data) + 1, b"t")
+                out += data
+            elif kind is int:
+                out += _INT_CELL.pack(9, b"i", value)
+            elif kind is float:
+                out += _REAL_CELL.pack(9, b"f", value)
+            elif value is None:
+                out += _NULL_FIELD
+            else:  # bytes: a blob; encode_cell_value refuses other types
+                cell = encode_cell_value(value)
+                out += _U32.pack(len(cell))
+                out += cell
+    return bytes(out)
 
 
 # -- module operations ---------------------------------------------------------------

@@ -43,12 +43,14 @@ def encode_cell_value(value) -> bytes | None:
 
 
 def decode_cell_value(data: bytes | None):
-    """Inverse of :func:`encode_cell_value`."""
+    """Inverse of :func:`encode_cell_value`; ValueError for a malformed encoding."""
     if data is None:
         return None
     if not data:
         raise ValueError("empty cell encoding")
     tag, payload = data[:1], data[1:]
+    if tag in (_TAG_INT, _TAG_REAL) and len(payload) != 8:
+        raise ValueError(f"{tag.decode()}-tagged cell of {len(data)} bytes, not 9")
     if tag == _TAG_INT:
         return struct.unpack(">q", payload)[0]
     if tag == _TAG_REAL:

@@ -370,6 +370,34 @@ def test_unmask_overwrite_live_failing_insert_keeps_the_live_row(run, world):
     assert file_sha256(vault_path) == vault_hash
 
 
+@pytest.mark.parametrize("cell", [
+    b"i" + (7).to_bytes(4, "big"),
+    b"f\x00\x00",
+    b"zjunk",
+    b"",
+], ids=["5-byte-integer", "3-byte-real", "unknown-tag", "empty"])
+def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, world, cell):
+    from credmask.store import LoginRow
+    from credmask.vault import VaultEntry, open_vault
+
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    good = canonical_login_row(900, "bad.example")
+    row = LoginRow(900, "bad.example", tuple(
+        (name, cell if name == "encType" else value) for name, value in good.cells))
+    with open_vault(vault_path, PASS) as vf:
+        vf.put_entries([VaultEntry("bad.example", [row], 0, str(store_path.resolve()),
+                                   row.column_names())])
+        vf.commit()
+    before, vault_hash = dump_of(store_path), file_sha256(vault_path)
+    code, _, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                       "--all", passphrase=PASS)
+    assert code == 1
+    assert "cell" in err
+    assert dump_of(store_path) == before
+    assert file_sha256(vault_path) == vault_hash
+
+
 def test_unmask_requires_selection(run, world):
     store_path, vault_path, _ = world
     code, _, err = run("unmask", "--store", store_path, "--vault", vault_path)
@@ -496,16 +524,35 @@ def encoded_cells(monkeypatch):
     return calls
 
 
-def test_mask_reads_only_the_cells_it_moves(run, world, tiny_kdf, encoded_cells):
+@pytest.fixture
+def read_cells(monkeypatch):
+    """One entry per cell the store reads through ``StoreHandle.read_rows``."""
+    from credmask.store import StoreHandle
+
+    calls = []
+    read_rows = StoreHandle.read_rows
+
+    def counting(self, ids=None):
+        for row in read_rows(self, ids):
+            calls.extend(None for _ in row)
+            yield row
+
+    monkeypatch.setattr(StoreHandle, "read_rows", counting)
+    return calls
+
+
+def test_mask_reads_only_the_cells_it_moves(run, world, tiny_kdf, read_cells,
+                                            encoded_cells):
     from credmask.vault import create_vault
 
     store_path, vault_path, _ = world
     create_vault(vault_path, PASS, tiny_kdf).close()
-    encoded_cells.clear()
+    read_cells.clear()
     code, _, err = cli_mask(run, store_path, vault_path,
                             ["host00.example", "host05.example"], init=False)
     assert code == 0, err
-    assert len(encoded_cells) == (3 + 2) * 10  # moved rows x columns
+    assert len(read_cells) == (3 + 2) * 10  # moved rows x columns
+    assert encoded_cells == []  # each row goes from SQLite's values to the vault bytes
 
 
 def test_unmask_without_live_conflict_reads_no_cells(run, world, encoded_cells):

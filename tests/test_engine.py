@@ -17,8 +17,9 @@ from credmask.errors import (
     UnresolvedConflictError,
 )
 from credmask.faults import CRASH_ENV, SimulatedCrash
-from credmask.store import StoreHandle, canonical_login_row, init_fixture
+from credmask.store import StoreHandle, canonical_login_row, init_fixture, open_store
 from credmask.vault import create_vault, open_vault
+from credmask.wire import encode_cell_value
 
 from conftest import file_sha256, ten_host_counts
 
@@ -302,6 +303,32 @@ def test_conflict_fail_aborts_without_mutation(world):
         engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert handle.dump_canonical() == dump
     assert file_sha256(vf.path) == vault_hash
+
+
+@pytest.mark.parametrize("live, vaulted", [(1, 1.0), (1.0, 1), ("x", b"x"), (b"x", "x")],
+                         ids=["int-live-real-vaulted", "real-live-int-vaulted",
+                              "text-live-blob-vaulted", "blob-live-text-vaulted"])
+def test_keep_live_tells_storage_classes_apart(tmp_path, tiny_kdf, live, vaulted):
+    # An untyped column keeps each storage class. 1 == 1.0 in Python, but a
+    # vaulted REAL 1.0 and a live INTEGER 1 are different credentials.
+    path = tmp_path / "signons.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute('CREATE TABLE moz_logins ("id" INTEGER PRIMARY KEY, '
+                 '"hostname" TEXT NOT NULL, "encryptedUsername")')
+    conn.execute("INSERT INTO moz_logins VALUES (1, 'a.example', ?)", (vaulted,))
+    conn.commit()
+    with open_store(path, "rw") as handle, \
+            create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
+        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example"]), handle, vf)
+        conn.execute("INSERT INTO moz_logins VALUES (1, 'a.example', ?)", (live,))
+        conn.commit()
+        up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
+        _, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+        rows = handle.list_logins()
+    conn.close()
+    assert [(c.live_rows, c.restored_rows) for c in conflicts] == [(1, 1)]
+    assert [(row.row_id, row.cell("encryptedUsername")) for row in rows] == [
+        (1, encode_cell_value(live)), (2, encode_cell_value(vaulted))]
 
 
 def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf):

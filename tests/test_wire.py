@@ -39,6 +39,12 @@ def test_unknown_tag_rejected():
         decode_cell_value(b"")
 
 
+@pytest.mark.parametrize("data", [b"i" + bytes(4), b"i" + bytes(9), b"f\x00\x00", b"f"])
+def test_fixed_width_cell_of_another_length_rejected(data):
+    with pytest.raises(ValueError, match="not 9"):
+        decode_cell_value(data)
+
+
 def test_writer_reader_round_trip():
     w = Writer()
     w.u8(7)
