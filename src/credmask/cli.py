@@ -118,6 +118,13 @@ def _echo_err(message: str) -> None:
     click.echo(f"error: {message}", err=True)
 
 
+def _checkpoint(handle: store.StoreHandle) -> None:
+    """Empty a WAL store's log after rows left the store, or say that a reader kept it."""
+    if not handle.checkpoint():
+        click.echo("warning: another connection holds the store open; the deleted "
+                   "rows' bytes remain in its files until the browser closes", err=True)
+
+
 # -- commands -------------------------------------------------------------------
 
 @click.group()
@@ -213,6 +220,7 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
             return
 
         report = engine.apply_mask(plan, handle, vf, sibling_locks=locks)
+        _checkpoint(handle)
 
     click.echo(f"masked {len(plan.selections)} host(s); mode: {report.mode}")
     click.echo("Log off and log back in now so open sessions drop their cached logins.")
@@ -283,6 +291,8 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
         plan = engine.plan_unmask(vf, hosts, conflict_policy, store_moved=store_moved)
         rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
         report, conflicts = engine.apply_unmask(plan, proof, rw, vf, sibling_locks=locks)
+        if conflict_policy == engine.OVERWRITE_LIVE:
+            _checkpoint(rw)
 
     for c in conflicts:
         click.echo(f"conflict on {c.hostname}: {c.live_rows} live / "

@@ -35,7 +35,7 @@ from .errors import (
     SchemaMismatchError,
     StoreBusyError,
 )
-from .wire import Writer, decode_cell_value, encode_cell_value
+from .wire import encode_cell_value, encode_rows
 
 LOGINS_TABLE = "moz_logins"
 DISABLED_TABLE = "moz_disabledHosts"
@@ -76,15 +76,6 @@ class LoginRow:
     row_id: int
     hostname: str
     cells: tuple[tuple[str, bytes | None], ...]
-
-    def cell(self, column: str) -> bytes | None:
-        for name, value in self.cells:
-            if name == column:
-                return value
-        raise KeyError(column)
-
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.cells)
 
 
 @dataclass(frozen=True)
@@ -156,7 +147,8 @@ class StoreHandle:
             yield row
 
     def list_logins(self, ids: Iterable[int] | None = None) -> list[LoginRow]:
-        """:meth:`read_rows` with every cell in its tagged byte form."""
+        """:meth:`read_rows` with every cell in its tagged byte form; only the
+        benchmark harness still reads rows this way."""
         host_index = self.schema.index(HOSTNAME_COLUMN)
         pk_index = self.schema.index(self.pk_column)
         return [
@@ -180,16 +172,12 @@ class StoreHandle:
         is the round-trip oracle. Layout: version byte, then rows sorted by
         row id, each row as row_id (8-byte BE), column count (2-byte BE), and
         per cell a 4-byte BE length plus the tagged value bytes (NULL is the
-        sentinel length 0xFFFFFFFF).
+        sentinel length 0xFFFFFFFF). Rows stream from :meth:`read_rows`.
         """
-        w = Writer()
-        w.u8(DUMP_VERSION)
-        for row in self.list_logins():
-            w.i64(row.row_id)
-            w.u16(len(row.cells))
-            for _, value in row.cells:
-                w.cell(value)
-        return w.getvalue()
+        out = bytearray([DUMP_VERSION])
+        encode_rows(out, self.read_rows(), self.schema.index(self.pk_column),
+                    [b""] * len(self.schema))
+        return bytes(out)
 
     # -- mutations ------------------------------------------------------------
 
@@ -214,18 +202,17 @@ class StoreHandle:
                 )
         return len(ids)
 
-    def insert_rows(self, rows: Sequence[tuple | LoginRow]) -> int:
+    def insert_rows(self, rows: Sequence[tuple]) -> int:
         """Insert rows with their original ids and cell values; all-or-nothing.
 
-        A row is a tuple of native values in schema order, or a LoginRow. A
-        duplicate id, or an id the table holds, raises RowIdConflictError.
+        A row is a tuple of native values in schema order. A duplicate id, or
+        an id the table holds, raises RowIdConflictError.
         """
         self._require_writable()
         if not rows:
             return 0
-        values = self._values_of(rows)
         pk_index = self.schema.index(self.pk_column)
-        ids = [row[pk_index] for row in values]
+        ids = [row[pk_index] for row in rows]
         unique = set(ids)
         if len(unique) != len(ids):
             raise RowIdConflictError(sorted(i for i, n in Counter(ids).items() if n > 1))
@@ -236,34 +223,17 @@ class StoreHandle:
             if existing:
                 raise RowIdConflictError(existing)
             self._conn.executemany(
-                f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', values)
+                f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', rows)
         return len(rows)
 
-    # -- helpers --------------------------------------------------------------
+    def checkpoint(self) -> bool:
+        """Copy a WAL store's log into the main file and truncate it, so pages
+        from before a delete stay in neither; False when a reader held it off
+        past sqlite3's 5 s busy wait. Nothing to do for other journal modes."""
+        busy, _, _ = self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()
+        return not busy
 
-    def _values_of(self, rows: Sequence[tuple | LoginRow]) -> list[tuple]:
-        """Rows as tuples of native values in schema order, a LoginRow's cells
-        decoded; SchemaMismatchError unless a LoginRow has exactly the schema's
-        columns and its primary-key cell is its id."""
-        schema_set = set(self.schema)
-        pk_index = self.schema.index(self.pk_column)
-        values = []
-        for row in rows:
-            if isinstance(row, LoginRow):
-                by_name = dict(row.cells)
-                if by_name.keys() != schema_set:
-                    raise SchemaMismatchError(
-                        f"row {row.row_id} columns {sorted(by_name)} "
-                        f"!= store schema {sorted(schema_set)}"
-                    )
-                cells = tuple([decode_cell_value(by_name[c]) for c in self.schema])
-                if cells[pk_index] != row.row_id:
-                    raise SchemaMismatchError(
-                        f"row_id {row.row_id} disagrees with its {self.pk_column} cell"
-                    )
-                row = cells
-            values.append(row)
-        return values
+    # -- helpers --------------------------------------------------------------
 
     def _existing_ids(self, ids: Sequence[int]) -> set[int]:
         return {int(r[0]) for r in self._select((self.pk_column,), ids)}
@@ -309,6 +279,8 @@ def open_store(path: str | os.PathLike, mode: str = READ_ONLY) -> StoreHandle:
     # autocommit: only write_transaction opens transactions
     conn = sqlite3.connect(uri, uri=True, isolation_level=None)
     try:
+        if mode == READ_WRITE:  # zero deleted cells and freed pages, whatever the build
+            conn.execute("PRAGMA secure_delete=ON")
         schema, pk = _introspect(conn)
     except Exception:
         conn.close()
@@ -338,8 +310,9 @@ def check_not_busy(path: str | os.PathLike,
             raise StoreBusyError(f"browser lock file present: {lock}")
 
 
-def init_fixture(path: str | os.PathLike, rows: Sequence[LoginRow] = ()) -> StoreHandle:
-    """Create a fresh store with the canonical schema and the given rows.
+def init_fixture(path: str | os.PathLike, rows: Sequence[tuple] = ()) -> StoreHandle:
+    """Create a fresh store with the canonical schema and the given rows,
+    tuples in CANONICAL_COLUMNS order.
 
     The never-save table is created empty, as in a real profile.
     """
@@ -379,8 +352,9 @@ def init_fixture(path: str | os.PathLike, rows: Sequence[LoginRow] = ()) -> Stor
     return handle
 
 
-def canonical_login_row(row_id: int, hostname: str, **overrides) -> LoginRow:
-    """A LoginRow for the canonical fixture schema, with plausible defaults."""
+def canonical_login_row(row_id: int, hostname: str, **overrides) -> tuple:
+    """A row of the canonical fixture schema, native values in CANONICAL_COLUMNS
+    order, with plausible defaults."""
     values = {
         "id": row_id,
         "hostname": hostname,
@@ -398,11 +372,7 @@ def canonical_login_row(row_id: int, hostname: str, **overrides) -> LoginRow:
         raise SchemaMismatchError(f"not canonical columns: {sorted(unknown)}")
     values.update(overrides)
     values["id"] = row_id
-    return LoginRow(
-        row_id=row_id,
-        hostname=str(values["hostname"]),
-        cells=tuple((c, encode_cell_value(values[c])) for c in CANONICAL_COLUMNS),
-    )
+    return tuple(values[c] for c in CANONICAL_COLUMNS)
 
 
 # -- internals ------------------------------------------------------------------

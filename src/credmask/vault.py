@@ -6,11 +6,12 @@ On-disk layout, all integers big-endian:
     kdf iterations u32 | kdf parallelism u8 | salt (16) | nonce (24) |
     AEAD ciphertext of the serialized payload | tag (16, trailing)
 
-The payload (laid out in the README) reuses the store adapter's tagged cell
-encoding for every row, so a vaulted row restores byte-exactly. Every entry
-is held encoded, as its slice of the payload: ``mask`` encodes the rows it
-reads from SQLite straight into a new entry's bytes, and opening checks the
-whole payload and keeps each entry's slice. Listing hosts and counting rows
+The payload (laid out in the README) writes every row with
+:func:`wire.encode_rows`, the encoder of the store's canonical dump, so a
+vaulted row restores byte-exactly. Every entry is held encoded, as its slice
+of the payload: ``mask`` encodes the rows it reads from SQLite straight into
+a new entry's bytes, and opening checks the whole payload and keeps each
+entry's slice. Listing hosts and counting rows
 decode nothing, a commit copies the slices, and ``unmask`` decodes a slice
 straight into the values it inserts. Every commit re-encrypts the whole state
 under a fresh nonce and replaces the file atomically (write temp, fsync,
@@ -45,9 +46,7 @@ from .errors import (
 )
 from .faults import crash_point
 from .minutiae import BIFURCATION, TERMINATION, Minutia, Template
-from .store import LoginRow
-from .wire import (NULL_LENGTH, Reader, TruncatedError, Writer, decode_cell_value,
-                   encode_cell_value)
+from .wire import NULL_LENGTH, Reader, TruncatedError, Writer, decode_cell_value, encode_rows
 
 MAGIC = b"CMV1"
 FORMAT_VERSION = 1
@@ -57,10 +56,6 @@ _U32 = struct.Struct(">I")
 _ROW_HEAD = struct.Struct(">qH")  # row id, cell count
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
-_TAGGED_HEAD = struct.Struct(">Ic")  # cell length, storage-class tag
-_INT_CELL = struct.Struct(">Icq")  # length 9, tag i, value
-_REAL_CELL = struct.Struct(">Icd")  # length 9, tag f, value
-_NULL_FIELD = _U32.pack(NULL_LENGTH)
 _MIN_FILE = _HEADER.size + crypto.NONCE_LEN + crypto.TAG_LEN
 
 _RECORD_PASSPHRASE = 1
@@ -78,30 +73,14 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 class VaultEntry:
     """The masked rows of one hostname plus what is needed to restore them.
 
-    An entry holds its payload bytes, whether it was built from rows or read
-    from a vault file, and decodes its rows only when they are read:
+    An entry holds its payload bytes, whether it was built from store rows or
+    read from a vault file, and decodes its rows only in :meth:`store_rows`:
     ``row_count``, ``max_row_id`` and the other fields need no decoding, and a
     commit copies the bytes. Treat it as a value.
     """
 
     __slots__ = ("hostname", "masked_at", "store_path", "schema_columns",
-                 "row_count", "max_row_id", "_rows", "_encoded", "_rows_at")
-
-    def __init__(self, hostname: str, rows: Iterable[LoginRow], masked_at: int,
-                 store_path: str, schema_columns: Iterable[str]):
-        """An entry of ``rows``, whose tagged cell bytes are written verbatim."""
-        rows = tuple(rows)
-        if not rows:
-            raise ValueError("a vault entry must hold at least one row")
-        for row in rows:
-            if row.hostname != hostname:
-                raise ValueError(
-                    f"row {row.row_id} is for {row.hostname!r}, entry is {hostname!r}"
-                )
-        self._fill(*_framed(hostname, masked_at, store_path, tuple(schema_columns),
-                            len(rows), max(row.row_id for row in rows),
-                            _encode_login_rows(rows)))
-        self._rows = rows
+                 "row_count", "max_row_id", "_encoded", "_rows_at")
 
     @classmethod
     def from_store_rows(cls, hostname: str, rows: Sequence[tuple], masked_at: int,
@@ -111,44 +90,38 @@ class VaultEntry:
         ``schema_columns`` order, encoded straight into payload bytes."""
         if not rows:
             raise ValueError("a vault entry must hold at least one row")
-        pk_index = schema_columns.index(pk_column)
-        entry = cls.__new__(cls)
-        entry._fill(*_framed(hostname, masked_at, store_path, tuple(schema_columns),
-                             len(rows), max(row[pk_index] for row in rows),
-                             _encode_store_rows(rows, schema_columns, pk_index)))
-        return entry
+        columns = tuple(schema_columns)
+        pk_index = columns.index(pk_column)
+        w = Writer()
+        w.text(hostname)
+        w.u64(masked_at)
+        w.text(store_path)
+        w.u16(len(columns))
+        for col in columns:
+            w.text(col)
+        w.u32(len(rows))
+        out = bytearray(w.getvalue())
+        rows_at = len(out)
+        names = [_U32.pack(len(name)) + name for name in map(str.encode, columns)]
+        encode_rows(out, rows, pk_index, names)
+        return cls._from_payload(hostname, masked_at, store_path, columns, len(rows),
+                                 max(row[pk_index] for row in rows),
+                                 memoryview(bytes(out)), rows_at)
 
     @classmethod
-    def _from_payload(cls, *fields) -> "VaultEntry":
+    def _from_payload(cls, hostname: str, masked_at: int, store_path: str,
+                      schema_columns: tuple[str, ...], row_count: int, max_row_id: int,
+                      encoded: memoryview, rows_at: int) -> "VaultEntry":
         entry = cls.__new__(cls)
-        entry._fill(*fields)
+        entry.hostname = hostname
+        entry.masked_at = masked_at  # UTC seconds
+        entry.store_path = store_path
+        entry.schema_columns = schema_columns
+        entry.row_count = row_count
+        entry.max_row_id = max_row_id
+        entry._encoded = encoded  # the entry's payload bytes
+        entry._rows_at = rows_at  # offset of its first row in _encoded
         return entry
-
-    def _fill(self, hostname: str, masked_at: int, store_path: str,
-              schema_columns: tuple[str, ...], row_count: int, max_row_id: int,
-              encoded: memoryview, rows_at: int) -> None:
-        self.hostname = hostname
-        self.masked_at = masked_at  # UTC seconds
-        self.store_path = store_path
-        self.schema_columns = schema_columns
-        self.row_count = row_count
-        self.max_row_id = max_row_id
-        self._rows: tuple[LoginRow, ...] | None = None
-        self._encoded = encoded  # the entry's payload bytes
-        self._rows_at = rows_at  # offset of its first row in _encoded
-
-    @property
-    def rows(self) -> tuple[LoginRow, ...]:
-        """The rows; decoded once, with cells in ``schema_columns`` order, unless
-        the entry was built from them."""
-        if self._rows is None:
-            columns = self.schema_columns
-            self._rows = tuple(
-                LoginRow(row_id=row_id, hostname=self.hostname,
-                         cells=tuple(zip(columns, map(encode_cell_value, values))))
-                for row_id, values in _decode_rows(self._encoded, self._rows_at,
-                                                   self.row_count, columns, self.hostname))
-        return self._rows
 
     def store_rows(self, columns: tuple[str, ...], pk_column: str) -> list[tuple]:
         """The rows as tuples of native values in ``columns`` order, ready to insert.
@@ -445,62 +418,6 @@ def _layout(names: tuple[bytes, ...], columns: tuple[str, ...], row_id: int,
     if order == list(columns):
         return tuple
     return operator.itemgetter(*(order.index(c) for c in columns))
-
-
-def _framed(hostname: str, masked_at: int, store_path: str, columns: tuple[str, ...],
-            count: int, max_row_id: int, rows: bytes) -> tuple:
-    """An entry's fields, its payload bytes and the offset of its rows in them."""
-    w = Writer()
-    w.text(hostname)
-    w.u64(masked_at)
-    w.text(store_path)
-    w.u16(len(columns))
-    for col in columns:
-        w.text(col)
-    w.u32(count)
-    head = w.getvalue()
-    return (hostname, masked_at, store_path, columns, count, max_row_id,
-            memoryview(head + rows), len(head))
-
-
-def _encode_login_rows(rows: Iterable[LoginRow]) -> bytes:
-    """Rows in the layout _skip_rows reads, their tagged cell bytes copied."""
-    w = Writer()
-    for row in rows:
-        w.i64(row.row_id)
-        w.u16(len(row.cells))
-        for name, cell in row.cells:
-            w.text(name)
-            w.cell(cell)
-    return w.getvalue()
-
-
-def _encode_store_rows(rows: Iterable[tuple], columns: tuple[str, ...],
-                       pk_index: int) -> bytes:
-    """Rows of native values in the layout _skip_rows reads, each value
-    written as the cell :func:`wire.encode_cell_value` gives it."""
-    names = [_U32.pack(len(name)) + name for name in (c.encode("utf-8") for c in columns)]
-    out = bytearray()
-    for row in rows:
-        out += _ROW_HEAD.pack(row[pk_index], len(row))
-        for name, value in zip(names, row):
-            out += name
-            kind = type(value)
-            if kind is str:
-                data = value.encode("utf-8")
-                out += _TAGGED_HEAD.pack(len(data) + 1, b"t")
-                out += data
-            elif kind is int:
-                out += _INT_CELL.pack(9, b"i", value)
-            elif kind is float:
-                out += _REAL_CELL.pack(9, b"f", value)
-            elif value is None:
-                out += _NULL_FIELD
-            else:  # bytes: a blob; encode_cell_value refuses other types
-                cell = encode_cell_value(value)
-                out += _U32.pack(len(cell))
-                out += cell
-    return bytes(out)
 
 
 # -- module operations ---------------------------------------------------------------

@@ -7,13 +7,25 @@ value round-trips with both its bytes and its storage class intact:
 
     i  64-bit signed integer      f  IEEE-754 double
     t  UTF-8 text                 b  raw blob
+
+:func:`encode_rows` is the one encoder of rows: vault entries and the
+canonical dump both write a row as its id, its cell count and one tagged
+cell per column.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Iterable, Sequence
 
 NULL_LENGTH = 0xFFFFFFFF
+
+_U32 = struct.Struct(">I")
+_ROW_HEAD = struct.Struct(">qH")  # row id, cell count
+_TAGGED_HEAD = struct.Struct(">Ic")  # cell length, storage-class tag
+_INT_CELL = struct.Struct(">Icq")  # length 9, tag i, value
+_REAL_CELL = struct.Struct(">Icd")  # length 9, tag f, value
+_NULL_FIELD = _U32.pack(NULL_LENGTH)
 
 _TAG_INT = b"i"
 _TAG_REAL = b"f"
@@ -62,6 +74,36 @@ def decode_cell_value(data: bytes | None):
     raise ValueError(f"unknown cell tag: {tag!r}")
 
 
+def encode_rows(out: bytearray, rows: Iterable[tuple], pk_index: int,
+                prefixes: Sequence[bytes]) -> None:
+    """Append rows of native values to ``out``: per row its id (i64, the value
+    at ``pk_index``) and cell count (u16), then per column its prefix and its
+    cell, a u32 length plus the bytes :func:`encode_cell_value` gives, or
+    NULL_LENGTH alone for NULL.
+
+    A vault entry's prefixes are its column-name fields; the dump's are empty.
+    """
+    for row in rows:
+        out += _ROW_HEAD.pack(row[pk_index], len(row))
+        for prefix, value in zip(prefixes, row):
+            out += prefix
+            kind = type(value)
+            if kind is str:
+                data = value.encode("utf-8")
+                out += _TAGGED_HEAD.pack(len(data) + 1, b"t")
+                out += data
+            elif kind is int:
+                out += _INT_CELL.pack(9, b"i", value)
+            elif kind is float:
+                out += _REAL_CELL.pack(9, b"f", value)
+            elif value is None:
+                out += _NULL_FIELD
+            else:  # bytes: a blob; encode_cell_value refuses other types
+                cell = encode_cell_value(value)
+                out += _U32.pack(len(cell))
+                out += cell
+
+
 class Writer:
     def __init__(self):
         self._buf = bytearray()
@@ -78,9 +120,6 @@ class Writer:
     def u64(self, v: int):
         self._buf += struct.pack(">Q", v)
 
-    def i64(self, v: int):
-        self._buf += struct.pack(">q", v)
-
     def f64(self, v: float):
         self._buf += struct.pack(">d", v)
 
@@ -93,12 +132,6 @@ class Writer:
 
     def text(self, s: str):
         self.prefixed(s.encode("utf-8"))
-
-    def cell(self, data: bytes | None):
-        if data is None:
-            self.u32(NULL_LENGTH)
-        else:
-            self.prefixed(data)
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -130,9 +163,6 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack(">Q", self._take(8))[0]
 
-    def i64(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
-
     def f64(self) -> float:
         return struct.unpack(">d", self._take(8))[0]
 
@@ -144,12 +174,6 @@ class Reader:
 
     def text(self) -> str:
         return self.prefixed().decode("utf-8")
-
-    def cell(self) -> bytes | None:
-        n = self.u32()
-        if n == NULL_LENGTH:
-            return None
-        return self._take(n)
 
     def exhausted(self) -> bool:
         return self.pos == len(self._data)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import sqlite3
 
 import pytest
 
@@ -56,6 +57,19 @@ def store_factory(tmp_path):
     yield factory
     for handle in made:
         handle.close()
+
+
+@pytest.fixture
+def stock_sqlite(monkeypatch):
+    """Every connection starts as a stock SQLite build's does: secure_delete off."""
+    real_connect = sqlite3.connect
+
+    def connect(*args, **kwargs):
+        conn = real_connect(*args, **kwargs)
+        conn.execute("PRAGMA secure_delete=0")
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
 
 
 @pytest.fixture

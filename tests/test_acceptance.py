@@ -26,10 +26,12 @@ from credmask.minutiae import (
     crossing_number,
     save_template,
 )
-from credmask.store import canonical_login_row, init_fixture, keystore_digest, open_store
+from credmask.store import (CANONICAL_COLUMNS, canonical_login_row, init_fixture,
+                            keystore_digest, open_store)
 from credmask.vault import create_vault, open_vault
 
 from conftest import TINY_KDF, file_sha256, make_rows, ten_host_counts
+from test_vault_reference import tagged
 
 PASSPHRASE = "acceptance passphrase"
 SIX_HOSTS = [f"host0{i}.example" for i in range(6)]
@@ -145,9 +147,9 @@ def test_criterion_3_tamper_suite(tmp_path):
     with create_vault(path, PASSPHRASE, KdfParams.generate(**TINY_KDF)) as vf:
         rows = [canonical_login_row(1, "only.example")]
         from credmask.vault import VaultEntry
-        vf.put_entries([VaultEntry("only.example", tuple(rows), 0,
-                                   str(tmp_path / "signons.sqlite"),
-                                   rows[0].column_names())])
+        vf.put_entries([VaultEntry.from_store_rows("only.example", rows, 0,
+                                                   str(tmp_path / "signons.sqlite"),
+                                                   CANONICAL_COLUMNS, "id")])
         auth.enroll_passphrase(vf, PASSPHRASE, KdfParams.generate(**TINY_KDF))
         vf.commit()
 
@@ -171,7 +173,7 @@ def test_criterion_3_tamper_suite(tmp_path):
 @criterion(4, "a crash between vault commit and store delete loses no row")
 def test_criterion_4_crash_safety(tmp_path, monkeypatch):
     handle, vf, keystore = build_world(tmp_path)
-    original = Counter((r.row_id, r.hostname, r.cells) for r in handle.list_logins())
+    original = Counter(tagged(handle.read_rows()))
     assert sum(original.values()) == 25
 
     plan = engine.plan_mask(handle, vf, SIX_HOSTS, keystore)
@@ -181,16 +183,16 @@ def test_criterion_4_crash_safety(tmp_path, monkeypatch):
     monkeypatch.delenv(CRASH_ENV)
 
     # every original row is recoverable from store + vault
-    recoverable = Counter((r.row_id, r.hostname, r.cells) for r in handle.list_logins())
-    recoverable.update(
-        (r.row_id, r.hostname, r.cells) for e in vf.entries for r in e.rows)
+    recoverable = Counter(tagged(handle.read_rows()))
+    recoverable.update(tagged(
+        row for e in vf.entries for row in e.store_rows(CANONICAL_COLUMNS, "id")))
     for key, count in original.items():
         assert recoverable[key] >= count
 
     # recovery: unmask with keep-live collapses the duplicates exactly
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     engine.apply_unmask(up, vf.open_proof, handle, vf)
-    after = Counter((r.row_id, r.hostname, r.cells) for r in handle.list_logins())
+    after = Counter(tagged(handle.read_rows()))
     assert after == original
     handle.close()
     vf.close()

@@ -12,10 +12,12 @@ import pytest
 
 from credmask.cli import main
 from credmask.minutiae import save_template
-from credmask.store import canonical_login_row, init_fixture, open_store
+from credmask.store import CANONICAL_COLUMNS, canonical_login_row, init_fixture, open_store
 from credmask.evaluation import generate_synthetic
+from credmask.wire import encode_cell_value
 
 from conftest import file_sha256, ten_host_counts
+from test_vault_reference import tagged
 
 PASS = "correct horse"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -283,6 +285,87 @@ def test_mask_menu_refuses_numbers_below_1(run, world, answer):
         assert vf.entries == []
 
 
+# -- deleted cells leave the store's files ---------------------------------------
+
+def secret_profile(tmp_path, wal):
+    """200 rows over hosts h0-h4 in turn, each with its own username and
+    password ciphertexts; in WAL mode when ``wal``."""
+    rows = [canonical_login_row(i, f"h{i % 5}.example",
+                                encryptedUsername=f"USER-{i:03d}-{os.urandom(8).hex()}",
+                                encryptedPassword=f"PASS-{i:03d}-{os.urandom(8).hex()}")
+            for i in range(1, 201)]
+    store_path = tmp_path / "profile" / "signons.sqlite"
+    init_fixture(store_path, rows).close()
+    if wal:
+        conn = sqlite3.connect(store_path)
+        assert conn.execute("PRAGMA journal_mode=WAL").fetchone() == ("wal",)
+        conn.close()
+    return store_path, rows
+
+
+def cells_of(rows, hosts):
+    user = CANONICAL_COLUMNS.index("encryptedUsername")
+    return [cell for row in rows if row[1] in hosts for cell in row[user:user + 2]]
+
+
+def left_in_files(store_path, cells):
+    """The cells whose bytes some signons.sqlite* file still holds."""
+    blobs = [p.read_bytes() for p in store_path.parent.glob(store_path.name + "*")]
+    return [cell for cell in cells if any(cell.encode() in blob for blob in blobs)]
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["rollback-journal", "wal-reader-open"])
+def test_mask_leaves_no_masked_cell_in_the_store_files(run, tmp_path, stock_sqlite, wal):
+    store_path, rows = secret_profile(tmp_path, wal)
+    masked = cells_of(rows, {"h0.example", "h1.example"})
+    assert len(masked) == 160 and left_in_files(store_path, masked) == masked
+    reader = sqlite3.connect(store_path)  # a browser holding the store open
+    try:
+        assert reader.execute("SELECT count(*) FROM moz_logins").fetchone() == (200,)
+        code, _, err = cli_mask(run, store_path, tmp_path / "v.cmv",
+                                ["h0.example", "h1.example"])
+        assert (code, err) == (0, "")
+        assert left_in_files(store_path, masked) == []
+        assert reader.execute("SELECT count(*) FROM moz_logins").fetchone() == (120,)
+    finally:
+        reader.close()
+
+
+def test_unmask_overwrite_live_leaves_no_replaced_cell_in_a_wal_store(
+        run, tmp_path, stock_sqlite):
+    store_path, rows = secret_profile(tmp_path, wal=True)
+    assert cli_mask(run, store_path, tmp_path / "v.cmv", ["h0.example"])[0] == 0
+    resaved = canonical_login_row(5, "h0.example", encryptedUsername="USER-resaved-1f2e",
+                                  encryptedPassword="PASS-resaved-3d4c")
+    with open_store(store_path, "rw") as handle:
+        handle.insert_rows([resaved])
+    reader = sqlite3.connect(store_path)
+    try:
+        reader.execute("SELECT count(*) FROM moz_logins").fetchone()
+        code, _, err = run("unmask", "--store", store_path, "--vault", tmp_path / "v.cmv",
+                           "--all", "--conflicts", "overwrite-live", passphrase=PASS)
+        assert (code, err) == (0, "")
+        assert left_in_files(store_path, cells_of([resaved], {"h0.example"})) == []
+    finally:
+        reader.close()
+
+
+def test_mask_says_when_a_reader_keeps_masked_bytes_in_a_wal_store(run, tmp_path):
+    store_path, rows = secret_profile(tmp_path, wal=True)
+    reader = sqlite3.connect(store_path, isolation_level=None)
+    try:
+        reader.execute("BEGIN")  # a read transaction the checkpoint must wait for
+        reader.execute("SELECT count(*) FROM moz_logins").fetchone()
+        code, out, err = cli_mask(run, store_path, tmp_path / "v.cmv", ["h0.example"])
+        assert code == 0
+        assert "masked 1 host(s)" in out
+        assert len(err.splitlines()) == 1
+        assert "remain" in err and "until the browser closes" in err
+    finally:
+        reader.close()
+    assert left_in_files(store_path, cells_of(rows, {"h0.example"})) == []
+
+
 # -- unmask ---------------------------------------------------------------------
 
 def dump_of(path):
@@ -376,18 +459,28 @@ def test_unmask_overwrite_live_failing_insert_keeps_the_live_row(run, world):
     b"zjunk",
     b"",
 ], ids=["5-byte-integer", "3-byte-real", "unknown-tag", "empty"])
-def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, world, cell):
-    from credmask.store import LoginRow
-    from credmask.vault import VaultEntry, open_vault
+def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, world, cell,
+                                                                        monkeypatch):
+    from credmask.vault import open_vault
+
+    import dump_reference
+    import vault_reference
 
     store_path, vault_path, _ = world
     assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
-    good = canonical_login_row(900, "bad.example")
-    row = LoginRow(900, "bad.example", tuple(
+    [good] = dump_reference.login_rows([canonical_login_row(900, "bad.example")],
+                                       CANONICAL_COLUMNS, "id")
+    row = good._replace(cells=tuple(
         (name, cell if name == "encType" else value) for name, value in good.cells))
+    bad = vault_reference.encode_entry("bad.example", 0, str(store_path.resolve()),
+                                       CANONICAL_COLUMNS, [row])
     with open_vault(vault_path, PASS) as vf:
-        vf.put_entries([VaultEntry("bad.example", [row], 0, str(store_path.resolve()),
-                                   row.column_names())])
+        # the entries lead the payload: append one, sealed under the vault's key
+        payload = vf._serialize()
+        end = 4 + sum(len(e._encoded) for e in vf.entries)
+        count = len(vf.entries) + 1
+        monkeypatch.setattr(vf, "_serialize", lambda: (
+            count.to_bytes(4, "big") + payload[4:end] + bad + payload[end:]))
         vf.commit()
     before, vault_hash = dump_of(store_path), file_sha256(vault_path)
     code, _, err = run("unmask", "--store", store_path, "--vault", vault_path,
@@ -574,8 +667,8 @@ def test_unmask_remaps_only_an_id_another_host_took(run, world, policy):
     store_path, vault_path, _ = world
     assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
     with open_vault(vault_path, PASS) as vf:
-        vaulted = vf.get_entry("host00.example").rows
-    taker = canonical_login_row(vaulted[1].row_id, "host01.example",
+        vaulted = vf.get_entry("host00.example").store_rows(CANONICAL_COLUMNS, "id")
+    taker = canonical_login_row(vaulted[1][0], "host01.example",
                                 encryptedUsername="ENC-USER-new")
     with open_store(store_path, "rw") as handle:
         handle.insert_rows([taker])
@@ -589,16 +682,16 @@ def test_unmask_remaps_only_an_id_another_host_took(run, world, policy):
         return
     assert code == 0, err
     assert "conflict" not in out
+    user = CANONICAL_COLUMNS.index("encryptedUsername")
     with open_store(store_path) as handle:
-        rows = {row.row_id: row for row in handle.list_logins()}
-    assert rows[taker.row_id] == taker
-    assert rows[vaulted[0].row_id] == vaulted[0]
-    assert rows[vaulted[2].row_id] == vaulted[2]
+        rows = {row[0]: row for row in handle.read_rows()}
+    assert tagged([rows[taker[0]]]) == tagged([taker])
+    assert tagged([rows[vaulted[0][0]]]) == tagged([vaulted[0]])
+    assert tagged([rows[vaulted[2][0]]]) == tagged([vaulted[2]])
     moved = [r for r in rows.values()
-             if r.cell("encryptedUsername") == vaulted[1].cell("encryptedUsername")]
-    assert len(moved) == 1 and moved[0].row_id not in {r.row_id for r in vaulted}
-    assert [v for n, v in moved[0].cells if n != "id"] == \
-        [v for n, v in vaulted[1].cells if n != "id"]
+             if encode_cell_value(r[user]) == encode_cell_value(vaulted[1][user])]
+    assert len(moved) == 1 and moved[0][0] not in {r[0] for r in vaulted}
+    assert tagged([moved[0][1:]]) == tagged([vaulted[1][1:]])
 
 
 # -- fingerprint policy -------------------------------------------------------------
@@ -692,7 +785,7 @@ def test_interleaved_maskers_lose_no_row(store_factory, tmp_path, capsys, monkey
     from credmask.vault import create_vault, open_vault
 
     handle = store_factory({"a.example": 2, "b.example": 3})
-    before = handle.list_logins()
+    before = list(handle.read_rows())
     handle.close()
     vault_path = tmp_path / "vault.cmv"
     create_vault(vault_path, PASS, tiny_kdf).close()
@@ -717,11 +810,12 @@ def test_interleaved_maskers_lose_no_row(store_factory, tmp_path, capsys, monkey
     monkeypatch.undo()
 
     with open_vault(vault_path, PASS) as vf:
-        vaulted = [row for entry in vf.entries for row in entry.rows]
+        vaulted = [row for entry in vf.entries
+                   for row in entry.store_rows(CANONICAL_COLUMNS, "id")]
     with open_store(handle.path) as after:
-        live = after.list_logins()
+        live = list(after.read_rows())
     assert [e.hostname for e in vf.entries] == ["a.example"]
-    assert sorted(vaulted + live, key=lambda row: row.row_id) == before
+    assert tagged(sorted(vaulted + live, key=lambda row: row[0])) == tagged(before)
 
 
 def test_masker_during_another_vault_commit_exits_3(store_factory, tmp_path, monkeypatch,
@@ -731,7 +825,7 @@ def test_masker_during_another_vault_commit_exits_3(store_factory, tmp_path, mon
     from credmask.vault import create_vault, open_vault
 
     handle = store_factory({"a.example": 2, "b.example": 3})
-    before = handle.list_logins()
+    before = list(handle.read_rows())
     handle.close()
     vault_a, vault_b = tmp_path / "a.cmv", tmp_path / "b.cmv"
     for path in (vault_a, vault_b):
@@ -760,11 +854,12 @@ def test_masker_during_another_vault_commit_exits_3(store_factory, tmp_path, mon
     places = []
     for path in (vault_a, vault_b):
         with open_vault(path, PASS) as vf:
-            places.append([row for entry in vf.entries for row in entry.rows])
+            places.append([row for entry in vf.entries
+                           for row in entry.store_rows(CANONICAL_COLUMNS, "id")])
     with open_store(handle.path) as after:
-        places.append(after.list_logins())
+        places.append(list(after.read_rows()))
     everywhere = [row for rows in places for row in rows]
-    assert sorted(everywhere, key=lambda row: row.row_id) == before
+    assert tagged(sorted(everywhere, key=lambda row: row[0])) == tagged(before)
 
 
 # -- status ---------------------------------------------------------------------------

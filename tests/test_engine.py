@@ -17,11 +17,15 @@ from credmask.errors import (
     UnresolvedConflictError,
 )
 from credmask.faults import CRASH_ENV, SimulatedCrash
-from credmask.store import StoreHandle, canonical_login_row, init_fixture, open_store
+from credmask.store import (CANONICAL_COLUMNS, StoreHandle, canonical_login_row,
+                            init_fixture, open_store)
 from credmask.vault import create_vault, open_vault
 from credmask.wire import encode_cell_value
 
 from conftest import file_sha256, ten_host_counts
+from test_vault_reference import tagged
+
+USER = CANONICAL_COLUMNS.index("encryptedUsername")
 
 
 @pytest.fixture
@@ -34,14 +38,21 @@ def world(store_factory, keystore_file, tmp_path, tiny_kdf):
 
 
 def row_multiset(handle):
-    return Counter((r.row_id, r.hostname, r.cells) for r in handle.list_logins())
+    return Counter(tagged(handle.read_rows()))
+
+
+def vault_multiset(vf):
+    return Counter(tagged(row for e in vf.entries
+                          for row in e.store_rows(CANONICAL_COLUMNS, "id")))
+
+
+def host_rows(handle, hostname):
+    return [r for r in handle.read_rows() if r[1] == hostname]
 
 
 def content_multiset(rows):
     """Row identity ignoring the primary key cell (id remaps keep content)."""
-    return Counter(
-        (r.hostname, tuple(v for name, v in r.cells if name != "id")) for r in rows
-    )
+    return Counter(row[1:] for row in tagged(rows))
 
 
 SIX = [f"host0{i}.example" for i in range(6)]
@@ -83,13 +94,13 @@ def test_plan_mask_already_masked(world):
 
 def test_apply_mask_moves_exactly_the_selection(world):
     handle, vf, keystore = world
-    before = {r.row_id for r in handle.list_logins()}
+    before = {r[0] for r in handle.read_rows()}
     plan = engine.plan_mask(handle, vf, SIX, keystore)
     report = engine.apply_mask(plan, handle, vf)
     assert report.mode == engine.MODE_MASKED
     assert sorted(report.masked_hosts) == SIX
     moved = {rid for _, ids in plan.selections for rid in ids}
-    assert {r.row_id for r in handle.list_logins()} == before - moved
+    assert {r[0] for r in handle.read_rows()} == before - moved
     assert sorted(vf.hosts()) == SIX
     assert report.keystore_ok
 
@@ -258,18 +269,18 @@ def masked_then_resaved(world, same_credential):
 
 def test_conflict_keep_live_keeps_both_rows(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
-    vaulted_rows = vf.get_entry("host00.example").rows
+    vaulted_rows = vf.get_entry("host00.example").store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert len(conflicts) == 1
     c = conflicts[0]
     assert (c.hostname, c.action) == ("host00.example", engine.KEEP_LIVE)
     assert (c.live_rows, c.vaulted_rows, c.restored_rows) == (1, len(vaulted_ids), len(vaulted_ids))
-    live = [r for r in handle.list_logins() if r.hostname == "host00.example"]
+    live = host_rows(handle, "host00.example")
     # live row intact under its id; vaulted rows present under fresh ids
-    assert content_multiset(live) == content_multiset(list(vaulted_rows) + [resaved])
-    assert resaved.row_id in {r.row_id for r in live}
-    fresh = {r.row_id for r in live} - {resaved.row_id}
+    assert content_multiset(live) == content_multiset(vaulted_rows + [resaved])
+    assert resaved[0] in {r[0] for r in live}
+    fresh = {r[0] for r in live} - {resaved[0]}
     assert fresh and fresh.isdisjoint(set(vaulted_ids))
 
 
@@ -277,20 +288,20 @@ def test_conflict_keep_live_collapses_duplicates(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=True)
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
-    live = [r for r in handle.list_logins() if r.hostname == "host00.example"]
+    live = host_rows(handle, "host00.example")
     # the duplicate vaulted row was dropped in favor of the live one
-    dup_key = resaved.cell("encryptedUsername")
-    assert [r for r in live if r.cell("encryptedUsername") == dup_key] == [resaved]
+    dup_key = encode_cell_value(resaved[USER])
+    assert tagged(r for r in live if encode_cell_value(r[USER]) == dup_key) == tagged([resaved])
     assert conflicts[0].restored_rows == len(vaulted_ids) - 1
 
 
 def test_conflict_overwrite_live_restores_verbatim(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
-    original_rows = list(vf.get_entry("host00.example").rows)
+    original_rows = vf.get_entry("host00.example").store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.OVERWRITE_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
-    live = [r for r in handle.list_logins() if r.hostname == "host00.example"]
-    assert live == original_rows  # byte-exact, original ids, resaved row gone
+    live = host_rows(handle, "host00.example")
+    assert tagged(live) == tagged(original_rows)  # byte-exact, original ids, resaved row gone
     assert conflicts[0].action == engine.OVERWRITE_LIVE
 
 
@@ -324,10 +335,10 @@ def test_keep_live_tells_storage_classes_apart(tmp_path, tiny_kdf, live, vaulted
         conn.commit()
         up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
         _, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
-        rows = handle.list_logins()
+        rows = list(handle.read_rows())
     conn.close()
     assert [(c.live_rows, c.restored_rows) for c in conflicts] == [(1, 1)]
-    assert [(row.row_id, row.cell("encryptedUsername")) for row in rows] == [
+    assert [(row[0], encode_cell_value(row[2])) for row in rows] == [
         (1, encode_cell_value(live)), (2, encode_cell_value(vaulted))]
 
 
@@ -336,14 +347,14 @@ def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf)
     # id to a newer live b row, so keep-live gives it a fresh id, which is not 3.
     handle = store_factory({"x.example": 1, "b.example": 1, "a.example": 1})
     with create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
-        original = {r.row_id: r for r in handle.list_logins()}
+        original = {r[0]: r for r in handle.read_rows()}
         engine.apply_mask(engine.plan_mask(handle, vf, ["a.example", "b.example"]), handle, vf)
         resaved = canonical_login_row(2, "b.example", encryptedUsername="ENC-USER-new")
         handle.insert_rows([resaved])
         up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
         report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
-    rows = {r.row_id: r for r in handle.list_logins()}
-    assert rows[1] == original[1] and rows[2] == resaved and rows[3] == original[3]
+    rows = {r[0]: r for r in handle.read_rows()}
+    assert tagged([rows[1], rows[2], rows[3]]) == tagged([original[1], resaved, original[3]])
     assert content_multiset(rows.values()) == content_multiset(
         list(original.values()) + [resaved])
     assert [(c.hostname, c.restored_rows) for c in conflicts] == [("b.example", 1)]
@@ -359,7 +370,7 @@ def test_keep_live_fresh_ids_skip_the_ids_of_hosts_still_masked(tmp_path, tiny_k
     rows = [canonical_login_row(rid, host) for host, rids in ids.items() for rid in rids]
     with init_fixture(tmp_path / "profile" / "signons.sqlite", rows) as handle, \
             create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
-        b_rows = [r for r in handle.list_logins() if r.hostname == "b.example"]
+        b_rows = host_rows(handle, "b.example")
         engine.apply_mask(engine.plan_mask(handle, vf, ["a.example", "b.example"]),
                           handle, vf)
         browser = sqlite3.connect(handle.path)
@@ -372,13 +383,13 @@ def test_keep_live_fresh_ids_skip_the_ids_of_hosts_still_masked(tmp_path, tiny_k
 
         up = engine.plan_unmask(vf, ["a.example"], engine.KEEP_LIVE)
         engine.apply_unmask(up, vf.open_proof, handle, vf)
-        assert [r.row_id for r in handle.list_logins() if r.hostname == "a.example"] == [
+        assert [r[0] for r in host_rows(handle, "a.example")] == [
             11, 14, 15, 16]
 
         up = engine.plan_unmask(vf, ["b.example"], policy)
         _, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
         assert conflicts == []
-        assert [r for r in handle.list_logins() if r.hostname == "b.example"] == b_rows
+        assert tagged(host_rows(handle, "b.example")) == tagged(b_rows)
 
 
 @pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)
@@ -414,8 +425,7 @@ def test_crash_after_vault_commit_loses_nothing(world, monkeypatch):
     monkeypatch.delenv(CRASH_ENV)
     # rows now exist in BOTH files; nothing was lost
     in_store = row_multiset(handle)
-    in_vault = Counter(
-        (r.row_id, r.hostname, r.cells) for e in vf.entries for r in e.rows)
+    in_vault = vault_multiset(vf)
     assert in_store == original
     for key in original:
         assert in_store[key] or in_vault[key]
@@ -453,8 +463,7 @@ def test_crash_after_store_insert_loses_nothing(world, monkeypatch):
     vf.close()  # the process died: only what reached the disk counts
     with open_vault(vf.path, "secret") as reopened:
         in_store = row_multiset(handle)
-        in_vault = Counter(
-            (r.row_id, r.hostname, r.cells) for e in reopened.entries for r in e.rows)
+        in_vault = vault_multiset(reopened)
         assert sorted(reopened.hosts()) == SIX
         for key in rows:
             assert in_store[key] or in_vault[key]

@@ -16,28 +16,35 @@ from credmask.errors import (
 )
 from credmask.faults import CRASH_ENV, SimulatedCrash
 from credmask.minutiae import Minutia, Template
-from credmask.store import canonical_login_row
+from credmask.store import CANONICAL_COLUMNS, canonical_login_row
 from credmask.vault import VaultEntry, create_vault, open_vault
 from credmask.wire import Writer
 
 from conftest import make_rows
+from test_vault_reference import tagged
 
 
 def entry_for(host, rows):
-    return VaultEntry(
+    return VaultEntry.from_store_rows(
         hostname=host,
-        rows=tuple(rows),
+        rows=rows,
         masked_at=int(time.time()),
         store_path="/profile/signons.sqlite",
-        schema_columns=tuple(rows[0].column_names()),
+        schema_columns=CANONICAL_COLUMNS,
+        pk_column="id",
     )
+
+
+def stored(entry):
+    """The entry's rows in the canonical schema order."""
+    return entry.store_rows(CANONICAL_COLUMNS, "id")
 
 
 def entries_for(host_counts):
     rows = make_rows(host_counts)
     by_host = {}
     for row in rows:
-        by_host.setdefault(row.hostname, []).append(row)
+        by_host.setdefault(row[1], []).append(row)
     return [entry_for(h, rs) for h, rs in by_host.items()]
 
 
@@ -241,12 +248,9 @@ def test_on_disk_layout_is_bit_exact(vault_path, tiny_kdf):
     assert len(crypto.open_sealed(key, nonce, sealed, blob[:55])) == payload_len
 
 
-def test_entry_requires_rows_of_its_own_host():
-    rows = make_rows({"a.example": 1})
+def test_entry_requires_rows():
     with pytest.raises(ValueError):
-        VaultEntry("a.example", (), 0, "p", ("id",))
-    with pytest.raises(ValueError):
-        VaultEntry("b.example", tuple(rows), 0, "p", rows[0].column_names())
+        VaultEntry.from_store_rows("a.example", (), 0, "p", ("id",), "id")
 
 
 def test_fresh_nonce_every_commit(vault_path, tiny_kdf):
@@ -337,17 +341,22 @@ def decrypted_payload(path, passphrase):
     return crypto.open_sealed(key, blob[31:55], blob[55:], blob[:55])
 
 
+def varied_rows():
+    """Rows holding NULL, blob, real, text, empty and non-ASCII cells, by host."""
+    return {
+        "bücher.example": [
+            canonical_login_row(1, "bücher.example", httpRealm=None, encType=1.5,
+                                encryptedUsername=b"\x00\xff\xfe", encryptedPassword=b"",
+                                formSubmitURL=""),
+            canonical_login_row(2, "bücher.example", encryptedPassword="пароль 世界",
+                                guid=None, encType=-(2 ** 63)),
+        ],
+        "plain.example": [canonical_login_row(7, "plain.example", usernameField="ü" * 300)],
+    }
+
+
 def varied_entries():
-    """Rows holding NULL, blob, real, text, empty and non-ASCII cells."""
-    rows = [
-        canonical_login_row(1, "bücher.example", httpRealm=None, encType=1.5,
-                            encryptedUsername=b"\x00\xff\xfe", encryptedPassword=b"",
-                            formSubmitURL=""),
-        canonical_login_row(2, "bücher.example", encryptedPassword="пароль 世界",
-                            guid=None, encType=-(2 ** 63)),
-    ]
-    other = [canonical_login_row(7, "plain.example", usernameField="ü" * 300)]
-    return [entry_for("bücher.example", rows), entry_for("plain.example", other)]
+    return [entry_for(host, rows) for host, rows in varied_rows().items()]
 
 
 def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
@@ -370,9 +379,9 @@ def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
             assert vf._serialize() == payload
             assert vf.entries == expected_entries
             assert [e.row_count for e in vf.entries] == [
-                len(e.rows) for e in expected_entries]
+                len(stored(e)) for e in expected_entries]
             assert [e.max_row_id for e in vf.entries] == [
-                max(row.row_id for row in e.rows) for e in vf.entries]
+                max(row[0] for row in stored(e)) for e in vf.entries]
             vf.commit()  # no entry change: the same payload again
         assert decrypted_payload(vault_path, "secret") == payload
 
@@ -392,9 +401,9 @@ def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
 def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
     from credmask import vault as vault_mod
 
-    entries = varied_entries()
+    rows = varied_rows()
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries)
+        vf.put_entries(varied_entries())
         vf.commit()
     decoded = []
     decode = vault_mod._decode_rows
@@ -404,8 +413,7 @@ def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
         assert [(e.hostname, e.row_count) for e in vf.entries] == [
             ("bücher.example", 2), ("plain.example", 1)]
         assert decoded == []
-        assert vf.get_entry("plain.example").rows == entries[1].rows
-        assert vf.get_entry("plain.example").rows == entries[1].rows
+        assert tagged(stored(vf.get_entry("plain.example"))) == tagged(rows["plain.example"])
         assert decoded == ["plain.example"]
 
 
@@ -427,10 +435,10 @@ def entry_head(hostname=b"a.example", row_count=1):
 
 def row_bytes(name=b"id"):
     w = Writer()
-    w.i64(1)
+    w.u64(1)  # row id 1
     w.u16(1)
     w.prefixed(name)
-    w.cell(b"i" + (1).to_bytes(8, "big"))
+    w.prefixed(b"i" + (1).to_bytes(8, "big"))
     return w.getvalue()
 
 
@@ -464,7 +472,7 @@ def test_hand_built_payload_opens(vault_path, tiny_kdf, monkeypatch):
     with open_vault(vault_path, "secret") as vf:
         entry = vf.get_entry("a.example")
         assert (entry.row_count, entry.schema_columns) == (1, ("id",))
-        assert entry.rows[0].cells == (("id", b"i" + (1).to_bytes(8, "big")),)
+        assert tagged(entry.store_rows(("id",), "id")) == [(b"i" + (1).to_bytes(8, "big"),)]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

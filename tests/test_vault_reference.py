@@ -1,4 +1,5 @@
-"""Vault entries built from store rows are byte for byte the frozen encoder's.
+"""Vault entries built from store rows, and the canonical dump, are byte for
+byte the frozen encoders'.
 
 A store with untyped columns keeps every value's storage class, so its rows
 carry the edge values of each class: the INTEGER limits, REAL -0.0, the
@@ -15,6 +16,7 @@ from credmask.store import open_store
 from credmask.vault import VaultEntry, create_vault, open_vault
 from credmask.wire import encode_cell_value
 
+import dump_reference
 import vault_reference as reference
 
 HOST = "ëdge.example"
@@ -55,17 +57,35 @@ def test_the_store_keeps_each_storage_class(edge_store):
     assert tagged(edge_store.read_rows()) == tagged(by_id)
 
 
+def sqlite_rows(handle):
+    """Every row as sqlite3 itself returns it, in row-id order."""
+    conn = sqlite3.connect(handle.path)
+    try:
+        return conn.execute("SELECT * FROM moz_logins ORDER BY id").fetchall()
+    finally:
+        conn.close()
+
+
 def test_entries_are_the_frozen_encoders_bytes(edge_store):
     native = list(edge_store.read_rows([row[2] for row in EDGE_ROWS]))
-    rows = edge_store.list_logins([row[2] for row in EDGE_ROWS])
     expected = reference.encode_entry(HOST, 1_700_000_000, "/p/signons.sqlite", COLUMNS,
-                                      rows)
+                                      dump_reference.login_rows(EDGE_ROWS, COLUMNS, "id"))
     from_store = VaultEntry.from_store_rows(HOST, native, 1_700_000_000,
                                             "/p/signons.sqlite", COLUMNS, "id")
-    from_rows = VaultEntry(HOST, rows, 1_700_000_000, "/p/signons.sqlite", COLUMNS)
     assert bytes(from_store._encoded) == expected
-    assert bytes(from_rows._encoded) == expected
     assert (from_store.row_count, from_store.max_row_id) == (5, 2 ** 63 - 1)
+
+
+def test_dump_is_the_frozen_encoders_bytes(edge_store):
+    expected = dump_reference.dump(
+        dump_reference.login_rows(sqlite_rows(edge_store), COLUMNS, "id"))
+    assert len(expected) > 1 + 6 * 10
+    assert edge_store.dump_canonical() == expected
+
+
+def test_entries_are_only_built_from_store_rows():
+    with pytest.raises(TypeError):
+        VaultEntry(HOST, EDGE_ROWS, 0, "/p", COLUMNS)
 
 
 def test_an_opened_entry_decodes_to_the_rows_it_was_built_from(edge_store, tmp_path,
@@ -81,7 +101,8 @@ def test_an_opened_entry_decodes_to_the_rows_it_was_built_from(edge_store, tmp_p
         opened = vf.get_entry(HOST)
         assert vf._serialize() == payload
         assert opened == entry
-        assert opened.rows == tuple(edge_store.list_logins([row[2] for row in EDGE_ROWS]))
+        assert tagged(opened.store_rows(COLUMNS, "id")) == tagged(
+            edge_store.read_rows([row[2] for row in EDGE_ROWS]))
         assert tagged(opened.store_rows(COLUMNS, "id")) == tagged(EDGE_ROWS)
         reordered = ("id", "c", "b", "a", "hostname")
         assert tagged(opened.store_rows(reordered, "id")) == tagged(

@@ -7,6 +7,7 @@ from credmask.wire import (
     Writer,
     decode_cell_value,
     encode_cell_value,
+    encode_rows,
 )
 
 
@@ -51,17 +52,12 @@ def test_writer_reader_round_trip():
     w.u16(65535)
     w.u32(123456)
     w.u64(2**40)
-    w.i64(-12)
     w.f64(3.25)
     w.text("text field")
-    w.cell(None)
-    w.cell(b"payload")
     r = Reader(w.getvalue())
-    assert (r.u8(), r.u16(), r.u32(), r.u64(), r.i64(), r.f64()) == (
-        7, 65535, 123456, 2**40, -12, 3.25)
+    assert (r.u8(), r.u16(), r.u32(), r.u64(), r.f64()) == (
+        7, 65535, 123456, 2**40, 3.25)
     assert r.text() == "text field"
-    assert r.cell() is None
-    assert r.cell() == b"payload"
     assert r.exhausted()
 
 
@@ -74,6 +70,26 @@ def test_reader_truncation_detected():
 
 
 def test_null_sentinel_is_reserved():
-    w = Writer()
-    w.cell(None)
-    assert w.getvalue() == NULL_LENGTH.to_bytes(4, "big")
+    out = bytearray()
+    encode_rows(out, [(7, None)], 0, [b"", b""])
+    assert out[-4:] == NULL_LENGTH.to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("value", [
+    0, -1, 2**63 - 1, -(2**63), -0.0, float("inf"), 5e-324,
+    "", "nul\x00 ümlaut 世界", b"", b"\x00\xff", None,
+])
+def test_encode_rows_writes_each_cell_as_encode_cell_value_tags_it(value):
+    out = bytearray(b"head")
+    encode_rows(out, [("x", value, -5)], 2, [b"", b"P", b"QQ"])
+    cells = [encode_cell_value(v) for v in ("x", value, -5)]
+    fields = [NULL_LENGTH.to_bytes(4, "big") if c is None
+              else len(c).to_bytes(4, "big") + c for c in cells]
+    assert bytes(out) == (b"head" + (-5).to_bytes(8, "big", signed=True)
+                          + (3).to_bytes(2, "big")
+                          + fields[0] + b"P" + fields[1] + b"QQ" + fields[2])
+
+
+def test_encode_rows_refuses_a_value_sqlite_cannot_hold():
+    with pytest.raises(TypeError):
+        encode_rows(bytearray(), [(1, True)], 0, [b"", b""])

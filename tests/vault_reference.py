@@ -53,7 +53,8 @@ class _Writer:
 
 def encode_entry(hostname: str, masked_at: int, store_path: str,
                  schema_columns: tuple[str, ...], rows) -> bytes:
-    """The payload bytes of one entry; ``rows`` are ``LoginRow``s."""
+    """The payload bytes of one entry; ``rows`` have a ``row_id`` and ``cells``,
+    (column name, tagged bytes) pairs, as ``dump_reference.login_rows`` builds them."""
     w = _Writer()
     w.text(hostname)
     w.u64(masked_at)
