@@ -8,10 +8,11 @@ On-disk layout, all integers big-endian:
 
 The payload (laid out in the README) writes every row with
 :func:`wire.encode_rows`, the encoder of the store's canonical dump, so a
-vaulted row restores byte-exactly. Every entry is held encoded, as its slice
-of the payload: ``mask`` encodes the rows it reads from SQLite straight into
-a new entry's bytes, and opening checks the whole payload and keeps each
-entry's slice. Listing hosts and counting rows
+vaulted row restores byte-exactly. Every entry is held encoded, as its slice of
+the payload: ``mask`` encodes the rows it reads from SQLite straight into a new
+entry's bytes, and opening checks the whole payload and keeps each entry's
+slice. Opening checks each row against its entry's column list, and rows whose
+names come in another order are still read. Listing hosts and counting rows
 decode nothing, a commit copies the slices, and ``unmask`` decodes a slice
 straight into the values it inserts. Every commit re-encrypts the whole state
 under a fresh nonce and replaces the file atomically (write temp, fsync,
@@ -80,7 +81,7 @@ class VaultEntry:
     """
 
     __slots__ = ("hostname", "masked_at", "store_path", "schema_columns",
-                 "row_count", "max_row_id", "_encoded", "_rows_at")
+                 "row_count", "max_row_id", "_encoded", "_rows_at", "_on_layout")
 
     @classmethod
     def from_store_rows(cls, hostname: str, rows: Sequence[tuple], masked_at: int,
@@ -102,16 +103,15 @@ class VaultEntry:
         w.u32(len(rows))
         out = bytearray(w.getvalue())
         rows_at = len(out)
-        names = [_U32.pack(len(name)) + name for name in map(str.encode, columns)]
-        encode_rows(out, rows, pk_index, names)
+        encode_rows(out, rows, pk_index, _name_fields(columns))
         return cls._from_payload(hostname, masked_at, store_path, columns, len(rows),
                                  max(row[pk_index] for row in rows),
-                                 memoryview(bytes(out)), rows_at)
+                                 memoryview(bytes(out)), rows_at, True)
 
     @classmethod
     def _from_payload(cls, hostname: str, masked_at: int, store_path: str,
                       schema_columns: tuple[str, ...], row_count: int, max_row_id: int,
-                      encoded: memoryview, rows_at: int) -> "VaultEntry":
+                      encoded: memoryview, rows_at: int, on_layout: bool) -> "VaultEntry":
         entry = cls.__new__(cls)
         entry.hostname = hostname
         entry.masked_at = masked_at  # UTC seconds
@@ -121,6 +121,7 @@ class VaultEntry:
         entry.max_row_id = max_row_id
         entry._encoded = encoded  # the entry's payload bytes
         entry._rows_at = rows_at  # offset of its first row in _encoded
+        entry._on_layout = on_layout  # every row's cells are schema_columns, in order
         return entry
 
     def store_rows(self, columns: tuple[str, ...], pk_column: str) -> list[tuple]:
@@ -132,7 +133,7 @@ class VaultEntry:
         """
         pk_index = columns.index(pk_column)
         rows = _decode_rows(self._encoded, self._rows_at, self.row_count, columns,
-                            self.hostname)
+                            self.schema_columns if self._on_layout else None, self.hostname)
         for row_id, values in rows:
             if values[pk_index] != row_id:
                 raise SchemaMismatchError(
@@ -277,22 +278,28 @@ class VaultFile:
         """
         r = Reader(payload)
         view = memoryview(payload)
-        names: set[bytes] = set()  # cell names already checked to be UTF-8
+        block = b""  # the column list last parsed, as bytes
         entries = []
         for _ in range(r.u32()):
             start = r.pos
             hostname = r.text()
             masked_at = r.u64()
             store_path = r.text()
-            columns = tuple(r.text() for _ in range(r.u16()))
+            at = r.pos
+            if not (block and payload.startswith(block, at)):  # mostly the last one again
+                columns = tuple(r.text() for _ in range(r.u16()))
+                block, cells = payload[at:r.pos], [  # per column: unpacker, name field, step
+                    (struct.Struct(f">{len(f)}sI").unpack_from, f, len(f) + 4)
+                    for f in _name_fields(columns)]
+            r.pos = at + len(block)
             count = r.u32()
             if not count:
                 raise ValueError(f"vault entry {hostname!r} holds no rows")
             rows_at = r.pos
-            r.pos, max_row_id = _skip_rows(payload, rows_at, count, names)
+            r.pos, max_row_id, on_layout = _skip_rows(payload, rows_at, count, cells)
             entries.append(VaultEntry._from_payload(
                 hostname, masked_at, store_path, columns, count, max_row_id,
-                view[start:r.pos], rows_at - start))
+                view[start:r.pos], rows_at - start, on_layout))
         records: list[auth.AuthRecord] = []
         for _ in range(r.u32()):
             tag = r.u8()
@@ -330,42 +337,66 @@ class VaultFile:
         self.keystore_record = keystore
 
 
-def _skip_rows(payload: bytes, pos: int, count: int,
-               names: set[bytes]) -> tuple[int, int]:
-    """Check ``count`` encoded rows from ``pos``; return the offset past them
-    and the highest row id among them.
+def _name_fields(columns: tuple[str, ...]) -> list[bytes]:
+    """Each column's name field as a row's cell carries it: u32 length, UTF-8."""
+    return [_U32.pack(len(name)) + name for name in map(str.encode, columns)]
+
+
+def _skip_rows(payload: bytes, pos: int, count: int, cells: list) -> tuple[int, int, bool]:
+    """Check ``count`` encoded rows from ``pos``; return the offset past them,
+    the highest row id among them and whether every row is on ``cells``.
 
     Each row is row id i64, cell count u16, then per cell its name (u32
-    length, UTF-8) and its value (u32 length or NULL_LENGTH, bytes). A length
-    that runs past the payload fails the next unpack_from, or the last check.
+    length, UTF-8) and its value (u32 length or NULL_LENGTH, bytes). A row on
+    ``cells`` costs one unpack per cell; _row_cells walks the others. A length
+    past the payload fails the next unpack, or the last check.
     """
-    u32, head = _U32.unpack_from, _ROW_HEAD.unpack_from
+    head = _ROW_HEAD.unpack_from
     max_row_id = -1 << 63  # the least i64
+    on_layout = True
     for _ in range(count):
-        row_id, cells = head(payload, pos)
+        row_id, n_cells = head(payload, pos)
         if row_id > max_row_id:
             max_row_id = row_id
-        pos += 10
-        for _ in range(cells):
-            (n,) = u32(payload, pos)
-            name_end = pos + 4 + n
-            name = payload[pos + 4:name_end]
-            if name not in names:
-                name.decode("utf-8")
-                names.add(name)
-            (n,) = u32(payload, name_end)
-            pos = name_end + 4
-            if n != NULL_LENGTH:
-                pos += n
+        row_at = pos = pos + 10
+        if n_cells == len(cells):
+            try:
+                for cell, field, step in cells:
+                    got, n = cell(payload, pos)
+                    if got != field:
+                        break
+                    pos += step if n == NULL_LENGTH else step + n
+                else:
+                    continue
+            except struct.error:  # a shorter cell than its column's, near the end
+                pass
+        on_layout = False
+        pos = _row_cells(payload, row_at, n_cells)[0]
     if pos > len(payload):
         raise TruncatedError("a row runs past the payload")
-    return pos, max_row_id
+    return pos, max_row_id, on_layout
+
+
+def _row_cells(buf: bytes, pos: int, n_cells: int) -> tuple[int, tuple[str, ...], list[int]]:
+    """Walk one row's cells from ``pos``, decoding their UTF-8 names; return
+    the offset past them, the names and each name field's width."""
+    u32 = _U32.unpack_from
+    names, widths = [], []
+    for _ in range(n_cells):
+        (n,) = u32(buf, pos)
+        names.append(buf[pos + 4:pos + 4 + n].decode("utf-8"))
+        widths.append(4 + n)
+        pos += 4 + n
+        (n,) = u32(buf, pos)
+        pos += 4 if n == NULL_LENGTH else 4 + n
+    return pos, tuple(names), widths
 
 
 def _decode_rows(encoded: memoryview, pos: int, count: int, columns: tuple[str, ...],
-                 hostname: str) -> list[tuple[int, tuple]]:
+                 header: tuple[str, ...] | None, hostname: str) -> list[tuple[int, tuple]]:
     """Decode the rows _skip_rows already checked into (row id, values) pairs,
     the values native and in ``columns`` order; no bound is checked again.
+    When every row holds the ``header`` columns in order, no name is read.
 
     SchemaMismatchError when a row's cell names are not exactly ``columns``;
     ValueError for a cell that is not a well-formed tagged value.
@@ -373,19 +404,19 @@ def _decode_rows(encoded: memoryview, pos: int, count: int, columns: tuple[str, 
     buf = encoded.tobytes()
     u32, head, i64, f64 = (_U32.unpack_from, _ROW_HEAD.unpack_from,
                            _I64.unpack_from, _F64.unpack_from)
-    layouts: dict[tuple[bytes, ...], Callable[[list], tuple]] = {}
+    if header is not None:
+        key, widths = header, list(map(len, _name_fields(header)))
+    layouts: dict[tuple[str, ...], Callable[[list], tuple]] = {}
     rows = []
     for _ in range(count):
         row_id, n_cells = head(buf, pos)
         pos += 10
-        names = []
+        if header is None:
+            _, key, widths = _row_cells(buf, pos, n_cells)
         values = []
-        for _ in range(n_cells):
-            (n,) = u32(buf, pos)
-            pos += 4 + n
-            names.append(buf[pos - n:pos])
-            (n,) = u32(buf, pos)
-            pos += 4
+        for width in widths:
+            (n,) = u32(buf, pos + width)
+            pos += width + 4
             if n == NULL_LENGTH:
                 values.append(None)
                 continue
@@ -400,24 +431,23 @@ def _decode_rows(encoded: memoryview, pos: int, count: int, columns: tuple[str, 
             else:  # b: blob; decode_cell_value refuses a malformed cell
                 values.append(decode_cell_value(buf[pos:end]))
             pos = end
-        layout = layouts.get(key := tuple(names))
+        layout = layouts.get(key)
         if layout is None:
             layout = layouts[key] = _layout(key, columns, row_id, hostname)
         rows.append((row_id, layout(values)))
     return rows
 
 
-def _layout(names: tuple[bytes, ...], columns: tuple[str, ...], row_id: int,
+def _layout(names: tuple[str, ...], columns: tuple[str, ...], row_id: int,
             hostname: str) -> Callable[[list], tuple]:
     """The function putting values in ``names`` order into ``columns`` order."""
-    order = [name.decode("utf-8") for name in names]
-    if sorted(order) != sorted(columns):
+    if sorted(names) != sorted(columns):
         raise SchemaMismatchError(
-            f"vaulted row {row_id} of {hostname}: columns {sorted(order)} "
+            f"vaulted row {row_id} of {hostname}: columns {sorted(names)} "
             f"!= schema {sorted(columns)}")
-    if order == list(columns):
+    if list(names) == list(columns):
         return tuple
-    return operator.itemgetter(*(order.index(c) for c in columns))
+    return operator.itemgetter(*(names.index(c) for c in columns))
 
 
 # -- module operations ---------------------------------------------------------------

@@ -421,24 +421,29 @@ def u32(n):
     return n.to_bytes(4, "big")
 
 
-def entry_head(hostname=b"a.example", row_count=1):
+def entry_head(hostname=b"a.example", row_count=1, columns=("id",)):
     """An entry's fields up to and including its row count."""
     w = Writer()
     w.prefixed(hostname)
     w.u64(0)
     w.text("/profile/signons.sqlite")
-    w.u16(1)
-    w.text("id")
+    w.u16(len(columns))
+    for column in columns:
+        w.text(column)
     w.u32(row_count)
     return w.getvalue()
 
 
-def row_bytes(name=b"id"):
+def row_bytes(name=b"id", row_id=1, extra=()):
+    """A row whose id cell is named ``name``, preceded by ``extra`` (name, text) cells."""
     w = Writer()
-    w.u64(1)  # row id 1
-    w.u16(1)
+    w.u64(row_id)
+    w.u16(1 + len(extra))
+    for extra_name, text in extra:
+        w.text(extra_name)
+        w.prefixed(b"t" + text.encode())
     w.prefixed(name)
-    w.prefixed(b"i" + (1).to_bytes(8, "big"))
+    w.prefixed(b"i" + row_id.to_bytes(8, "big"))
     return w.getvalue()
 
 
@@ -452,6 +457,8 @@ MALFORMED = {
     "truncated row header": u32(1) + entry_head() + b"\x00" * 9,
     "bad UTF-8 in a hostname": payload_of(entry_head(hostname=b"bad-\xff.example") + row_bytes()),
     "bad UTF-8 in a cell name": payload_of(entry_head() + row_bytes(name=b"i\xc3")),
+    "bad UTF-8 in a cell name after a row on the column list": payload_of(
+        entry_head(row_count=2) + row_bytes() + row_bytes(name=b"i\xc3")),
     "zero-row entry": payload_of(entry_head(row_count=0)),
     "unknown record tag": payload_of(records=u32(1) + b"\x09"),
     "unknown policy code": payload_of(tail=b"\x09\x00"),
@@ -481,3 +488,55 @@ def test_malformed_payload_is_tampered_at_open(vault_path, tiny_kdf, monkeypatch
     with pytest.raises(TamperedVaultError):
         open_vault(vault_path, "secret")
     assert_unlocked(vault_path)
+
+
+def test_rows_with_the_columns_in_another_order_open_and_decode_in_store_order(
+        vault_path, tiny_kdf, monkeypatch):
+    reordered = Writer()  # row 2: its id cell before its x cell
+    reordered.u64(2)
+    reordered.u16(2)
+    reordered.text("id")
+    reordered.prefixed(b"i" + (2).to_bytes(8, "big"))
+    reordered.text("x")
+    reordered.prefixed(b"tmore")
+    rows = (row_bytes(row_id=1, extra=[("x", "ü")]) + reordered.getvalue()
+            + row_bytes(row_id=3, extra=[("x", "")]))  # rows 1 and 3: x, then id
+    sealed(vault_path, tiny_kdf, monkeypatch,
+           payload_of(entry_head(row_count=3, columns=("x", "id")) + rows))
+    with open_vault(vault_path, "secret") as vf:
+        entry = vf.get_entry("a.example")
+        assert (entry.row_count, entry.max_row_id) == (3, 3)
+        assert entry.store_rows(("id", "x"), "id") == [(1, "ü"), (2, "more"), (3, "")]
+        assert entry.store_rows(("x", "id"), "id") == [("ü", 1), ("more", 2), ("", 3)]
+
+
+def test_entry_whose_rows_lack_a_listed_column_opens_and_unmask_exits_1(
+        vault_path, tiny_kdf, monkeypatch, store_factory, capsys):
+    from credmask import cli
+
+    import dump_reference
+    import vault_reference
+
+    handle = store_factory({"a.example": 2})
+    handle.close()
+    store_path = handle.path
+    [row] = dump_reference.login_rows([canonical_login_row(900, "gone.example")],
+                                      CANONICAL_COLUMNS, "id")
+    row = row._replace(cells=tuple(cell for cell in row.cells if cell[0] != "guid"))
+    entry = vault_reference.encode_entry("gone.example", 0, str(store_path.resolve()),
+                                         CANONICAL_COLUMNS, [row])
+    sealed(vault_path, tiny_kdf, monkeypatch, payload_of(entry))
+    with open_vault(vault_path, "secret") as vf:
+        assert vf.get_entry("gone.example").schema_columns == CANONICAL_COLUMNS
+    before = store_path.read_bytes(), vault_path.read_bytes()
+    r, w = os.pipe()
+    os.write(w, b"secret\n")
+    os.close(w)
+    try:
+        code = cli.main(["unmask", "--store", str(store_path), "--vault", str(vault_path),
+                         "--all", "--passphrase-fd", str(r)])
+    finally:
+        os.close(r)
+    assert code == 1
+    assert "!= schema" in capsys.readouterr().err  # SchemaMismatchError's message
+    assert (store_path.read_bytes(), vault_path.read_bytes()) == before
