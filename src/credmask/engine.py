@@ -213,7 +213,11 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
         raise AuthFailedError("proof was not issued by this vault instance")
     check_policy(vault.policy, [proof])
 
-    entries = [vault.get_entry(h) for h in sorted(plan.hosts)]
+    by_host = {e.hostname: e for e in vault.entries}
+    try:
+        entries = [by_host[h] for h in sorted(plan.hosts)]
+    except KeyError as e:
+        raise UnknownHostError(f"not vaulted: {e.args[0]}") from None
     foreign = _foreign_stores(entries, store.path)
     if foreign and not plan.store_moved:
         raise StoreMismatchError(

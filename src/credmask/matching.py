@@ -17,10 +17,14 @@ exactly, but each moved minutia of b is tested only against the minutiae of a
 in the 3x3 block of grid cells around it. That costs O(H*n2*(k + log n1))
 time, where k is the number of minutiae of a in such a block (a cell is about
 one distance tolerance wide) and the log is one lookup of the block. Hypotheses
-are processed in chunks of at most _CHUNK_ELEMENTS pairs, so memory stays
-bounded whatever the template size or coordinates. Each visited hypothesis
-costs one (n1, n2) pass. Scores, pair counts and transforms are those of
-testing every pair of every hypothesis.
+are bounded in index order, in chunks of at most _CHUNK_ELEMENTS pairs, so
+memory stays bounded whatever the template size or coordinates. Each visited
+hypothesis costs one (n1, n2) pass. The search stops at a perfect alignment:
+the first hypothesis that pairs min(n1, n2) minutiae ends it, with no further
+chunk bounded and no reverse pass. A probe whose every minutia has a
+counterpart stops early; an impostor, or a probe with spurious minutiae,
+bounds every hypothesis in both directions. Scores, pair counts and
+transforms are those of testing every pair of every hypothesis.
 
 numpy is imported inside the functions that compute with it, so commands
 that never match a fingerprint start without loading it.
@@ -94,12 +98,12 @@ def match_templates(a: Template, b: Template,
         return MatchResult(0.0, 0, n1, n2, _IDENTITY)
     fa = _as_arrays(a)
     fb = _as_arrays(b)
-    m_fwd, t_fwd = _best_alignment(fa, fb, params)
-    m_rev, t_rev = _best_alignment(fb, fa, params)
-    if m_rev > m_fwd:
-        m, transform = m_rev, _invert(t_rev)
-    else:
-        m, transform = m_fwd, t_fwd
+    m, transform = _best_alignment(fa, fb, params)
+    # no reverse pairing can beat one that pairs every minutia of a template
+    if m < min(n1, n2):
+        m_rev, t_rev = _best_alignment(fb, fa, params)
+        if m_rev > m:
+            m, transform = m_rev, _invert(t_rev)
     return MatchResult(score=2.0 * m / (n1 + n2), matched_pairs=m,
                        n1=n1, n2=n2, transform=transform)
 
@@ -126,31 +130,50 @@ def _as_arrays(t: Template):
 def _best_alignment(a, b, params: MatchParams) -> tuple[int, tuple[float, float, float]]:
     import numpy as np
     hyp = _hypotheses(a, b, params.kind_strict)
-    phi, _, _, tx, ty = hyp
-    if phi.size == 0:
+    if hyp[0].size == 0:
         return 0, _IDENTITY
-    # Cheap upper bound per hypothesis prunes the greedy pass to the few
-    # alignments that could still beat the current best.
-    bound = _bounds(a, b, hyp, params)
+    cap = min(a[0].size, b[0].size)
+    bound = np.empty(hyp[0].size, dtype=np.int64)
+    best_m, best_h = 0, -1
+    # The greedy pass visits hypotheses by falling upper bound, ties in index
+    # order, and stops at one that pairs cap minutiae. Those bounded at cap
+    # come first, so they are paired as soon as their chunk is bounded, and
+    # the first that pairs cap ends the search before the rest are bounded.
+    h0 = 0
+    for chunk in _bound_chunks(a, b, hyp, params):
+        bound[h0:h0 + chunk.size] = chunk
+        for h in h0 + np.flatnonzero(chunk == cap):
+            m = _pairs_under(a, b, hyp, h, params)
+            if m > best_m:
+                best_m, best_h = m, int(h)
+                if m == cap:
+                    return m, _transform(hyp, best_h)
+        h0 += chunk.size
+    # The rest, skipping those bounded at cap, which were paired above.
     order = np.argsort(-bound, kind="stable")
-
-    n1, n2 = a[0].size, b[0].size
-    best_m = 0
-    best_h = -1
-    cap = min(n1, n2)
-    for h in order:
+    for h in order[np.count_nonzero(bound == cap):]:
         if bound[h] <= best_m:
             break
-        tbx, tby, tbtheta = _moved(b, *(v[h:h + 1] for v in hyp))
-        moved = (tbx[0], tby[0], tbtheta[0], b[3])
-        m = _greedy_pairs(*_pair_test(a, moved, np.arange(n1)[:, None], np.arange(n2), params))
+        m = _pairs_under(a, b, hyp, h, params)
         if m > best_m:
             best_m, best_h = m, int(h)
-            if best_m == cap:
-                break
     if best_h < 0:
         return 0, _IDENTITY
-    return best_m, (float(tx[best_h]), float(ty[best_h]), float(phi[best_h] % TWO_PI))
+    return best_m, _transform(hyp, best_h)
+
+
+def _pairs_under(a, b, hyp, h, params: MatchParams) -> int:
+    """Greedy pair count of a and b moved by hypothesis h."""
+    import numpy as np
+    tbx, tby, tbtheta = _moved(b, *(v[h:h + 1] for v in hyp))
+    moved = (tbx[0], tby[0], tbtheta[0], b[3])
+    return _greedy_pairs(*_pair_test(a, moved, np.arange(a[0].size)[:, None],
+                                     np.arange(b[0].size), params))
+
+
+def _transform(hyp, h: int) -> tuple[float, float, float]:
+    phi, _, _, tx, ty = hyp
+    return float(tx[h]), float(ty[h]), float(phi[h] % TWO_PI)
 
 
 def _hypotheses(a, b, kind_strict: bool):
@@ -194,10 +217,16 @@ def _pair_test(a, moved, ia, jb, params: MatchParams):
 
 
 def _bounds(a, b, hyp, params: MatchParams) -> np.ndarray:
-    """Per hypothesis, min(#a with a candidate, #b with a candidate).
+    """Per hypothesis, min(#a with a candidate, #b with a candidate)."""
+    import numpy as np
+    return np.concatenate(list(_bound_chunks(a, b, hyp, params)))
 
-    Only the pairs whose ends lie in neighbouring grid cells are tested, a
-    chunk of hypotheses at a time, so memory stays within _CHUNK_ELEMENTS.
+
+def _bound_chunks(a, b, hyp, params: MatchParams):
+    """The bounds of _bounds, one chunk of hypotheses at a time, in order.
+
+    Only the pairs whose ends lie in neighbouring grid cells are tested, so
+    memory stays within _CHUNK_ELEMENTS.
     """
     import numpy as np
     n1, n2 = a[0].size, b[0].size
@@ -205,9 +234,7 @@ def _bounds(a, b, hyp, params: MatchParams) -> np.ndarray:
     cells, starts, counts, members = _cell_blocks(a, side)
     step = max(1, _CHUNK_ELEMENTS // (n2 * int(counts.max())))
 
-    H = hyp[0].size
-    bound = np.empty(H, dtype=np.int64)
-    for h0 in range(0, H, step):
+    for h0 in range(0, hyp[0].size, step):
         tbx, tby, tbtheta = _moved(b, *(v[h0:h0 + step] for v in hyp))
         hc = tbx.shape[0]
         key = _cell_key(_cells(tbx.ravel(), side), _cells(tby.ravel(), side))
@@ -224,9 +251,8 @@ def _bounds(a, b, hyp, params: MatchParams) -> np.ndarray:
         has_a[jb // n2 * n1 + ia] = True
         has_b = np.zeros(hc * n2, dtype=bool)
         has_b[jb] = True
-        bound[h0:h0 + hc] = np.minimum(has_a.reshape(hc, n1).sum(axis=1),
-                                       has_b.reshape(hc, n2).sum(axis=1))
-    return bound
+        yield np.minimum(has_a.reshape(hc, n1).sum(axis=1),
+                         has_b.reshape(hc, n2).sum(axis=1))
 
 
 def _cell_blocks(a, side: float):

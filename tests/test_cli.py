@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -1157,6 +1158,15 @@ def test_bio_eval_default_synthetic_run_is_pinned(run):
     code, out, _ = run("bio-eval", "--synthetic")
     assert code == 0
     assert "EER 0.0000" in out  # frozen regression value, oracle-verified
+
+
+def test_bio_eval_seed_7_csv_table_is_pinned(run):
+    # the whole FAR/FRR table, so a changed score shows even where the EER does not
+    code, out, err = run("bio-eval", "--synthetic", "--seed", "7", "--format", "csv")
+    assert code == 0
+    assert err.strip() == "EER 0.0000"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1dd3ecf9b355eabe7afa4335c06c3818068cfef87eb9e76ca1f8a0264ec79bdf")
 
 
 def test_bio_eval_synthetic_deterministic(run):

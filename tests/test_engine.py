@@ -207,6 +207,18 @@ def test_plan_unmask_unknown_host(world):
     assert plan.hosts == {"host00.example"}
 
 
+def test_unmask_of_a_host_no_longer_vaulted_touches_nothing(world):
+    handle, vf, keystore = world
+    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    plan = engine.plan_unmask(vf)
+    vf.take_entries(["host03.example"])
+    store_hash = file_sha256(handle.path)
+    with pytest.raises(UnknownHostError, match=r"^not vaulted: host03\.example$"):
+        engine.apply_unmask(plan, vf.open_proof, handle, vf)
+    assert file_sha256(handle.path) == store_hash
+    assert sorted(vf.hosts()) == [h for h in SIX if h != "host03.example"]
+
+
 def test_unmask_with_invalid_proof_touches_nothing(world, tmp_path, tiny_kdf):
     handle, vf, keystore = world
     engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)

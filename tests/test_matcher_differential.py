@@ -180,3 +180,143 @@ def test_peak_memory_of_hostile_80_minutiae_matches():
     # every minutia within one tolerance of every other: no cell prunes anything
     clustered = random_template(rng, n=80, field=5.0)
     assert peak_mib(clustered, moved(clustered, 0.3, 1.0, 1.0)) < PEAK_LIMIT_MIB
+
+
+# -- the search stops at the first hypothesis that pairs min(n1, n2) minutiae --
+
+def polygon(n, radius=100.0, centre=(200.0, 200.0)):
+    """A regular n-gon with radial directions: every rotation by 2*pi/n maps
+    it onto itself, so against a rotated copy every reference pair is a
+    perfect alignment."""
+    return template_of(
+        (centre[0] + radius * math.cos(t), centre[1] + radius * math.sin(t), t % (2 * math.pi),
+         TERMINATION)
+        for t in (2 * math.pi * k / n for k in range(n)))
+
+
+def subset_probe(rng, a, keep):
+    """The minutiae of a at the indices keep, jittered well inside the
+    tolerances, under a rigid motion: a strict subset of a."""
+    jitter = rng.normal(0.0, 0.5, size=(len(keep), 2))
+    return moved(Template(tuple(
+        Minutia(a.minutiae[i].x + float(dx), a.minutiae[i].y + float(dy),
+                a.minutiae[i].theta, a.minutiae[i].kind)
+        for i, (dx, dy) in zip(keep, jitter))), 2.3, -40.0, 75.0)
+
+
+@pytest.fixture
+def chunk_log(monkeypatch):
+    """Per call of the bound pass: its hypothesis count and the sizes of the
+    chunks the search consumed."""
+    log = []
+    real = matching._bound_chunks
+
+    def counting(a, b, hyp, params):
+        sizes = []
+        log.append((hyp[0].size, sizes))
+        for chunk in real(a, b, hyp, params):
+            sizes.append(chunk.size)
+            yield chunk
+
+    monkeypatch.setattr(matching, "_bound_chunks", counting)
+    return log
+
+
+def first_perfect(a, b, params):
+    """Index of the first hypothesis, in index order, that pairs every
+    minutia of the smaller template, found with the dense reference."""
+    fa, fb = matching._as_arrays(a), matching._as_arrays(b)
+    m, transform = reference.best_alignment(fa, fb, params)
+    assert m == min(len(a), len(b))
+    bound = reference.bounds(fa, fb, params)
+    hyp = matching._hypotheses(fa, fb, params.kind_strict)
+    # a hypothesis with the same transform pairs the same minutiae
+    return next(h for h in np.flatnonzero(bound == m)
+                if matching._transform(hyp, h) == transform)
+
+
+def with_centre_minutiae(template, every=3):
+    """template with a minutia near its centre after every few of its own."""
+    rows = []
+    for k, m in enumerate(template.minutiae):
+        rows.append(m)
+        if k % every == every - 1:
+            rows.append(Minutia(190.0 + 7.0 * (k % 4), 195.0 + 3.0 * (k % 5), 0.1 * k, m.kind))
+    return Template(tuple(rows))
+
+
+@pytest.mark.parametrize("kind_strict", [True, False])
+@pytest.mark.parametrize("n", [6, 12, 24, 36])
+def test_symmetric_template_returns_the_first_perfect_hypothesis(kind_strict, n):
+    params = MatchParams(kind_strict=kind_strict)
+    poly = polygon(n)
+    rotated = moved(poly, 0.4, 30.0, -20.0)
+    # the centre minutiae interleave low bounds with the perfect hypotheses,
+    # so an order by falling bound that does not keep index order among
+    # ties picks another perfect hypothesis
+    for a, b in ((poly, rotated), (poly, moved(poly, 2 * math.pi / n, 0.0, 0.0)),
+                 (with_centre_minutiae(poly), rotated)):
+        for x, y in ((a, b), (b, a)):
+            assert assert_same(x, y, params).matched_pairs == n
+        fa, fb = matching._as_arrays(a), matching._as_arrays(b)
+        assert np.count_nonzero(reference.bounds(fa, fb, params) == n) > 1
+
+
+@pytest.mark.parametrize("kind_strict", [True, False])
+def test_strict_subset_probe(kind_strict):
+    rng = np.random.default_rng(12)
+    params = MatchParams(kind_strict=kind_strict)
+    for n1, keep in ((30, range(0, 30, 3)), (40, range(25, 40)), (24, range(1, 24))):
+        a = random_template(rng, n=n1)
+        b = subset_probe(rng, a, list(keep))
+        assert assert_same(a, b, params).matched_pairs == len(b)
+        assert assert_same(b, a, params).matched_pairs == len(b)
+
+
+@pytest.mark.parametrize("kind_strict", [True, False])
+@pytest.mark.parametrize("chunk_elements", [1, 2 ** 8, 2 ** 11])
+def test_first_perfect_hypothesis_in_a_late_chunk(monkeypatch, chunk_log, kind_strict,
+                                                  chunk_elements):
+    monkeypatch.setattr(matching, "_CHUNK_ELEMENTS", chunk_elements)
+    rng = np.random.default_rng(13)
+    params = MatchParams(kind_strict=kind_strict)
+    a = random_template(rng, n=40)
+    # only the last minutiae of a have a counterpart, so every perfect
+    # hypothesis comes late in index order
+    b = subset_probe(rng, a, range(28, 40))
+    assert assert_same(a, b, params).matched_pairs == 12
+    chunk_log.clear()
+    match_templates(a, b, params)
+    [(_, sizes)] = chunk_log
+    assert first_perfect(a, b, params) >= sizes[0]
+
+
+@pytest.mark.parametrize("kind_strict", [True, False])
+def test_a_perfect_match_stops_at_the_chunk_of_its_first_perfect_hypothesis(
+        monkeypatch, chunk_log, kind_strict):
+    monkeypatch.setattr(matching, "_CHUNK_ELEMENTS", 2 ** 9)
+    rng = np.random.default_rng(14)
+    params = MatchParams(kind_strict=kind_strict)
+    for n1, keep in ((40, range(28, 40)), (30, range(0, 30, 2)), (20, range(20))):
+        a = random_template(rng, n=n1)
+        b = subset_probe(rng, a, list(keep))
+        h = first_perfect(a, b, params)
+        chunk_log.clear()
+        assert match_templates(a, b, params).matched_pairs == len(b)
+        # one direction only, and no chunk past the one that holds h
+        [(total, sizes)] = chunk_log
+        assert sum(sizes[:-1]) <= h < sum(sizes) <= total
+
+
+@pytest.mark.parametrize("kind_strict", [True, False])
+def test_an_impostor_bounds_every_chunk_in_both_directions(monkeypatch, chunk_log,
+                                                           kind_strict):
+    monkeypatch.setattr(matching, "_CHUNK_ELEMENTS", 2 ** 9)
+    params = MatchParams(kind_strict=kind_strict)
+    record = generate_synthetic(7, 2, 30, probes_per_template=1, impostors_per_template=1)[0]
+    result = match_templates(record.template, record.impostor_probes[0], params)
+    assert result.matched_pairs < 30
+    assert len(chunk_log) == 2
+    for total, sizes in chunk_log:
+        assert len(sizes) > 1
+        assert sum(sizes) == total
