@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -483,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         _echo_err("aborted")
         return EXIT_ERROR
-    except (CredmaskError, OSError, ValueError) as exc:
+    except (CredmaskError, OSError, ValueError, sqlite3.Error) as exc:
         _echo_err(str(exc))
         return EXIT_ERROR
 

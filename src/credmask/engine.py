@@ -103,7 +103,7 @@ def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
     already = [h for h in wanted if h in vaulted]
     if already:
         raise AlreadyMaskedError(f"already masked: {already}")
-    by_host = store.host_row_ids()
+    by_host = store.host_row_ids(wanted)
     unknown = [h for h in wanted if h not in by_host]
     if unknown:
         raise UnknownHostError(f"no stored rows for: {unknown}")
@@ -120,12 +120,13 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
 
     A browser lock file named in ``sibling_locks`` next to the store raises
     StoreBusyError before anything is read. One store write transaction then
-    holds one id scan, the read of the planned rows' cells, the vault commit
-    and the delete; a database lock held past sqlite3's 5 s busy wait raises
-    StoreBusyError. The order means an interruption can only ever duplicate
-    rows, never lose them. A selected host that is vaulted, or whose ids read
-    under the lock are not exactly the planned ids, raises StalePlanError
-    before anything is written. The report is built from the same scan.
+    holds one read of the selected hosts' rows, a read of the live
+    hostnames, the vault commit and the delete; a database lock held past
+    sqlite3's 5 s busy wait raises StoreBusyError. The order means an
+    interruption can only ever duplicate rows, never lose them. A selected
+    host that is vaulted, or whose ids read under the lock are not exactly
+    the planned ids, raises StalePlanError before anything is written. The
+    report's live hosts are the hostnames read there.
     """
     foreign = _foreign_stores(vault.entries, store.path)
     if foreign:
@@ -133,21 +134,24 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
             f"the vault holds hosts masked from another store: {', '.join(foreign)}")
     check_not_busy(store.path, sibling_locks)
 
+    pk_index = store.schema.index(store.pk_column)
+    host_index = store.schema.index(store_mod.HOSTNAME_COLUMN)
     with store.write_transaction():
-        live_ids = store.host_row_ids()
+        rows_by_host: dict[str, list[tuple]] = {h: [] for h, _ in plan.selections}
+        for row in store.read_rows(hosts=rows_by_host):
+            rows_by_host[row[host_index]].append(row)
         vaulted = set(vault.hosts())
         for hostname, row_ids in plan.selections:
-            if hostname in vaulted or tuple(live_ids.get(hostname, ())) != row_ids:
+            if (hostname in vaulted
+                    or tuple(row[pk_index] for row in rows_by_host[hostname]) != row_ids):
                 raise StalePlanError(f"{hostname} changed after planning")
-        planned = [rid for _, row_ids in plan.selections for rid in row_ids]
-        pk_index = store.schema.index(store.pk_column)
-        rows_by_id = {row[pk_index]: row for row in store.read_rows(planned)}
+        live_hosts = store.hostnames() - rows_by_host.keys()
         now = int(time.time())
         store_path = str(Path(store.path).resolve())
         entries = [
-            VaultEntry.from_store_rows(hostname, [rows_by_id[rid] for rid in row_ids], now,
-                                       store_path, store.schema, store.pk_column)
-            for hostname, row_ids in plan.selections
+            VaultEntry.from_store_rows(hostname, rows, now, store_path, store.schema,
+                                       store.pk_column)
+            for hostname, rows in rows_by_host.items()
         ]
 
         vault.put_entries(entries)
@@ -155,9 +159,9 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
             vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
         vault.commit()
         crash_point("after-vault-commit")
-        store.delete_rows(planned)
+        store.delete_rows(rid for _, row_ids in plan.selections for rid in row_ids)
     crash_point("after-store-delete")
-    return _report(vault, live_ids.keys() - {h for h, _ in plan.selections}, store.path)
+    return _report(vault, live_hosts, store.path)
 
 
 def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
@@ -288,7 +292,7 @@ def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
     ``foreign_stores`` names the stores, other than this one, that vaulted
     hosts were masked from.
     """
-    return _report(vault, store.host_row_ids(), store.path)
+    return _report(vault, store.hostnames(), store.path)
 
 
 # -- internals ------------------------------------------------------------------

@@ -20,6 +20,7 @@ import os
 import sqlite3
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -134,15 +135,17 @@ class StoreHandle:
 
     # -- reads ----------------------------------------------------------------
 
-    def read_rows(self, ids: Iterable[int] | None = None) -> Iterator[tuple]:
+    def read_rows(self, ids: Iterable[int] | None = None,
+                  hosts: Iterable[str] | None = None) -> Iterator[tuple]:
         """Rows of the logins table as SQLite returns them, ordered by row id.
 
         Each row is a tuple of native values in schema order. With ``ids``, only
-        the rows among them; ids not in the table are skipped. A hostname that
-        is not TEXT raises SchemaError.
+        the rows among them; ids not in the table are skipped. With ``hosts``,
+        only the rows whose hostname is exactly one of them, ordered by row id
+        per host. A hostname that is not TEXT raises SchemaError.
         """
         host_index = self.schema.index(HOSTNAME_COLUMN)
-        for row in self._select(self.schema, ids):
+        for row in self._select(self.schema, ids, hosts):
             _require_text_hostname(row[host_index])
             yield row
 
@@ -157,13 +160,23 @@ class StoreHandle:
             for row in self.read_rows(ids)
         ]
 
-    def host_row_ids(self) -> dict[str, list[int]]:
-        """Row ids per hostname in row-id order, hosts in first-row order; reads no cells."""
+    def host_row_ids(self, hosts: Iterable[str] | None = None) -> dict[str, list[int]]:
+        """Row ids per hostname in row-id order, of every host or of ``hosts``
+        only, hosts in first-row order; reads no cells."""
         by_host: dict[str, list[int]] = {}
-        for row_id, hostname in self._select((self.pk_column, HOSTNAME_COLUMN)):
+        for row_id, hostname in self._select((self.pk_column, HOSTNAME_COLUMN), hosts=hosts):
             _require_text_hostname(hostname)
             by_host.setdefault(hostname, []).append(int(row_id))
         return by_host
+
+    def hostnames(self) -> set[str]:
+        """Every hostname that has a row, told apart byte for byte; reads no cells."""
+        query = f'SELECT DISTINCT "{HOSTNAME_COLUMN}" COLLATE BINARY FROM "{LOGINS_TABLE}"'
+        with _utf8_cells():  # fetchall: no frame an error keeps holds the cursor
+            names = {h for (h,) in self._conn.execute(query).fetchall()}
+        for hostname in names:
+            _require_text_hostname(hostname)
+        return names
 
     def dump_canonical(self) -> bytes:
         """Deterministic serialization of the logins table.
@@ -184,29 +197,29 @@ class StoreHandle:
     def delete_rows(self, row_ids: Iterable[int]) -> int:
         """Delete exactly the given rows; all-or-nothing.
 
-        Any missing id raises RowNotFoundError before anything is touched.
+        Any missing id raises RowNotFoundError with this call's deletes undone;
+        the ids are looked up only then.
         """
         self._require_writable()
         ids = sorted(set(int(i) for i in row_ids))
         if not ids:
             return 0
-        with self.write_transaction():
-            missing = sorted(set(ids) - self._existing_ids(ids))
-            if missing:
-                raise RowNotFoundError(missing)
-            for chunk in _chunks(ids, 500):
-                marks = ", ".join("?" for _ in chunk)
-                self._conn.execute(
-                    f'DELETE FROM "{LOGINS_TABLE}" WHERE "{self.pk_column}" IN ({marks})',
-                    chunk,
-                )
+        with self.write_transaction(), self._savepoint() as undo:
+            deleted = sum(self._conn.execute(
+                f'DELETE FROM "{LOGINS_TABLE}" WHERE "{self.pk_column}" '
+                f'IN ({", ".join("?" * len(chunk))})', chunk).rowcount
+                for chunk in _chunks(ids, 500))
+            if deleted != len(ids):
+                undo()
+                raise RowNotFoundError(set(ids) - self._existing_ids(ids))
         return len(ids)
 
     def insert_rows(self, rows: Sequence[tuple]) -> int:
         """Insert rows with their original ids and cell values; all-or-nothing.
 
         A row is a tuple of native values in schema order. A duplicate id, or
-        an id the table holds, raises RowIdConflictError.
+        an id the table holds, raises RowIdConflictError with this call's
+        inserts undone; any other constraint failure raises sqlite3's own error.
         """
         self._require_writable()
         if not rows:
@@ -218,12 +231,16 @@ class StoreHandle:
             raise RowIdConflictError(sorted(i for i, n in Counter(ids).items() if n > 1))
         cols = ", ".join(f'"{c}"' for c in self.schema)
         marks = ", ".join("?" for _ in self.schema)
-        with self.write_transaction():
-            existing = self._existing_ids(sorted(unique))
-            if existing:
-                raise RowIdConflictError(existing)
-            self._conn.executemany(
-                f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', rows)
+        with self.write_transaction(), self._savepoint() as undo:
+            try:
+                self._conn.executemany(
+                    f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', rows)
+            except sqlite3.IntegrityError:
+                undo()
+                taken = self._existing_ids(sorted(unique))
+                if not taken:
+                    raise
+                raise RowIdConflictError(taken) from None
         return len(rows)
 
     def checkpoint(self) -> bool:
@@ -235,30 +252,51 @@ class StoreHandle:
 
     # -- helpers --------------------------------------------------------------
 
+    @contextmanager
+    def _savepoint(self):
+        """Run the body in a savepoint of the open transaction: an exception
+        undoes the body's statements and no others. Yields that undo, for a
+        body that must read what was there before them."""
+        run = self._conn.execute
+        run("SAVEPOINT credmask")
+        undo = partial(run, "ROLLBACK TO credmask")
+        try:
+            yield undo
+        except BaseException:
+            if self._conn.in_transaction:  # some errors end the whole transaction
+                undo()
+                run("RELEASE credmask")
+            raise
+        run("RELEASE credmask")
+
     def _existing_ids(self, ids: Sequence[int]) -> set[int]:
         return {int(r[0]) for r in self._select((self.pk_column,), ids)}
 
-    def _select(self, columns: Sequence[str], ids: Iterable[int] | None = None):
-        """The given columns of every row, or of the rows in ``ids``, in row-id order.
+    def _select(self, columns: Sequence[str], ids: Iterable[int] | None = None,
+                hosts: Iterable[str] | None = None):
+        """The given columns of every row, of the rows in ``ids``, or of the rows
+        whose hostname is exactly one of ``hosts``, in row-id order per 500 ids
+        or hosts. ``columns`` holds the hostname when ``hosts`` is given.
 
-        A TEXT cell that is not UTF-8 raises SchemaError; sqlite3's own error
-        quotes the cell, which may be a credential.
+        A TEXT cell that is not UTF-8 raises SchemaError.
         """
         cols = ", ".join(f'"{c}"' for c in columns)
         query = f'SELECT {cols} FROM "{LOGINS_TABLE}"'
         order = f' ORDER BY "{self.pk_column}"'
-        try:
-            if ids is None:
+        with _utf8_cells():
+            if ids is None and hosts is None:
                 yield from self._conn.execute(query + order)
                 return
-            for chunk in _chunks(sorted(set(int(i) for i in ids)), 500):
-                marks = ", ".join("?" for _ in chunk)
-                yield from self._conn.execute(
-                    f'{query} WHERE "{self.pk_column}" IN ({marks}){order}', chunk)
-        except sqlite3.OperationalError as exc:
-            if not str(exc).startswith("Could not decode to UTF-8"):
-                raise
-            raise SchemaError(f"{LOGINS_TABLE} holds a TEXT cell that is not UTF-8") from None
+            key, keys = ((HOSTNAME_COLUMN, sorted(set(hosts))) if hosts is not None
+                         else (self.pk_column, sorted(set(int(i) for i in ids))))
+            for chunk in _chunks(keys, 500):
+                rows = self._conn.execute(
+                    f'{query} WHERE "{key}" IN ({", ".join("?" * len(chunk))}){order}', chunk)
+                if hosts is None:
+                    yield from rows
+                else:  # a COLLATE NOCASE column matches other spellings too
+                    wanted, at = set(chunk), columns.index(HOSTNAME_COLUMN)
+                    yield from (row for row in rows if row[at] in wanted)
 
 
 # -- module-level operations --------------------------------------------------
@@ -400,6 +438,18 @@ def _introspect(conn: sqlite3.Connection) -> tuple[tuple[str, ...], str]:
     if len(pk_cols) != 1 or "INT" not in (pk_cols[0][2] or "").upper():
         raise SchemaError(f"{LOGINS_TABLE} needs a single integer primary key")
     return columns, pk_cols[0][1]
+
+
+@contextmanager
+def _utf8_cells():
+    """Raise SchemaError for a TEXT cell that is not UTF-8; sqlite3's own error
+    quotes the cell, which may be a credential."""
+    try:
+        yield
+    except sqlite3.OperationalError as exc:
+        if not str(exc).startswith("Could not decode to UTF-8"):
+            raise
+        raise SchemaError(f"{LOGINS_TABLE} holds a TEXT cell that is not UTF-8") from None
 
 
 def _require_text_hostname(hostname) -> None:

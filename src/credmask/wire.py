@@ -82,26 +82,31 @@ def encode_rows(out: bytearray, rows: Iterable[tuple], pk_index: int,
     NULL_LENGTH alone for NULL.
 
     A vault entry's prefixes are its column-name fields; the dump's are empty.
+    Each row is joined on its own, so no part of it outlives the row.
     """
+    row_head, text_head = _ROW_HEAD.pack, _TAGGED_HEAD.pack
+    int_cell, real_cell = _INT_CELL.pack, _REAL_CELL.pack
     for row in rows:
-        out += _ROW_HEAD.pack(row[pk_index], len(row))
+        parts = [row_head(row[pk_index], len(row))]
+        append = parts.append
         for prefix, value in zip(prefixes, row):
-            out += prefix
+            append(prefix)
             kind = type(value)
             if kind is str:
-                data = value.encode("utf-8")
-                out += _TAGGED_HEAD.pack(len(data) + 1, b"t")
-                out += data
+                data = value.encode()
+                append(text_head(len(data) + 1, b"t"))
+                append(data)
             elif kind is int:
-                out += _INT_CELL.pack(9, b"i", value)
+                append(int_cell(9, b"i", value))
             elif kind is float:
-                out += _REAL_CELL.pack(9, b"f", value)
+                append(real_cell(9, b"f", value))
             elif value is None:
-                out += _NULL_FIELD
+                append(_NULL_FIELD)
             else:  # bytes: a blob; encode_cell_value refuses other types
                 cell = encode_cell_value(value)
-                out += _U32.pack(len(cell))
-                out += cell
+                append(_U32.pack(len(cell)))
+                append(cell)
+        out += b"".join(parts)
 
 
 class Writer:

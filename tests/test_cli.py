@@ -626,8 +626,8 @@ def read_cells(monkeypatch):
     calls = []
     read_rows = StoreHandle.read_rows
 
-    def counting(self, ids=None):
-        for row in read_rows(self, ids):
+    def counting(self, *args, **kwargs):
+        for row in read_rows(self, *args, **kwargs):
             calls.extend(None for _ in row)
             yield row
 
@@ -1029,6 +1029,55 @@ def test_mask_of_a_text_cell_that_is_not_utf8_exits_1_and_leaks_nothing(store_fa
     from credmask.vault import open_vault
     with open_vault(vault_path, PASS) as vf:
         assert vf.hosts() == []
+
+
+def run_subprocess(*args, stdin=PASS):
+    return subprocess.run(
+        [sys.executable, "-m", "credmask", *map(str, args), "--passphrase-fd", "0"],
+        input=stdin + "\n", capture_output=True, text=True, timeout=60, cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+
+
+def test_mask_with_a_non_utf8_hostname_on_another_host_exits_1_and_leaks_nothing(
+        store_factory, tmp_path):
+    handle = store_factory({"a.example": 2, "b.example": 1})
+    handle.close()
+    conn = sqlite3.connect(handle.path)
+    conn.execute("UPDATE moz_logins SET hostname = "
+                 "CAST(x'5345435245542d686f737466ff' AS TEXT) WHERE id = 3")
+    conn.commit()
+    conn.close()
+    store_hash = file_sha256(handle.path)
+    vault_path = tmp_path / "vault.cmv"
+    proc = run_subprocess("mask", "--store", handle.path, "--vault", vault_path,
+                          "--hosts", "a.example", "--init", "--kdf-memory-mib", "1",
+                          "--kdf-iterations", "1")
+    assert proc.returncode == 1, proc.stderr
+    assert "SECRET" not in proc.stderr and "Traceback" not in proc.stderr
+    assert file_sha256(handle.path) == store_hash
+    from credmask.vault import open_vault
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.hosts() == []
+
+
+def test_unmask_failing_a_non_id_constraint_exits_1_and_changes_nothing(run, world):
+    store_path, vault_path, _ = world
+    conn = sqlite3.connect(store_path)
+    conn.execute("CREATE UNIQUE INDEX guid_unique ON moz_logins (guid)")
+    conn.commit()
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    guid = "{guid-0001}"  # host00's first row, now in the vault
+    conn.execute("INSERT INTO moz_logins (id, hostname, guid) VALUES (100, 'host01.example', ?)",
+                 (guid,))
+    conn.commit()
+    conn.close()
+    dump, vault_hash = dump_of(store_path), file_sha256(vault_path)
+    proc = run_subprocess("unmask", "--store", store_path, "--vault", vault_path, "--all")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert dump_of(store_path) == dump
+    assert file_sha256(vault_path) == vault_hash
 
 
 # -- auth command -----------------------------------------------------------------------

@@ -141,17 +141,88 @@ def test_mask_report_comes_from_one_scan_inside_the_transaction(world, monkeypat
     handle, vf, keystore = world
     plan = engine.plan_mask(handle, vf, SIX, keystore)
     in_transaction = []
-    real_scan = StoreHandle.host_row_ids
+    real_scan = StoreHandle.hostnames
 
-    def host_row_ids(self):
+    def hostnames(self):
         in_transaction.append(self._conn.in_transaction)
         return real_scan(self)
 
+    def host_row_ids(self, *args, **kwargs):
+        raise AssertionError("apply_mask scanned row ids")
+
+    monkeypatch.setattr(StoreHandle, "hostnames", hostnames)
     monkeypatch.setattr(StoreHandle, "host_row_ids", host_row_ids)
     report = engine.apply_mask(plan, handle, vf)
     assert in_transaction == [True]
     monkeypatch.undo()
     assert report == engine.status(handle, vf)
+
+
+def test_mask_reads_cells_once_under_the_lock_and_deletes_without_a_pre_read(world):
+    handle, vf, keystore = world
+    plan = engine.plan_mask(handle, vf, SIX, keystore)
+    statements = []
+    handle._conn.set_trace_callback(statements.append)
+    try:
+        engine.apply_mask(plan, handle, vf)
+    finally:
+        handle._conn.set_trace_callback(None)
+    cells = "SELECT " + ", ".join(f'"{c}"' for c in CANONICAL_COLUMNS) + " FROM"
+    selects = [i for i, sql in enumerate(statements) if sql.startswith("SELECT")]
+    deletes = [i for i, sql in enumerate(statements) if sql.startswith("DELETE")]
+    assert [statements[i].startswith(cells) for i in selects].count(True) == 1
+    assert len(selects) == 2 and statements[selects[1]].startswith("SELECT DISTINCT")
+    assert statements.index("BEGIN IMMEDIATE") < selects[0]
+    assert selects[-1] < deletes[0] and deletes[-1] < statements.index("COMMIT")
+
+
+def nocase_store(path):
+    """Canonical columns with a case-insensitive, indexed hostname, as in Firefox."""
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY, hostname TEXT"
+                 " COLLATE NOCASE NOT NULL, httpRealm TEXT, formSubmitURL TEXT,"
+                 " usernameField TEXT, passwordField TEXT, encryptedUsername TEXT,"
+                 " encryptedPassword TEXT, guid TEXT, encType INTEGER)")
+    conn.execute("CREATE INDEX moz_logins_hostname_index ON moz_logins (hostname)")
+    hosts = ["a.example", "A.example", "a.example", "b.example", "A.EXAMPLE", "a.example"]
+    conn.executemany("INSERT INTO moz_logins VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                     [canonical_login_row(i, h) for i, h in enumerate(hosts, start=1)])
+    conn.commit()
+    conn.close()
+    return open_store(path, "rw")
+
+
+def test_mask_of_a_nocase_hostname_moves_only_that_spelling(tmp_path, tiny_kdf):
+    with nocase_store(tmp_path / "signons.sqlite") as handle, \
+            create_vault(tmp_path / "vault.cmv", "secret", tiny_kdf) as vf:
+        original = handle.dump_canonical()
+        plan = engine.plan_mask(handle, vf, ["a.example"])
+        assert plan.selections == (("a.example", (1, 3, 6)),)
+        report = engine.apply_mask(plan, handle, vf)
+        assert report.live_hosts == ("A.EXAMPLE", "A.example", "b.example")
+        assert report == engine.status(handle, vf)
+        assert [r[:2] for r in handle.read_rows()] == [
+            (2, "A.example"), (4, "b.example"), (5, "A.EXAMPLE")]
+        engine.apply_unmask(engine.plan_unmask(vf), vf.open_proof, handle, vf)
+        assert handle.dump_canonical() == original
+
+
+def test_mask_of_501_hosts_crosses_a_chunk_and_round_trips(store_factory, tmp_path,
+                                                           tiny_kdf):
+    counts = {f"h{i:03d}.example": 1 + i % 3 for i in range(502)}
+    handle = store_factory(counts)
+    wanted = sorted(counts)[1:]  # 501 hosts: one chunk of 500 and one of 1
+    original = handle.dump_canonical()
+    with create_vault(tmp_path / "vault.cmv", "secret", tiny_kdf) as vf:
+        plan = engine.plan_mask(handle, vf, wanted)
+        assert [h for h, _ in plan.selections] == wanted
+        assert [len(ids) for _, ids in plan.selections] == [counts[h] for h in wanted]
+        report = engine.apply_mask(plan, handle, vf)
+        assert report.live_hosts == ("h000.example",)
+        assert report == engine.status(handle, vf)
+        assert [e.row_count for e in vf.entries] == [counts[h] for h in wanted]
+        engine.apply_unmask(engine.plan_unmask(vf), vf.open_proof, handle, vf)
+        assert handle.dump_canonical() == original
 
 
 def test_apply_mask_respects_busy_store(world):

@@ -199,6 +199,71 @@ def test_insert_conflicting_id_mutates_nothing(store_factory):
     assert handle.dump_canonical() == before
 
 
+def test_failing_delete_or_insert_in_an_open_transaction_undoes_only_its_own_statements(
+        store_factory):
+    handle = store_factory({"a.example": 3, "b.example": 2})
+    with handle.write_transaction():
+        handle.insert_rows([canonical_login_row(10, "c.example")])  # kept: not the failing call's
+        with pytest.raises(RowNotFoundError) as missing:
+            handle.delete_rows([1, 2, 98, 99])  # 1 and 2 are deleted before the count is known
+        assert missing.value.missing_ids == (98, 99)
+        with pytest.raises(RowIdConflictError) as taken:
+            handle.insert_rows([canonical_login_row(11, "c.example"),
+                                canonical_login_row(3, "c.example"),
+                                canonical_login_row(10, "c.example")])
+        assert taken.value.conflicting_ids == (3, 10)
+        with pytest.raises(sqlite3.IntegrityError, match="NOT NULL"):  # not an id: re-raised
+            handle.insert_rows([canonical_login_row(12, "c.example"),
+                                canonical_login_row(13, None)])
+        assert [r[0] for r in handle.read_rows()] == [1, 2, 3, 4, 5, 10]
+    with open_store(handle.path) as fresh:
+        assert [r[0] for r in fresh.read_rows()] == [1, 2, 3, 4, 5, 10]
+
+
+def test_host_selection_reads_exact_hostnames_across_chunks(tmp_path):
+    p = tmp_path / "nocase.sqlite"
+    conn = sqlite3.connect(p)
+    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY,"
+                 " hostname TEXT COLLATE NOCASE, encryptedUsername TEXT)")
+    conn.execute("CREATE INDEX moz_logins_hostname_index ON moz_logins (hostname)")
+    hosts = [f"h{i:03d}.example" for i in range(501)]
+    rows = [(i + 1, host, f"ENC-{i}") for i, host in enumerate(hosts * 2)]
+    rows += [(2000, "H000.example", "ENC-upper"), (2001, "h500.EXAMPLE", "ENC-upper")]
+    conn.executemany("INSERT INTO moz_logins VALUES (?, ?, ?)", rows)
+    conn.commit()
+    conn.close()
+    with open_store(p) as handle:
+        by_host = handle.host_row_ids(hosts)
+        read = list(handle.read_rows(hosts=hosts))
+        assert handle.hostnames() == {*hosts, "H000.example", "h500.EXAMPLE"}
+    assert by_host == {host: [i + 1, i + 502] for i, host in enumerate(hosts)}
+    assert sorted(read) == sorted(rows[:-2])
+    for host in ("h000.example", "h499.example", "h500.example"):  # both sides of the chunk
+        mine = [row[0] for row in read if row[1] == host]
+        assert mine == by_host[host]
+
+
+@pytest.mark.parametrize("hostname", ["CAST(x'53454352455466ff' AS TEXT)", "42"],
+                         ids=["not-utf8", "integer"])
+def test_hostnames_checks_text_without_quoting_the_cell(tmp_path, hostname):
+    p = tmp_path / "hosts.sqlite"
+    conn = sqlite3.connect(p)
+    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY, hostname)")
+    conn.execute("INSERT INTO moz_logins VALUES (1, 'a.example')")
+    conn.execute(f"INSERT INTO moz_logins VALUES (2, {hostname})")
+    conn.commit()
+    conn.close()
+    with open_store(p) as handle:
+        assert handle.host_row_ids(["a.example"]) == {"a.example": [1]}
+        with pytest.raises(SchemaError) as exc:
+            handle.hostnames()
+    assert "TEXT" in str(exc.value) and "SECRET" not in str(exc.value)
+    writer = sqlite3.connect(p, timeout=0.5)  # the kept error holds no read lock
+    writer.execute("UPDATE moz_logins SET hostname = 'b.example' WHERE id = 1")
+    writer.commit()
+    writer.close()
+
+
 def test_keystore_digest_deterministic(keystore_file):
     assert keystore_digest(keystore_file) == keystore_digest(keystore_file)
     assert len(keystore_digest(keystore_file).digest) == 32
