@@ -14,8 +14,7 @@ that issued them and expire with it.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import crypto
 from .errors import (
@@ -40,34 +39,66 @@ MIN_ENROLL_MINUTIAE = 8
 DEFAULT_FINGERPRINT_THRESHOLD = 0.4
 
 
-@dataclass
-class PassphraseRecord:
-    kdf: crypto.KdfParams
-    verifier: bytes  # 32 bytes; KDF(passphrase, salt), never the passphrase
-    vault_token: bytes | None = field(default=None, repr=False, compare=False)
+class _EnrolledRecord:
+    """An enrolled credential: equal by the fields named in ``_compared``.
 
+    ``vault_token`` binds the record to the open vault that holds it and takes
+    no part in equality or repr. Records are mutable, so unhashable.
+    """
+
+    __slots__ = ("vault_token",)
+    _compared: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+
+class PassphraseRecord(_EnrolledRecord):
+    _compared = ("kdf", "verifier")
+    __slots__ = _compared
     kind = KIND_PASSPHRASE
 
+    def __init__(self, kdf: crypto.KdfParams, verifier: bytes,
+                 vault_token: bytes | None = None):
+        self.kdf = kdf
+        self.verifier = verifier  # 32 bytes; KDF(passphrase, salt), never the passphrase
+        self.vault_token = vault_token
 
-@dataclass
-class FingerprintRecord:
-    template: Template
-    threshold: float
-    vault_token: bytes | None = field(default=None, repr=False, compare=False)
 
+class FingerprintRecord(_EnrolledRecord):
+    _compared = ("template", "threshold")
+    __slots__ = _compared
     kind = KIND_FINGERPRINT
+
+    def __init__(self, template: Template, threshold: float,
+                 vault_token: bytes | None = None):
+        self.template = template
+        self.threshold = threshold
+        self.vault_token = vault_token
 
 
 AuthRecord = PassphraseRecord | FingerprintRecord
 
 
-@dataclass(frozen=True)
-class AuthProof:
+class AuthProof(NamedTuple):
     """Evidence that some credential kinds verified against one vault instance."""
 
     kinds: frozenset[str]
     scores: tuple[tuple[str, float], ...] = ()
-    vault_token: bytes | None = field(default=None, repr=False)
+    vault_token: bytes | None = None
+
+    def __repr__(self) -> str:
+        return f"AuthProof(kinds={self.kinds!r}, scores={self.scores!r})"
 
     def merged_with(self, other: "AuthProof") -> "AuthProof":
         if self.vault_token != other.vault_token:

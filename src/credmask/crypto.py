@@ -10,7 +10,7 @@ under an independent key and the trailing 16 bytes are the Poly1305 tag.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -37,24 +37,30 @@ MAX_MEMORY_BYTES = 1024 * 1024 * 1024
 MAX_ITERATIONS = 1000
 
 
-@dataclass(frozen=True)
-class KdfParams:
+class _KdfFields(NamedTuple):
     memory_bytes: int
     iterations: int
     parallelism: int
     salt: bytes
 
-    def __post_init__(self):
-        if len(self.salt) != SALT_LEN:
+
+class KdfParams(_KdfFields):
+    """Argon2id cost and salt, checked against the plausibility caps."""
+
+    __slots__ = ()
+
+    def __new__(cls, memory_bytes: int, iterations: int, parallelism: int, salt: bytes):
+        if len(salt) != SALT_LEN:
             raise ValueError(f"salt must be {SALT_LEN} bytes")
-        if self.parallelism < 1 or self.parallelism > 255:
+        if parallelism < 1 or parallelism > 255:
             raise ValueError("parallelism must be in 1..255")
-        if not 1 <= self.iterations <= MAX_ITERATIONS:
+        if not 1 <= iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}")
-        if self.memory_bytes % 1024 or self.memory_bytes < 8 * 1024 * self.parallelism:
+        if memory_bytes % 1024 or memory_bytes < 8 * 1024 * parallelism:
             raise ValueError("memory must be a KiB multiple of at least 8 KiB per lane")
-        if self.memory_bytes > MAX_MEMORY_BYTES:
+        if memory_bytes > MAX_MEMORY_BYTES:
             raise ValueError(f"memory must not exceed {MAX_MEMORY_BYTES} bytes")
+        return tuple.__new__(cls, (memory_bytes, iterations, parallelism, salt))
 
     @classmethod
     def generate(cls, memory_bytes: int = DEFAULT_MEMORY_BYTES,
@@ -63,7 +69,8 @@ class KdfParams:
         return cls(memory_bytes, iterations, parallelism, os.urandom(SALT_LEN))
 
     def with_fresh_salt(self) -> "KdfParams":
-        return replace(self, salt=os.urandom(SALT_LEN))
+        return KdfParams(self.memory_bytes, self.iterations, self.parallelism,
+                         os.urandom(SALT_LEN))
 
 
 def derive_key(secret: bytes, params: KdfParams) -> bytes:

@@ -18,9 +18,8 @@ byte-exactly is sufficient to bring auto-login back.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import store as store_mod
 from .auth import AuthProof, check_policy
@@ -53,21 +52,18 @@ MODE_MASKED = "masked"
 _DEDUP_COLUMN = "encryptedUsername"
 
 
-@dataclass(frozen=True)
-class MaskPlan:
+class MaskPlan(NamedTuple):
     selections: tuple[tuple[str, tuple[int, ...]], ...]
     keystore_before: KeyStoreDigest | None
 
 
-@dataclass(frozen=True)
-class UnmaskPlan:
+class UnmaskPlan(NamedTuple):
     hosts: frozenset[str]
     conflict_policy: str
     store_moved: bool = False  # restore hosts masked from another store path
 
 
-@dataclass(frozen=True)
-class StatusReport:
+class StatusReport(NamedTuple):
     """Mode plus host inventories; ``live_hosts`` is sorted by hostname."""
 
     mode: str
@@ -77,8 +73,7 @@ class StatusReport:
     foreign_stores: tuple[str, ...] = ()  # stores other masked hosts came from
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     """A vaulted host that had live rows again at unmask time."""
 
     hostname: str

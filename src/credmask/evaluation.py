@@ -12,17 +12,15 @@ this module (the CLI does, for every command) does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadParamsError, EmptyScoresError
 from .matching import DEFAULT_PARAMS, MatchParams, match_templates
 from .minutiae import BIFURCATION, TERMINATION, TWO_PI, Minutia, Template, load_template
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     thresholds: tuple[float, ...]
     far: tuple[float, ...]
     frr: tuple[float, ...]
@@ -76,8 +74,7 @@ def _crossing(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> float
 
 # -- synthetic datasets -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticRecord:
+class SyntheticRecord(NamedTuple):
     template: Template
     genuine_probes: tuple[Template, ...]
     impostor_probes: tuple[Template, ...]

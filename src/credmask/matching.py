@@ -33,33 +33,37 @@ that never match a fingerprint start without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadThresholdError
 from .minutiae import TERMINATION, TWO_PI, Template
 
 
-@dataclass(frozen=True)
-class MatchParams:
+class _Tolerances(NamedTuple):
+    distance_tolerance: float
+    angle_tolerance: float
+    kind_strict: bool
+
+
+class MatchParams(_Tolerances):
     """Pairing tolerances: distance in pixels, angle in radians."""
 
-    distance_tolerance: float = 10.0
-    angle_tolerance: float = math.pi / 6
-    kind_strict: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.distance_tolerance > 0:
+    def __new__(cls, distance_tolerance: float = 10.0,
+                angle_tolerance: float = math.pi / 6, kind_strict: bool = True):
+        if not distance_tolerance > 0:
             raise ValueError("distance_tolerance must be positive")
         # the matcher squares it; inf (no distance limit) stays allowed
-        tol = self.distance_tolerance
+        tol = distance_tolerance
         if math.isfinite(tol) and not math.isfinite(tol * tol):
             raise ValueError("distance_tolerance must be inf or have a finite square")
-        if not 0 < self.angle_tolerance <= math.pi:
+        if not 0 < angle_tolerance <= math.pi:
             raise ValueError("angle_tolerance must be in (0, pi]")
+        return tuple.__new__(cls, (distance_tolerance, angle_tolerance, kind_strict))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     score: float
     matched_pairs: int
     n1: int

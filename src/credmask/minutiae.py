@@ -18,9 +18,8 @@ auth and CLI modules, which only build and read templates, start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadMarginError, NotBinaryError, TraceTooShortError
 
@@ -44,30 +43,51 @@ _KIND_LETTER = {TERMINATION: "T", BIFURCATION: "B"}
 _LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
 
 
-@dataclass(frozen=True)
-class Minutia:
+class _MinutiaFields(NamedTuple):
     x: float
     y: float
     theta: float
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in (TERMINATION, BIFURCATION):
+
+class Minutia(_MinutiaFields):
+    """One ridge ending or bifurcation; ``theta`` is kept in [0, 2*pi)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, theta: float, kind: str):
+        if kind not in (TERMINATION, BIFURCATION):
             raise ValueError(f"kind must be {TERMINATION!r} or {BIFURCATION!r}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
             raise ValueError("minutia coordinates must be finite")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
+        return tuple.__new__(cls, (x, y, theta % TWO_PI, kind))
 
 
-@dataclass(frozen=True)
 class Template:
-    """The set of minutiae extracted from one fingerprint sample."""
+    """The set of minutiae extracted from one fingerprint sample; immutable."""
 
-    minutiae: tuple[Minutia, ...] = ()
-    source_id: str = ""
+    __slots__ = ("minutiae", "source_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "minutiae", tuple(self.minutiae))
+    def __init__(self, minutiae: Iterable[Minutia] = (), source_id: str = ""):
+        object.__setattr__(self, "minutiae", tuple(minutiae))
+        object.__setattr__(self, "source_id", source_id)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.minutiae, self.source_id) == (other.minutiae, other.source_id)
+
+    def __hash__(self) -> int:
+        return hash((self.minutiae, self.source_id))
+
+    def __repr__(self) -> str:
+        return f"Template(minutiae={self.minutiae!r}, source_id={self.source_id!r})"
 
     def __len__(self) -> int:
         return len(self.minutiae)

@@ -21,9 +21,8 @@ import sqlite3
 from collections import Counter
 from contextlib import contextmanager
 from functools import partial
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     AlreadyExistsError,
@@ -65,8 +64,7 @@ CANONICAL_COLUMNS = (
     "encType",
 )
 
-@dataclass(frozen=True)
-class LoginRow:
+class LoginRow(NamedTuple):
     """One row of the logins table, every column kept verbatim.
 
     ``cells`` holds (column name, tagged value bytes) pairs in schema order,
@@ -79,8 +77,7 @@ class LoginRow:
     cells: tuple[tuple[str, bytes | None], ...]
 
 
-@dataclass(frozen=True)
-class KeyStoreDigest:
+class KeyStoreDigest(NamedTuple):
     path: str
     digest: bytes  # 32 bytes, pure function of the file contents
 

@@ -192,12 +192,6 @@ class VaultFile:
     def hosts(self) -> list[str]:
         return [e.hostname for e in self.entries]
 
-    def get_entry(self, hostname: str) -> VaultEntry:
-        for e in self.entries:
-            if e.hostname == hostname:
-                return e
-        raise UnknownHostError(f"not vaulted: {hostname}")
-
     def put_entries(self, new: Iterable[VaultEntry]) -> None:
         """Append entries; hostnames must be new to the vault. Not durable."""
         incoming = list(new)

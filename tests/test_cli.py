@@ -17,7 +17,7 @@ from credmask.store import CANONICAL_COLUMNS, canonical_login_row, init_fixture,
 from credmask.evaluation import generate_synthetic
 from credmask.wire import encode_cell_value
 
-from conftest import file_sha256, ten_host_counts
+from conftest import file_sha256, ten_host_counts, vault_entry
 from test_vault_reference import tagged
 
 PASS = "correct horse"
@@ -668,7 +668,7 @@ def test_unmask_remaps_only_an_id_another_host_took(run, world, policy):
     store_path, vault_path, _ = world
     assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
     with open_vault(vault_path, PASS) as vf:
-        vaulted = vf.get_entry("host00.example").store_rows(CANONICAL_COLUMNS, "id")
+        vaulted = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
     taker = canonical_login_row(vaulted[1][0], "host01.example",
                                 encryptedUsername="ENC-USER-new")
     with open_store(store_path, "rw") as handle:
@@ -1350,3 +1350,91 @@ def test_unknown_option_exits_1(run):
 def test_missing_required_option_exits_1(run):
     code, _, err = run("list")
     assert code == 1
+
+
+MASK = ("mask", "--vault", "{vault}", "--hosts", "host00.example", "--init",
+        "--kdf-memory-mib", "1", "--kdf-iterations", "1")
+MISTAKES = {
+    "unknown option": (*MASK, "--store", "{store}", "--no-such-flag"),
+    "abbreviated option": (*MASK, "--stor", "{store}"),
+    "missing --store": MASK,
+    "bad --conflicts": ("unmask", "--store", "{store}", "--vault", "{vault}", "--all",
+                        "--conflicts", "keep-both"),
+    "non-integer --kdf-memory-mib": (*MASK, "--store", "{store}", "--kdf-memory-mib", "lots"),
+    "auth without a subcommand": ("auth",),
+}
+
+
+@pytest.mark.parametrize("args", MISTAKES.values(), ids=MISTAKES.keys())
+def test_command_line_mistake_exits_1_with_one_error_line(run, world, args):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host01.example"])[0] == 0
+    before = dump_of(store_path), file_sha256(vault_path)
+    argv = [a.format(store=store_path, vault=vault_path) for a in args]
+    # the passphrase is there for a command that wrongly gets past parsing
+    code, out, err = run(*argv, passphrase=None if args == ("auth",) else PASS)
+    assert code == 1, err
+    assert out == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("error: ")] == \
+        err.splitlines()[:1]
+    assert "Traceback" not in err
+    assert (dump_of(store_path), file_sha256(vault_path)) == before
+
+
+@pytest.mark.parametrize("args", [("--help",), ("unmask", "--help"),
+                                  ("auth", "set-policy", "--help")])
+def test_help_exits_0(run, args):
+    code, out, err = run(*args)
+    assert code == 0, err
+    assert out.lower().startswith("usage: credmask")
+    assert err == ""
+
+
+def test_init_prompt_asks_again_until_the_passphrases_match(run, world, monkeypatch):
+    store_path, vault_path, _ = world
+    answers = iter(["first try", "typo", "final", "final"])
+    prompts = []
+
+    def getpass(prompt):
+        prompts.append(prompt)
+        return next(answers)
+
+    monkeypatch.setattr("getpass.getpass", getpass)
+    code, out, err = run("mask", "--store", store_path, "--vault", vault_path,
+                         "--hosts", "host00.example", "--init", "--kdf-memory-mib", "1",
+                         "--kdf-iterations", "1")
+    assert code == 0, err
+    assert prompts == ["Vault passphrase: ", "Repeat for confirmation: "] * 2
+    assert "Error: The two entered values do not match." in out
+    assert "final" not in out + err and "typo" not in out + err
+    from credmask.vault import open_vault
+    with open_vault(vault_path, "final") as vf:
+        assert vf.hosts() == ["host00.example"]
+
+
+def test_eof_at_the_host_menu_exits_1_and_changes_nothing(run, world):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host01.example"])[0] == 0
+    before = dump_of(store_path), file_sha256(vault_path)
+    code, out, err = run("mask", "--store", store_path, "--vault", vault_path,
+                         passphrase=PASS, stdin_text="")
+    assert code == 1
+    assert "Select hosts to mask" in out
+    assert err == "error: aborted\n"
+    assert (dump_of(store_path), file_sha256(vault_path)) == before
+
+
+def test_ctrl_c_at_the_passphrase_prompt_exits_1_and_changes_nothing(run, world,
+                                                                      monkeypatch):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host01.example"])[0] == 0
+    before = dump_of(store_path), file_sha256(vault_path)
+
+    def getpass(prompt):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("getpass.getpass", getpass)
+    code, _, err = run("unmask", "--store", store_path, "--vault", vault_path, "--all")
+    assert code == 1
+    assert err == "error: aborted\n"
+    assert (dump_of(store_path), file_sha256(vault_path)) == before

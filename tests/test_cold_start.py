@@ -1,8 +1,9 @@
 """Commands run as fresh processes, the way the CLI is used.
 
 Every in-process test shares one interpreter where numpy is already loaded,
-so only a fresh process shows which commands start without numpy and that
-the commands which compute with it work from a cold start.
+so only a fresh process shows which commands start without numpy (or the
+slow-to-import click, dataclasses and inspect) and that the commands which
+compute with numpy work from a cold start.
 """
 
 import subprocess
@@ -18,13 +19,14 @@ from conftest import ten_host_counts
 PASS = "correct horse"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ENV = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
-# numpy set to None in sys.modules makes every `import numpy` raise ImportError
-WITHOUT_NUMPY = ("import sys, runpy; sys.modules['numpy'] = None; "
-                 "runpy.run_module('credmask', run_name='__main__', alter_sys=True)")
+# A name set to None in sys.modules makes every import of it raise ImportError
+UNLOADED = ("numpy", "click", "dataclasses", "inspect")
+LEAN_LAUNCH = (f"import sys, runpy; sys.modules.update(dict.fromkeys({UNLOADED!r})); "
+               "runpy.run_module('credmask', run_name='__main__', alter_sys=True)")
 
 
-def credmask(*args, without_numpy=False, passphrase=PASS):
-    launch = ["-c", WITHOUT_NUMPY] if without_numpy else ["-m", "credmask"]
+def credmask(*args, lean=False, passphrase=PASS):
+    launch = ["-c", LEAN_LAUNCH] if lean else ["-m", "credmask"]
     fd = ["--passphrase-fd", "0"] if passphrase else []
     return subprocess.run(
         [sys.executable, *launch, *(str(a) for a in args), *fd],
@@ -44,7 +46,7 @@ def test_list_mask_status_unmask_run_without_numpy(store_factory, tmp_path):
     where = ("--store", store_path, "--vault", vault_path)
 
     def run(*args):
-        proc = credmask(*args, without_numpy=True)
+        proc = credmask(*args, lean=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

@@ -22,7 +22,7 @@ from credmask.store import (CANONICAL_COLUMNS, StoreHandle, canonical_login_row,
 from credmask.vault import create_vault, open_vault
 from credmask.wire import encode_cell_value
 
-from conftest import file_sha256, ten_host_counts
+from conftest import file_sha256, ten_host_counts, vault_entry
 from test_vault_reference import tagged
 
 USER = CANONICAL_COLUMNS.index("encryptedUsername")
@@ -352,7 +352,7 @@ def masked_then_resaved(world, same_credential):
 
 def test_conflict_keep_live_keeps_both_rows(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
-    vaulted_rows = vf.get_entry("host00.example").store_rows(CANONICAL_COLUMNS, "id")
+    vaulted_rows = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert len(conflicts) == 1
@@ -380,7 +380,7 @@ def test_conflict_keep_live_collapses_duplicates(world):
 
 def test_conflict_overwrite_live_restores_verbatim(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
-    original_rows = vf.get_entry("host00.example").store_rows(CANONICAL_COLUMNS, "id")
+    original_rows = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.OVERWRITE_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     live = host_rows(handle, "host00.example")

@@ -20,7 +20,7 @@ from credmask.store import CANONICAL_COLUMNS, canonical_login_row
 from credmask.vault import VaultEntry, create_vault, open_vault
 from credmask.wire import Writer
 
-from conftest import make_rows
+from conftest import make_rows, vault_entry
 from test_vault_reference import tagged
 
 
@@ -413,7 +413,7 @@ def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
         assert [(e.hostname, e.row_count) for e in vf.entries] == [
             ("bücher.example", 2), ("plain.example", 1)]
         assert decoded == []
-        assert tagged(stored(vf.get_entry("plain.example"))) == tagged(rows["plain.example"])
+        assert tagged(stored(vault_entry(vf, "plain.example"))) == tagged(rows["plain.example"])
         assert decoded == ["plain.example"]
 
 
@@ -477,7 +477,7 @@ def sealed(vault_path, tiny_kdf, monkeypatch, payload):
 def test_hand_built_payload_opens(vault_path, tiny_kdf, monkeypatch):
     sealed(vault_path, tiny_kdf, monkeypatch, payload_of())
     with open_vault(vault_path, "secret") as vf:
-        entry = vf.get_entry("a.example")
+        entry = vault_entry(vf, "a.example")
         assert (entry.row_count, entry.schema_columns) == (1, ("id",))
         assert tagged(entry.store_rows(("id",), "id")) == [(b"i" + (1).to_bytes(8, "big"),)]
 
@@ -504,7 +504,7 @@ def test_rows_with_the_columns_in_another_order_open_and_decode_in_store_order(
     sealed(vault_path, tiny_kdf, monkeypatch,
            payload_of(entry_head(row_count=3, columns=("x", "id")) + rows))
     with open_vault(vault_path, "secret") as vf:
-        entry = vf.get_entry("a.example")
+        entry = vault_entry(vf, "a.example")
         assert (entry.row_count, entry.max_row_id) == (3, 3)
         assert entry.store_rows(("id", "x"), "id") == [(1, "ü"), (2, "more"), (3, "")]
         assert entry.store_rows(("x", "id"), "id") == [("ü", 1), ("more", 2), ("", 3)]
@@ -527,7 +527,7 @@ def test_entry_whose_rows_lack_a_listed_column_opens_and_unmask_exits_1(
                                          CANONICAL_COLUMNS, [row])
     sealed(vault_path, tiny_kdf, monkeypatch, payload_of(entry))
     with open_vault(vault_path, "secret") as vf:
-        assert vf.get_entry("gone.example").schema_columns == CANONICAL_COLUMNS
+        assert vault_entry(vf, "gone.example").schema_columns == CANONICAL_COLUMNS
     before = store_path.read_bytes(), vault_path.read_bytes()
     r, w = os.pipe()
     os.write(w, b"secret\n")

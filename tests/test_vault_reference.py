@@ -18,6 +18,7 @@ from credmask.wire import encode_cell_value
 
 import dump_reference
 import vault_reference as reference
+from conftest import vault_entry
 
 HOST = "ëdge.example"
 COLUMNS = ("hostname", "a", "id", "b", "c")
@@ -98,7 +99,7 @@ def test_an_opened_entry_decodes_to_the_rows_it_was_built_from(edge_store, tmp_p
         vf.commit()
         payload = vf._serialize()
     with open_vault(path, "secret") as vf:
-        opened = vf.get_entry(HOST)
+        opened = vault_entry(vf, HOST)
         assert vf._serialize() == payload
         assert opened == entry
         assert tagged(opened.store_rows(COLUMNS, "id")) == tagged(
