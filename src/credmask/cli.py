@@ -379,6 +379,8 @@ def cmd_bio_eval(dataset_dir, synthetic, seed, n_templates, n_minutiae, field_sp
             width, height = (int(v) for v in field_spec.lower().split("x"))
         except ValueError:
             raise UsageError(f"--field must look like 400x400: {field_spec!r}")
+        if impostors is None:
+            impostors = min(5, n_templates - 1)
         records = evaluation.generate_synthetic(
             seed, n_templates, n_minutiae, (width, height),
             position_jitter, angle_jitter, deletion_rate, probes, impostors)
@@ -530,7 +532,8 @@ def _parser() -> argparse.ArgumentParser:
     _valued(p, "--angle-jitter", float, 0.1)
     _valued(p, "--deletion-rate", float, 0.1)
     _valued(p, "--probes", int, 3)
-    _valued(p, "--impostors", int, 5)
+    p.add_argument("--impostors", type=int, default=None,
+                   help="Impostor probes per template (default: min(5, templates - 1)).")
     _valued(p, "--format", str, "table", dest="fmt", choices=("table", "csv"))
     return parser
 

@@ -14,14 +14,22 @@ Cost. There are H = O(n1*n2) hypotheses. The greedy pass needs the pairs of
 only the few hypotheses whose upper bound, min(#a with a candidate, #b with a
 candidate), can still beat the best count so far. The bound is computed
 exactly, but each moved minutia of b is tested only against the minutiae of a
-in the 3x3 block of grid cells around it. That costs O(H*n2*(k + log n1))
-time, where k is the number of minutiae of a in such a block (a cell is about
-one distance tolerance wide) and the log is one lookup of the block. Hypotheses
-are bounded in index order, in chunks of at most _CHUNK_ELEMENTS pairs, so
-memory stays bounded whatever the template size or coordinates. Each visited
-hypothesis costs one (n1, n2) pass. The search stops at a perfect alignment:
-the first hypothesis that pairs min(n1, n2) minutiae ends it, with no further
-chunk bounded and no reverse pass. A probe whose every minutia has a
+in the 3x3 block of grid cells around it (a cell is about one distance
+tolerance wide), and only the pairs within the distance tolerance get a moved
+direction and the angle and kind tests. A moved minutia finds its block in
+O(1), in a table over the bounding box of a's blocks. When that box would
+hold more than _SLOTS_PER_BLOCK slots per block, as far-flung coordinates
+make it, a binary search over the blocks' sorted keys takes its place, so
+memory stays O(n1). That costs O(H*n2*(1 + k)) time, where k is the number
+of minutiae of a in a block, plus O(H*n2*log n1) in the sparse case.
+Hypotheses are bounded in index order, in chunks of at most _CHUNK_ELEMENTS
+pairs, so memory stays bounded whatever the template size or coordinates.
+The first chunks grow by doubling from n2 hypotheses (or from
+_MIN_CHUNK_ELEMENTS pairs, if more), so a search that stops early bounds at
+most about twice the hypotheses before its stop. Each visited hypothesis
+costs one (n1, n2) pass. The search stops at a perfect alignment: the first
+hypothesis that pairs min(n1, n2) minutiae ends it, with no further chunk
+bounded and no reverse pass. A probe whose every minutia has a
 counterpart stops early; an impostor, or a probe with spurious minutiae,
 bounds every hypothesis in both directions. Scores, pair counts and
 transforms are those of testing every pair of every hypothesis.
@@ -32,6 +40,7 @@ that never match a fingerprint start without loading it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -92,6 +101,14 @@ _KEY_WIDTH = 2 * _CELL_LIMIT + 3
 # Most (a, moved b) pairs one chunk of the bound pass may hold, unless a
 # single hypothesis has more.
 _CHUNK_ELEMENTS = 2 ** 16
+# Fewest pairs the first chunk has room for, unless a fixed chunk holds fewer.
+# Each chunk costs some 80 numpy calls whatever its size, so a smaller one
+# costs more than an early stop saves.
+_MIN_CHUNK_ELEMENTS = 2 ** 12
+# The bound pass finds cells in a table over template a's blocks when the
+# table has at most this many slots per block that holds a minutia, and else
+# by binary search, so memory stays O(n1) for far-flung coordinates.
+_SLOTS_PER_BLOCK = 16
 
 
 def match_templates(a: Template, b: Template,
@@ -169,10 +186,12 @@ def _best_alignment(a, b, params: MatchParams) -> tuple[int, tuple[float, float,
 def _pairs_under(a, b, hyp, h, params: MatchParams) -> int:
     """Greedy pair count of a and b moved by hypothesis h."""
     import numpy as np
-    tbx, tby, tbtheta = _moved(b, *(v[h:h + 1] for v in hyp))
-    moved = (tbx[0], tby[0], tbtheta[0], b[3])
-    return _greedy_pairs(*_pair_test(a, moved, np.arange(a[0].size)[:, None],
-                                     np.arange(b[0].size), params))
+    tbx, tby = _moved(b, *(v[h:h + 1] for v in hyp))
+    ia = np.arange(a[0].size)[:, None]
+    dist2 = (a[0][ia] - tbx[0]) ** 2 + (a[1][ia] - tby[0]) ** 2
+    candidates = dist2 <= params.distance_tolerance ** 2
+    candidates &= _aligned(a, ia, np.mod(b[2] + hyp[0][h], TWO_PI), b[3], params)
+    return _greedy_pairs(candidates, dist2)
 
 
 def _transform(hyp, h: int) -> tuple[float, float, float]:
@@ -197,27 +216,22 @@ def _hypotheses(a, b, kind_strict: bool):
 
 
 def _moved(b, phi, cos, sin, tx, ty):
-    """b under each given hypothesis: three (H, n2) arrays."""
-    import numpy as np
-    bx, by, btheta, _ = b
+    """The positions of b under each given hypothesis: two (H, n2) arrays."""
+    bx, by = b[0], b[1]
     tbx = cos[:, None] * bx[None, :] - sin[:, None] * by[None, :] + tx[:, None]
     tby = sin[:, None] * bx[None, :] + cos[:, None] * by[None, :] + ty[:, None]
-    tbtheta = np.mod(btheta[None, :] + phi[:, None], TWO_PI)
-    return tbx, tby, tbtheta
+    return tbx, tby
 
 
-def _pair_test(a, moved, ia, jb, params: MatchParams):
-    """Candidate flags and squared distances of the pairs (a[ia], moved[jb])."""
+def _aligned(a, ia, theta, kind, params: MatchParams):
+    """Whether the minutiae a[ia] and moved minutiae of directions theta and
+    kinds kind pass the angle test and, when strict, the kind test."""
     import numpy as np
-    ax, ay, atheta, akind = a
-    tbx, tby, tbtheta, bkind = moved
-    dist2 = (ax[ia] - tbx[jb]) ** 2 + (ay[ia] - tby[jb]) ** 2
-    dtheta = np.abs(atheta[ia] - tbtheta[jb])
-    dtheta = np.minimum(dtheta, TWO_PI - dtheta)
-    candidates = (dist2 <= params.distance_tolerance ** 2) & (dtheta <= params.angle_tolerance)
+    dtheta = np.abs(a[2][ia] - theta)
+    ok = np.minimum(dtheta, TWO_PI - dtheta) <= params.angle_tolerance
     if params.kind_strict:
-        candidates &= akind[ia] == bkind[jb]
-    return candidates, dist2
+        ok &= a[3][ia] == kind
+    return ok
 
 
 def _bounds(a, b, hyp, params: MatchParams) -> np.ndarray:
@@ -230,52 +244,96 @@ def _bound_chunks(a, b, hyp, params: MatchParams):
     """The bounds of _bounds, one chunk of hypotheses at a time, in order.
 
     Only the pairs whose ends lie in neighbouring grid cells are tested, so
-    memory stays within _CHUNK_ELEMENTS.
+    memory stays within _CHUNK_ELEMENTS. Chunks end at every multiple of the
+    step that fills _CHUNK_ELEMENTS and, below the first, at g, 2*g, 4*g, ...
+    hypotheses, where g is n2 or, if more, the hypotheses that fill
+    _MIN_CHUNK_ELEMENTS.
     """
     import numpy as np
-    n1, n2 = a[0].size, b[0].size
+    ax, ay = a[0], a[1]
+    n1, n2 = ax.size, b[0].size
+    phi = hyp[0]
     side = _CELL_SCALE * max(params.distance_tolerance, _MIN_CELL_TOLERANCE)
-    cells, starts, counts, members = _cell_blocks(a, side)
-    step = max(1, _CHUNK_ELEMENTS // (n2 * int(counts.max())))
+    find, starts, counts, members = _cell_blocks(a, side)
+    pairs_per_hypothesis = n2 * int(counts.max())
+    step = max(1, _CHUNK_ELEMENTS // pairs_per_hypothesis)
+    grow = max(n2, _MIN_CHUNK_ELEMENTS // pairs_per_hypothesis)
 
-    for h0 in range(0, hyp[0].size, step):
-        tbx, tby, tbtheta = _moved(b, *(v[h0:h0 + step] for v in hyp))
-        hc = tbx.shape[0]
-        key = _cell_key(_cells(tbx.ravel(), side), _cells(tby.ravel(), side))
-        at = np.minimum(np.searchsorted(cells, key), cells.size - 1)
-        found = np.where(cells[at] == key, counts[at], 0)
-        # one (a index, moved b index) pair per member of each block
-        jb = np.repeat(np.arange(hc * n2), found)
+    h0 = 0
+    while h0 < phi.size:
+        h1 = min(h0 + max(h0, grow), (h0 // step + 1) * step, phi.size)
+        tbx, tby = (t.ravel() for t in _moved(b, *(v[h0:h1] for v in hyp)))
+        at = find(tbx, tby)
+        # one (a index, moved b index) pair per member of each non-empty block
+        jb = np.flatnonzero(counts[at])
+        at = at[jb]
+        found = counts[at]
+        jb = np.repeat(jb, found)
         first = np.cumsum(found) - found
         ia = members[np.arange(jb.size) + np.repeat(starts[at] - first, found)]
-        moved = (tbx.ravel(), tby.ravel(), tbtheta.ravel(), np.tile(b[3], hc))
-        ok, _ = _pair_test(a, moved, ia, jb, params)
-        ia, jb = ia[ok], jb[ok]
+        near = (ax[ia] - tbx[jb]) ** 2 + (ay[ia] - tby[jb]) ** 2 <= params.distance_tolerance ** 2
+        ia, jb = ia[near], jb[near]
+        # the directions, as _pairs_under computes them, of only the near pairs
+        h, j = np.divmod(jb, n2)
+        ok = _aligned(a, ia, np.mod(b[2][j] + phi[h0 + h], TWO_PI), b[3][j], params)
+        hc = h1 - h0
         has_a = np.zeros(hc * n1, dtype=bool)
-        has_a[jb // n2 * n1 + ia] = True
+        has_a[h[ok] * n1 + ia[ok]] = True
         has_b = np.zeros(hc * n2, dtype=bool)
-        has_b[jb] = True
+        has_b[jb[ok]] = True
         yield np.minimum(has_a.reshape(hc, n1).sum(axis=1),
                          has_b.reshape(hc, n2).sum(axis=1))
+        h0 = h1
 
 
 def _cell_blocks(a, side: float):
-    """Index template a by 3x3 block of grid cells: the sorted keys of the
-    cells whose block holds a minutia, each block's start and length in the
-    member list, and the member list (indices into a)."""
+    """Index template a by 3x3 block of grid cells.
+
+    Returns find, which maps coordinates to the number of the block around
+    their cell; each block's start and length in the member list, where the
+    last block is the empty one of the cells with no minutia of a nearby; and
+    the member list (indices into a).
+    """
     import numpy as np
     dx, dy = np.divmod(np.arange(9), 3)
-    key = _cell_key((_cells(a[0], side)[:, None] + dx - 1).ravel(),
-                    (_cells(a[1], side)[:, None] + dy - 1).ravel())
+    cx = (_cells(a[0], side)[:, None] + dx - 1).ravel()
+    cy = (_cells(a[1], side)[:, None] + dy - 1).ravel()
+    key = _cell_key(cx, cy)
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    cells, starts = np.unique(key, return_index=True)
+    cells, starts, block = np.unique(key[order], return_index=True, return_inverse=True)
     counts = np.diff(np.append(starts, key.size))
-    return cells, starts, counts, order // 9
+    # the blocks' bounding box and an empty border, where cells off the box clamp
+    x0, x1 = int(cx.min()) - 1, int(cx.max()) + 1
+    y0, y1 = int(cy.min()) - 1, int(cy.max()) + 1
+    height = y1 - y0 + 1
+    if (x1 - x0 + 1) * height <= _SLOTS_PER_BLOCK * cells.size:
+        table = np.full((x1 - x0 + 1) * height, cells.size)
+        table[(cx[order] - x0) * height + cy[order] - y0] = block
+        find = functools.partial(_find_in_table, side=side, table=table,
+                                 box=(x0, x1, y0, y1))
+    else:
+        find = functools.partial(_find_in_keys, side=side, cells=cells)
+    return find, np.append(starts, 0), np.append(counts, 0), order // 9
 
 
-def _cells(x: np.ndarray, side: float) -> np.ndarray:
-    """Grid cell index of each coordinate, clamped to +-_CELL_LIMIT.
+def _find_in_table(x, y, side: float, table, box):
+    """Block numbers of the cells of (x, y): one table slot each."""
+    x0, x1, y0, y1 = box
+    return table[(_cells(x, side, x0, x1) - x0) * (y1 - y0 + 1) + _cells(y, side, y0, y1) - y0]
+
+
+def _find_in_keys(x, y, side: float, cells):
+    """Block numbers of the cells of (x, y): one binary search each."""
+    import numpy as np
+    key = _cell_key(_cells(x, side), _cells(y, side))
+    at = np.minimum(np.searchsorted(cells, key), cells.size - 1)
+    return np.where(cells[at] == key, at, cells.size)
+
+
+def _cells(x: np.ndarray, side: float, lo: int = -_CELL_LIMIT,
+           hi: int = _CELL_LIMIT) -> np.ndarray:
+    """Grid cell index of each coordinate, clamped to +-_CELL_LIMIT and then
+    to [lo, hi], which must overlap it.
 
     A coordinate that overflowed to inf or NaN can pass the distance test
     only under an infinite tolerance, where every finite coordinate is in
@@ -284,7 +342,10 @@ def _cells(x: np.ndarray, side: float) -> np.ndarray:
     import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.floor(x / side)
-    return np.clip(np.nan_to_num(k, nan=0.0), -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
+    k[np.isnan(k)] = 0.0
+    np.maximum(k, max(lo, -_CELL_LIMIT), out=k)
+    np.minimum(k, min(hi, _CELL_LIMIT), out=k)
+    return k.astype(np.int64)
 
 
 def _cell_key(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:

@@ -1268,6 +1268,19 @@ def test_bio_eval_csv_format(run):
     assert "EER" in err
 
 
+def test_bio_eval_default_impostors_fit_a_few_templates(run):
+    # each template's impostors are the others, so at most n_templates - 1
+    for n_templates, impostors in ((2, 1), (3, 2), (5, 4), (6, 5)):
+        code, out, _ = run("bio-eval", "--synthetic", "--templates", str(n_templates),
+                           "--minutiae", "12", "--probes", "1")
+        assert code == 0
+        assert f"impostor {n_templates * impostors} comparisons" in out
+    code, _, err = run("bio-eval", "--synthetic", "--templates", "3", "--minutiae", "12",
+                       "--impostors", "3")
+    assert code == 1
+    assert "impostors_per_template" in err
+
+
 def test_bio_eval_needs_exactly_one_source(run, tmp_path):
     code, _, err = run("bio-eval")
     assert code == 1

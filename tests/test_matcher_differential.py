@@ -320,3 +320,172 @@ def test_an_impostor_bounds_every_chunk_in_both_directions(monkeypatch, chunk_lo
     for total, sizes in chunk_log:
         assert len(sizes) > 1
         assert sum(sizes) == total
+
+
+# -- the cell lookup: a table over the blocks' box, or binary search when it is sparse --
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The cell lookup of each chunk the bound pass bounded: table or keys."""
+    log = []
+    for name, tag in (("_find_in_table", "table"), ("_find_in_keys", "keys")):
+        def spy(*args, real=getattr(matching, name), tag=tag, **kwargs):
+            log.append(tag)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(matching, name, spy)
+    return log
+
+
+SIDE = matching._CELL_SCALE * 10.0  # the cell width at the default tolerance
+
+
+def in_cells(points, theta=0.5, kind=TERMINATION):
+    """Minutiae at the given points, in cells of the default tolerance's grid."""
+    return template_of((x * SIDE, y * SIDE, theta, kind) for x, y in points)
+
+
+EDGE_CELLS = [(2, 3), (6, 5), (4, 4), (2, 5), (6, 3)]
+
+
+def edge_case():
+    """Minutiae of a in cell columns 2..6 and rows 3..5, so its blocks span
+    columns 1..7 and rows 2..6, and the table with its border columns 0..8
+    and rows 1..7. b holds a, so the identity is a hypothesis, and minutiae
+    that pair with one of a from the blocks' first and last rows and columns,
+    minutiae on the border, and minutiae one cell off the table."""
+    a = in_cells([(x + 0.5, y + 0.5) for x, y in EDGE_CELLS])
+    edges = in_cells([(1.9, 3.5), (7.1, 5.5), (2.5, 2.9), (6.5, 6.1)])
+    border = in_cells([(0.5, 4.5), (8.5, 4.5), (4.5, 1.5), (4.5, 7.5)])
+    off = in_cells([(-0.5, 4.5), (9.5, 4.5), (4.5, 0.5), (4.5, 8.5)])
+    return a, Template(a.minutiae + edges.minutiae + border.minutiae + off.minutiae)
+
+
+def clamp_case():
+    """Every minutia past the +-_CELL_LIMIT clamp, some just inside it: a's
+    blocks sit on the clamped edge cells, and pairs straddle the clamp."""
+    edge = matching._CELL_LIMIT * SIDE
+    rows = [(edge - 3.0, -edge + 2.0), (edge + 4.0, -edge - 3.0), (edge * 4, -edge * 4),
+            (edge * 4 + 6.0, -edge * 4 - 1.0), (1e300, -1e300), (edge - 2.5 * SIDE, -edge)]
+    a = template_of((x, y, 0.3, TERMINATION) for x, y in rows)
+    b = template_of((x + 1.5, y - 2.0, 0.35, TERMINATION) for x, y in rows[::-1])
+    return a, b
+
+
+def infinite_case():
+    """An infinite tolerance, where every cell is 0 and a coordinate that
+    overflows to inf pairs with every minutia."""
+    rng = np.random.default_rng(16)
+    base = random_template(rng, n=10)
+    return (with_far_outlier(base, 1.7e308, -1.7e308),
+            with_far_outlier(moved(base, 0.8, 20.0, 0.0), -1.7e308, 1.7e308))
+
+
+def synthetic_case():
+    record = generate_synthetic(seed=7, n_templates=2, minutiae_per_template=20,
+                                impostors_per_template=1)[0]
+    return record.template, record.genuine_probes[0]
+
+
+def random_case():
+    return (random_template(np.random.default_rng(17), n=30),) * 2
+
+
+def spread_case():
+    return (spread_over_1e300(np.random.default_rng(18), 20),) * 2
+
+
+@pytest.mark.parametrize("case,params,lookup", [
+    (synthetic_case, matching.DEFAULT_PARAMS, "table"),
+    (edge_case, matching.DEFAULT_PARAMS, "table"),
+    (clamp_case, matching.DEFAULT_PARAMS, "table"),
+    (infinite_case, MatchParams(distance_tolerance=math.inf, angle_tolerance=math.pi), "table"),
+    # a cell of a tolerance of 1 is too small for the table over a 400-wide field
+    (random_case, MatchParams(distance_tolerance=1.0), "keys"),
+    (spread_case, matching.DEFAULT_PARAMS, "keys"),
+])
+def test_each_cell_lookup_matches_the_reference(lookups, case, params, lookup):
+    a, b = case()
+    assert_same(a, b, params)
+    assert set(lookups) == {lookup}
+
+
+@pytest.mark.parametrize("case,tol", [(edge_case, 10.0), (clamp_case, 10.0),
+                                      (infinite_case, math.inf)])
+def test_table_and_keys_find_the_same_block_for_every_cell(monkeypatch, case, tol):
+    fa = matching._as_arrays(case()[0])
+    side = matching._CELL_SCALE * tol
+    table, starts, counts, members = matching._cell_blocks(fa, side)
+    assert table.func is matching._find_in_table
+    monkeypatch.setattr(matching, "_SLOTS_PER_BLOCK", 0)
+    keys, *rest = matching._cell_blocks(fa, side)
+    assert keys.func is matching._find_in_keys
+    for want, got in zip((starts, counts, members), rest):
+        np.testing.assert_array_equal(want, got)
+    # cell edges and centres over the table and three cells around it, and
+    # coordinates that overflowed
+    x0, x1, y0, y1 = table.keywords["box"]
+    scale = side if math.isfinite(side) else 1.0
+    x, y = ((np.arange(lo - 3, hi + 4)[:, None] + np.array([0.0, 0.5, 1.0 - 1e-9])).ravel()
+            for lo, hi in ((x0, x1), (y0, y1)))
+    x, y = (np.append(v * scale, [np.inf, -np.inf, np.nan]) for v in (x, y))
+    gx, gy = (g.ravel() for g in np.meshgrid(x, y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = table(gx, gy)
+        np.testing.assert_array_equal(found, keys(gx, gy))
+    assert counts[found].sum() > 0
+    if case is edge_case:
+        # a cell holds a minutia exactly when it is within one cell of one of
+        # a; the border and the cells off the table hold none
+        assert (x0, x1, y0, y1) == (0, 8, 1, 7)
+        near = {(x + dx, y + dy) for x, y in EDGE_CELLS for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+        for cx, cy, f in zip(np.floor(gx / side), np.floor(gy / side), found):
+            if math.isfinite(cx) and math.isfinite(cy):
+                assert bool(counts[f]) == ((cx, cy) in near)
+
+
+# -- the chunk schedule --------------------------------------------------------------
+
+def block_count(fa, params):
+    side = matching._CELL_SCALE * params.distance_tolerance
+    return int(matching._cell_blocks(fa, side)[2].max())
+
+
+@pytest.mark.parametrize("chunk_elements", [1, 2 ** 8, 2 ** 11, matching._CHUNK_ELEMENTS])
+@pytest.mark.parametrize("n1,n2", [(30, 30), (12, 40), (40, 12)])
+def test_chunks_double_up_to_the_fixed_step(monkeypatch, chunk_log, chunk_elements, n1, n2):
+    monkeypatch.setattr(matching, "_CHUNK_ELEMENTS", chunk_elements)
+    rng = np.random.default_rng(19)
+    params = MatchParams(distance_tolerance=25.0)  # several minutiae per block
+    a, b = random_template(rng, n=n1), random_template(rng, n=n2)
+    assert match_templates(a, b, params).matched_pairs < min(n1, n2)
+    assert len(chunk_log) == 2
+    for (total, sizes), (x, y) in zip(chunk_log, ((a, b), (b, a))):
+        k, ny = block_count(matching._as_arrays(x), params), len(y)
+        assert k > 1
+        # at most _CHUNK_ELEMENTS (a, moved b) pairs, unless one hypothesis has more
+        assert all(size * ny * k <= chunk_elements or size == 1 for size in sizes)
+        ends = np.cumsum(sizes).tolist()
+        assert ends[-1] == total
+        step = max(1, chunk_elements // (ny * k))
+        # every end of the fixed schedule, and below its first g, 2*g, 4*g, ...
+        # from g = n2 hypotheses, or more if those have room for fewer than
+        # _MIN_CHUNK_ELEMENTS pairs
+        assert set(range(step, total, step)) <= set(ends)
+        grow = max(ny, matching._MIN_CHUNK_ELEMENTS // (ny * k))
+        doubling = [grow * 2 ** i for i in range(total.bit_length())]
+        first = min(step, total)
+        assert [e for e in ends if e < first] == [e for e in doubling if e < first]
+
+
+@pytest.mark.parametrize("kind_strict", [True, False])
+def test_a_perfect_match_below_n2_consumes_one_chunk(chunk_log, kind_strict):
+    rng = np.random.default_rng(20)
+    params = MatchParams(kind_strict=kind_strict)
+    for n1, keep in ((40, range(0, 40, 3)), (30, range(20)), (80, range(0, 80, 2))):
+        a = random_template(rng, n=n1)
+        b = subset_probe(rng, a, list(keep))
+        assert first_perfect(a, b, params) < len(b)
+        chunk_log.clear()
+        assert match_templates(a, b, params).matched_pairs == len(b)
+        [(total, [size])] = chunk_log
+        assert len(b) <= size < total
