@@ -24,13 +24,11 @@ from .engine import (
     status,
 )
 from .evaluation import EvalReport, evaluate, generate_synthetic, score_dataset
-from .matching import MatchParams, MatchResult, decide, match_templates
+from .matching import MatchParams, MatchResult, match_templates
 from .minutiae import (
     Minutia,
     Template,
     crossing_number,
-    estimate_direction,
-    extract_minutiae,
     load_template,
     save_template,
 )

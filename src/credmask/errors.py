@@ -144,19 +144,7 @@ class PolicyUnsatisfiedError(CredmaskError):
         super().__init__(f"policy not satisfied, missing: {sorted(self.missing_kinds)}")
 
 
-# --- minutiae / evaluation --------------------------------------------------
-
-class NotBinaryError(CredmaskError):
-    """Skeleton images must contain only 0 and 1 pixels."""
-
-
-class BadMarginError(CredmaskError):
-    """Border margin must be a non-negative pixel count."""
-
-
-class TraceTooShortError(CredmaskError):
-    """The ridge is too short to trace a direction (fewer than 2 pixels)."""
-
+# --- evaluation -------------------------------------------------------------
 
 class EmptyScoresError(CredmaskError):
     """Evaluation needs at least one genuine and one impostor score."""

@@ -44,7 +44,6 @@ import functools
 import math
 from typing import NamedTuple
 
-from .errors import BadThresholdError
 from .minutiae import TERMINATION, TWO_PI, Template
 
 
@@ -117,23 +116,21 @@ def match_templates(a: Template, b: Template,
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         return MatchResult(0.0, 0, n1, n2, _IDENTITY)
+    import numpy as np
     fa = _as_arrays(a)
     fb = _as_arrays(b)
-    m, transform = _best_alignment(fa, fb, params)
-    # no reverse pairing can beat one that pairs every minutia of a template
-    if m < min(n1, n2):
-        m_rev, t_rev = _best_alignment(fb, fa, params)
-        if m_rev > m:
-            m, transform = m_rev, _invert(t_rev)
+    # Coordinates that Minutia accepts can overflow to inf or NaN when moved
+    # or squared. The distance test and _cells handle those values, so numpy
+    # need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, transform = _best_alignment(fa, fb, params)
+        # no reverse pairing can beat one that pairs every minutia of a template
+        if m < min(n1, n2):
+            m_rev, t_rev = _best_alignment(fb, fa, params)
+            if m_rev > m:
+                m, transform = m_rev, _invert(t_rev)
     return MatchResult(score=2.0 * m / (n1 + n2), matched_pairs=m,
                        n1=n1, n2=n2, transform=transform)
-
-
-def decide(result: MatchResult, threshold: float) -> bool:
-    """Accept (True) when the score reaches the threshold; boundary inclusive."""
-    if not 0 < threshold < 1:
-        raise BadThresholdError(f"threshold must be in (0, 1): {threshold}")
-    return result.score >= threshold
 
 
 # -- internals ------------------------------------------------------------------
@@ -340,8 +337,7 @@ def _cells(x: np.ndarray, side: float, lo: int = -_CELL_LIMIT,
     cell 0, so NaN (inf / inf) goes to cell 0 too.
     """
     import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = np.floor(x / side)
+    k = np.floor(x / side)
     k[np.isnan(k)] = 0.0
     np.maximum(k, max(lo, -_CELL_LIMIT), out=k)
     np.minimum(k, min(hi, _CELL_LIMIT), out=k)

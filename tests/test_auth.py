@@ -147,6 +147,21 @@ def test_jittered_probe_verifies_at_default_threshold(vault):
     assert dict(proof.scores)[auth.KIND_FINGERPRINT] >= 0.4
 
 
+def test_fingerprint_threshold_is_inclusive(vault):
+    n = auth.MIN_ENROLL_MINUTIAE
+    template = Template(tuple(Minutia(1000.0 * i, 0.0, 0.0, TERMINATION) for i in range(n)))
+    probe = Template(template.minutiae[:n // 2])
+    score = 2.0 * (n // 2) / (n + n // 2)  # every probe minutia pairs
+    record = auth.enroll_fingerprint(vault, template, threshold=score)
+    proof = auth.verify_fingerprint(record, probe)
+    assert proof.scores == ((auth.KIND_FINGERPRINT, score),)
+    for threshold in (math.nextafter(score, 1.0), 0.99):
+        record = auth.enroll_fingerprint(vault, template, threshold=threshold)
+        with pytest.raises(AuthFailedError) as excinfo:
+            auth.verify_fingerprint(record, probe)
+        assert excinfo.value.score == score
+
+
 # -- policy -----------------------------------------------------------------------
 
 def make_proof(*kinds, token=b"tok"):

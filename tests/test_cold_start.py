@@ -10,11 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from credmask.evaluation import generate_synthetic
 from credmask.minutiae import save_template
 from credmask.store import open_store
 
 from conftest import ten_host_counts
+from test_matcher_differential import spread_over_1e300
 
 PASS = "correct horse"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -92,3 +95,16 @@ def test_fingerprint_unmask_and_bio_eval_in_a_fresh_process(store_factory, tmp_p
     assert proc.returncode == 0, proc.stderr
     assert "genuine 30, impostor 50 comparisons" in proc.stdout
     assert "EER " in proc.stdout
+
+
+def test_bio_eval_of_far_flung_templates_warns_of_nothing(tmp_path):
+    rng = np.random.default_rng(12)
+    for name in ("enrolled.min", "genuine/g0.min", "impostor/i0.min"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        save_template(spread_over_1e300(rng, 12), tmp_path / name)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "credmask", "bio-eval", "--dataset", tmp_path],
+        capture_output=True, text=True, timeout=120, cwd=REPO_ROOT, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "genuine 1, impostor 1 comparisons" in proc.stdout

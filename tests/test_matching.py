@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from credmask.errors import BadThresholdError
-from credmask.matching import MatchParams, decide, match_templates
+from credmask.matching import MatchParams, match_templates
 from credmask.minutiae import BIFURCATION, TERMINATION, Minutia, Template
 
 
@@ -140,25 +139,3 @@ def test_params_refuse_a_finite_tolerance_whose_square_overflows():
     a = Template((Minutia(0.0, 0.0, 0.0, TERMINATION), Minutia(5.0, 0.0, 1.0, TERMINATION)))
     for tolerance in (1e150, math.inf):
         assert match_templates(a, a, MatchParams(distance_tolerance=tolerance)).score == 1.0
-
-
-def test_decide_boundary_inclusive():
-    rng = np.random.default_rng(6)
-    t = random_template(rng)
-    result = match_templates(t, t)
-    assert decide(result, 0.4) is True
-    exact = match_templates(
-        Template((Minutia(0, 0, 0, TERMINATION), Minutia(1000, 0, 0, TERMINATION))),
-        Template((Minutia(0, 0, 0, TERMINATION),)),
-    )
-    # one of two pairable: score = 2*1/3
-    assert decide(exact, exact.score) is True
-    assert decide(exact, 0.99) is False
-
-
-def test_decide_rejects_bad_threshold():
-    t = Template((Minutia(0, 0, 0, TERMINATION),))
-    result = match_templates(t, t)
-    for bad in (0.0, 1.0, 1.5, -0.1):
-        with pytest.raises(BadThresholdError):
-            decide(result, bad)
