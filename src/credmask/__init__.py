@@ -28,7 +28,6 @@ from .matching import MatchParams, MatchResult, match_templates
 from .minutiae import (
     Minutia,
     Template,
-    crossing_number,
     load_template,
     save_template,
 )

@@ -121,7 +121,10 @@ def _read_passphrase(passphrase_fd: int | None, confirm: bool = False,
             if b"\n" in data:
                 break
         line, newline, _ = data.partition(b"\n")
-        return (line.removesuffix(b"\r") if newline else line).decode("utf-8")  # LF or CRLF
+        try:
+            return (line.removesuffix(b"\r") if newline else line).decode("utf-8")  # LF or CRLF
+        except UnicodeDecodeError:  # its message quotes a byte of the passphrase
+            raise UsageError("passphrase is not valid UTF-8") from None
     while True:
         value = _prompt(prompt, hidden=True)
         if not confirm or _prompt("Repeat for confirmation", hidden=True) == value:

@@ -34,7 +34,6 @@ from .errors import (
     UnknownHostError,
     UnresolvedConflictError,
 )
-from .faults import crash_point
 from .store import KeyStoreDigest, StoreHandle, check_not_busy, keystore_digest
 from .vault import VaultEntry, VaultFile
 from .wire import encode_cell_value
@@ -153,9 +152,7 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
         if plan.keystore_before is not None and vault.keystore_record is None:
             vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
         vault.commit()
-        crash_point("after-vault-commit")
         store.delete_rows(rid for _, row_ids in plan.selections for rid in row_ids)
-    crash_point("after-store-delete")
     return _report(vault, live_hosts, store.path)
 
 
@@ -272,7 +269,6 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
             store.delete_rows(to_delete)
         if to_insert:
             store.insert_rows(to_insert)
-    crash_point("after-store-insert")
     vault.take_entries(plan.hosts)
     if not vault.entries:
         vault.keystore_record = None

@@ -231,14 +231,9 @@ def _aligned(a, ia, theta, kind, params: MatchParams):
     return ok
 
 
-def _bounds(a, b, hyp, params: MatchParams) -> np.ndarray:
-    """Per hypothesis, min(#a with a candidate, #b with a candidate)."""
-    import numpy as np
-    return np.concatenate(list(_bound_chunks(a, b, hyp, params)))
-
-
 def _bound_chunks(a, b, hyp, params: MatchParams):
-    """The bounds of _bounds, one chunk of hypotheses at a time, in order.
+    """Per hypothesis, min(#a with a candidate, #b with a candidate), one
+    chunk of hypotheses at a time, in order.
 
     Only the pairs whose ends lie in neighbouring grid cells are tested, so
     memory stays within _CHUNK_ELEMENTS. Chunks end at every multiple of the

@@ -3,7 +3,6 @@
 A minutia is either a termination (a ridge ends) or a bifurcation (a ridge
 splits in two). Templates arrive as ``.min`` files written by an external
 extractor; turning a fingerprint image into minutiae is out of scope.
-crossing_number is the rule such an extractor applies to a skeleton pixel.
 
 Coordinate conventions, stated once because a mismatch silently breaks angle
 tests: x grows rightward, y grows upward, and theta is measured
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 TERMINATION = "termination"
 BIFURCATION = "bifurcation"
@@ -82,19 +81,6 @@ class Template:
 
     def __len__(self) -> int:
         return len(self.minutiae)
-
-
-def crossing_number(neighborhood: Sequence[int]) -> int:
-    """Half the number of 0/1 transitions around an 8-pixel ring.
-
-    The ring is given in clockwise order; the center pixel is assumed set.
-    0 marks an isolated point, 1 a termination, 2 a ridge continuation,
-    3 a bifurcation, 4 a crossing.
-    """
-    ring = list(neighborhood)
-    if len(ring) != 8 or any(v not in (0, 1) for v in ring):
-        raise ValueError("neighborhood must be eight 0/1 values")
-    return sum(abs(ring[i] - ring[(i + 1) % 8]) for i in range(8)) // 2
 
 
 # -- .min text format ---------------------------------------------------------

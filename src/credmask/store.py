@@ -113,7 +113,10 @@ class StoreHandle:
         """Run the body under the database write lock; commit it whole or roll it back.
 
         Joins an open transaction. Raises StoreBusyError once another connection
-        has held the lock past sqlite3's default 5 s busy timeout.
+        has held the lock past sqlite3's default 5 s busy timeout, and
+        SchemaError when the logins table has a trigger: it would run inside
+        the body, where it could copy the cells being masked or delete rows no
+        vault holds.
         """
         self._require_writable()
         if self._conn.in_transaction:
@@ -124,6 +127,12 @@ class StoreHandle:
         except sqlite3.OperationalError as exc:
             raise StoreBusyError(f"database lock held on {self.path}: {exc}") from exc
         try:
+            triggers = [name for name, in self._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'trigger' "
+                "AND tbl_name = ? COLLATE NOCASE", (LOGINS_TABLE,))]
+            if triggers:
+                raise SchemaError(f"{LOGINS_TABLE} has triggers, which could copy or "
+                                  f"change its rows: {', '.join(map(repr, triggers))}")
             yield
             self._conn.execute("COMMIT")
         except BaseException:

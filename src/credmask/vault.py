@@ -45,7 +45,6 @@ from .errors import (
     VaultLockedError,
     WrongSecretError,
 )
-from .faults import crash_point
 from .minutiae import BIFURCATION, TERMINATION, Minutia, Template
 from .wire import NULL_LENGTH, Reader, TruncatedError, Writer, decode_cell_value, encode_rows
 
@@ -566,7 +565,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        crash_point("vault-commit-pre-replace")
         os.replace(tmp_name, path)
         tmp_name = None
         dir_fd = os.open(path.parent, os.O_RDONLY)

@@ -188,6 +188,23 @@ def test_crlf_passphrase_line_opens_a_vault_made_with_lf(run, world):
     assert code == 4
 
 
+def test_a_passphrase_that_is_not_utf8_exits_1_without_quoting_it(run, world):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    dump, vault_hash = dump_of(store_path), file_sha256(vault_path)
+    r, w = os.pipe()
+    os.write(w, b"pass\xe9word\n")
+    os.close(w)
+    code, _, err = run("mask", "--store", store_path, "--vault", vault_path,
+                       "--hosts", "host01.example", extra_fds=["--passphrase-fd", r])
+    os.close(r)
+    assert code == 1
+    assert err == "error: passphrase is not valid UTF-8\n"
+    assert "0xe9" not in err and "position" not in err
+    assert dump_of(store_path) == dump
+    assert file_sha256(vault_path) == vault_hash
+
+
 # -- mask -----------------------------------------------------------------------
 
 def test_mask_then_status_masked(run, world):
@@ -1078,6 +1095,55 @@ def test_unmask_failing_a_non_id_constraint_exits_1_and_changes_nothing(run, wor
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert dump_of(store_path) == dump
     assert file_sha256(vault_path) == vault_hash
+
+
+# Triggers a user who can write the store could plant: each would run inside
+# credmask's own write transaction.
+LOGINS_TRIGGERS = [
+    ("mask", "leak", "AFTER DELETE ON moz_logins BEGIN "
+     "INSERT INTO stash VALUES (old.encryptedUsername, old.encryptedPassword); END"),
+    ("mask", "wipe", "AFTER DELETE ON MOZ_LOGINS BEGIN "
+     "DELETE FROM moz_logins WHERE hostname = 'b.example'; END"),
+    ("mask", "keep", "BEFORE DELETE ON moz_logins BEGIN SELECT RAISE(IGNORE); END"),
+    ("unmask", "wipe", "AFTER INSERT ON moz_logins BEGIN "
+     "DELETE FROM moz_logins WHERE hostname = 'b.example'; END"),
+]
+
+
+@pytest.mark.parametrize("command,name,body", LOGINS_TRIGGERS,
+                         ids=[f"{command}-{name}" for command, name, _ in LOGINS_TRIGGERS])
+def test_a_trigger_on_the_logins_table_is_refused_and_changes_nothing(
+        run, store_factory, tmp_path, tiny_kdf, command, name, body):
+    from credmask.vault import create_vault
+
+    handle = store_factory({"a.example": 3, "b.example": 3})
+    handle.close()
+    store_path, vault_path = handle.path, tmp_path / "vault.cmv"
+    keystore = store_path.parent / "key3.db"
+    keystore.write_bytes(os.urandom(1024))
+    if command == "mask":
+        create_vault(vault_path, PASS, tiny_kdf).close()
+        args = ["--hosts", "a.example"]
+    else:  # planted while a.example is masked
+        assert cli_mask(run, store_path, vault_path, ["a.example"])[0] == 0
+        args = ["--all"]
+    conn = sqlite3.connect(store_path)
+    conn.executescript(f"CREATE TABLE stash (u, p); CREATE TRIGGER {name} {body};")
+    conn.close()
+
+    def state():
+        conn = sqlite3.connect(store_path)
+        stash = conn.execute("SELECT * FROM stash").fetchall()
+        conn.close()
+        return dump_of(store_path), stash, file_sha256(vault_path), file_sha256(keystore)
+
+    before = state()
+    code, _, err = run(command, "--store", store_path, "--vault", vault_path, *args,
+                       passphrase=PASS)
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(name) in err and "ENC-" not in err
+    assert state() == before
 
 
 # -- auth command -----------------------------------------------------------------------

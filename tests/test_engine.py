@@ -16,13 +16,13 @@ from credmask.errors import (
     UnknownHostError,
     UnresolvedConflictError,
 )
-from credmask.faults import CRASH_ENV, SimulatedCrash
 from credmask.store import (CANONICAL_COLUMNS, StoreHandle, canonical_login_row,
                             init_fixture, open_store)
 from credmask.vault import create_vault, open_vault
 from credmask.wire import encode_cell_value
 
 from conftest import file_sha256, ten_host_counts, vault_entry
+from crash_child import KILLED, run_killed
 from test_vault_reference import tagged
 
 USER = CANONICAL_COLUMNS.index("encryptedUsername")
@@ -168,11 +168,15 @@ def test_mask_reads_cells_once_under_the_lock_and_deletes_without_a_pre_read(wor
     finally:
         handle._conn.set_trace_callback(None)
     cells = "SELECT " + ", ".join(f'"{c}"' for c in CANONICAL_COLUMNS) + " FROM"
-    selects = [i for i, sql in enumerate(statements) if sql.startswith("SELECT")]
+    # the trigger check reads sqlite_master first thing under the lock
+    begin = statements.index("BEGIN IMMEDIATE")
+    assert "sqlite_master" in statements[begin + 1]
+    selects = [i for i, sql in enumerate(statements)
+               if sql.startswith("SELECT") and i != begin + 1]
     deletes = [i for i, sql in enumerate(statements) if sql.startswith("DELETE")]
     assert [statements[i].startswith(cells) for i in selects].count(True) == 1
     assert len(selects) == 2 and statements[selects[1]].startswith("SELECT DISTINCT")
-    assert statements.index("BEGIN IMMEDIATE") < selects[0]
+    assert begin < selects[0]
     assert selects[-1] < deletes[0] and deletes[-1] < statements.index("COMMIT")
 
 
@@ -497,53 +501,69 @@ def test_unmask_report_equals_a_fresh_status_without_a_second_scan(world, policy
 
 
 # -- crash safety ----------------------------------------------------------------------
+# Each test kills a credmask child at one durable step (see crash_child.py) and
+# reads only what the dead child left in the files.
 
-def test_crash_after_vault_commit_loses_nothing(world, monkeypatch):
+def kill_mask(world, point):
+    """Mask SIX in a child killed at ``point``; the world's vault is closed."""
     handle, vf, keystore = world
-    original = row_multiset(handle)
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
-    monkeypatch.setenv(CRASH_ENV, "after-vault-commit")
-    with pytest.raises(SimulatedCrash):
-        engine.apply_mask(plan, handle, vf)
-    monkeypatch.delenv(CRASH_ENV)
-    # rows now exist in BOTH files; nothing was lost
-    in_store = row_multiset(handle)
-    in_vault = vault_multiset(vf)
-    assert in_store == original
-    for key in original:
-        assert in_store[key] or in_vault[key]
-    # recovery: unmask with keep-live collapses the duplicates
-    up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-    engine.apply_unmask(up, vf.open_proof, handle, vf)
-    assert row_multiset(handle) == original
-    assert vf.hosts() == []
+    vf.close()  # the child takes the vault's lock
+    proc = run_killed(point, "mask", "--store", handle.path, "--vault", vf.path,
+                      "--hosts", ",".join(SIX), "--keystore", keystore, passphrase="secret")
+    assert proc.returncode == KILLED, proc.stderr
 
 
-def test_crash_after_store_delete_is_recoverable(world, monkeypatch):
+def kill_unmask(world, point):
+    """Mask SIX here, then unmask them all in a child killed at ``point``."""
     handle, vf, keystore = world
+    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    vf.close()
+    proc = run_killed(point, "unmask", "--store", handle.path, "--vault", vf.path, "--all",
+                      passphrase="secret")
+    assert proc.returncode == KILLED, proc.stderr
+
+
+def recover(handle, vf):
+    """The keep-live unmask of everything, which collapses a crash's duplicates."""
+    engine.apply_unmask(engine.plan_unmask(vf, None, engine.KEEP_LIVE), vf.open_proof,
+                        handle, vf)
+
+
+def test_crash_after_vault_commit_loses_nothing(world):
+    handle, vf, _ = world
+    original, dump = row_multiset(handle), handle.dump_canonical()
+    kill_mask(world, "after-vault-commit")
+    with open_vault(vf.path, "secret") as reopened:
+        # rows now exist in BOTH files; nothing was lost
+        in_store = row_multiset(handle)
+        in_vault = vault_multiset(reopened)
+        assert in_store == original
+        assert sorted(reopened.hosts()) == SIX
+        for key in original:
+            assert in_store[key] or in_vault[key]
+        recover(handle, reopened)
+        assert row_multiset(handle) == original
+        assert handle.dump_canonical() == dump
+        assert reopened.hosts() == []
+
+
+def test_crash_after_store_delete_is_recoverable(world):
+    handle, vf, _ = world
     original = handle.dump_canonical()
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
-    monkeypatch.setenv(CRASH_ENV, "after-store-delete")
-    with pytest.raises(SimulatedCrash):
-        engine.apply_mask(plan, handle, vf)
-    monkeypatch.delenv(CRASH_ENV)
+    kill_mask(world, "after-store-commit")
     # the mask itself completed; a normal unmask restores everything
-    up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-    engine.apply_unmask(up, vf.open_proof, handle, vf)
-    assert handle.dump_canonical() == original
+    with open_vault(vf.path, "secret") as reopened:
+        assert sorted(reopened.hosts()) == SIX
+        assert not any(row[1] in SIX for row in handle.read_rows())
+        recover(handle, reopened)
+        assert handle.dump_canonical() == original
 
 
-def test_crash_after_store_insert_loses_nothing(world, monkeypatch):
-    handle, vf, keystore = world
+def test_crash_after_store_insert_loses_nothing(world):
+    handle, vf, _ = world
     original = handle.dump_canonical()
     rows = row_multiset(handle)
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
-    up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-    monkeypatch.setenv(CRASH_ENV, "after-store-insert")
-    with pytest.raises(SimulatedCrash):
-        engine.apply_unmask(up, vf.open_proof, handle, vf)
-    monkeypatch.delenv(CRASH_ENV)
-    vf.close()  # the process died: only what reached the disk counts
+    kill_unmask(world, "after-store-commit")
     with open_vault(vf.path, "secret") as reopened:
         in_store = row_multiset(handle)
         in_vault = vault_multiset(reopened)
@@ -551,10 +571,19 @@ def test_crash_after_store_insert_loses_nothing(world, monkeypatch):
         for key in rows:
             assert in_store[key] or in_vault[key]
         # recovery: keep-live drops the vaulted copies of the restored rows
-        up = engine.plan_unmask(reopened, None, engine.KEEP_LIVE)
-        engine.apply_unmask(up, reopened.open_proof, handle, reopened)
+        recover(handle, reopened)
         assert handle.dump_canonical() == original
         assert reopened.hosts() == []
+
+
+def test_crash_after_unmask_vault_commit_loses_nothing(world):
+    handle, vf, _ = world
+    original = handle.dump_canonical()
+    kill_unmask(world, "after-vault-commit")
+    # the store took the rows back before the vault forgot them
+    assert handle.dump_canonical() == original
+    with open_vault(vf.path, "secret") as reopened:
+        assert reopened.entries == []
 
 
 # -- status ------------------------------------------------------------------------------

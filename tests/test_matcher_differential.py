@@ -39,7 +39,7 @@ def assert_same(a, b, params=matching.DEFAULT_PARAMS):
             if want.size == 0:
                 assert hyp[0].size == 0
                 continue
-            got = matching._bounds(fa, fb, hyp, params)
+            got = np.concatenate(list(matching._bound_chunks(fa, fb, hyp, params)))
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
     return expected

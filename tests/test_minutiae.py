@@ -11,52 +11,9 @@ from credmask.minutiae import (
     TERMINATION,
     Minutia,
     Template,
-    crossing_number,
     load_template,
     save_template,
 )
-
-
-# -- crossing number ------------------------------------------------------------
-
-def transitions_oracle(ring):
-    """Independent count: walk the ring and count 0->1 and 1->0 steps."""
-    flips = 0
-    for i in range(8):
-        if ring[i] != ring[(i + 1) % 8]:
-            flips += 1
-    return flips // 2
-
-
-def test_crossing_number_all_zero():
-    assert crossing_number([0] * 8) == 0
-
-
-def test_crossing_number_single_neighbor():
-    for i in range(8):
-        ring = [0] * 8
-        ring[i] = 1
-        assert crossing_number(ring) == 1
-
-
-def test_crossing_number_three_isolated_neighbors():
-    ring = [0] * 8
-    for i in (0, 3, 5):
-        ring[i] = 1
-    assert crossing_number(ring) == 3
-
-
-def test_crossing_number_matches_oracle_on_all_256_neighborhoods():
-    for pattern in range(256):
-        ring = [(pattern >> i) & 1 for i in range(8)]
-        assert crossing_number(ring) == transitions_oracle(ring), ring
-
-
-def test_crossing_number_validates_input():
-    with pytest.raises(ValueError):
-        crossing_number([0, 1, 2, 0, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        crossing_number([0] * 7)
 
 
 # -- minutia/template types --------------------------------------------------------------

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from credmask import auth
+from credmask import auth, engine
+from credmask.cli import main
 from credmask.errors import (
     AlreadyExistsError,
     BadVersionError,
@@ -14,13 +15,13 @@ from credmask.errors import (
     VaultLockedError,
     WrongSecretError,
 )
-from credmask.faults import CRASH_ENV, SimulatedCrash
 from credmask.minutiae import Minutia, Template
 from credmask.store import CANONICAL_COLUMNS, canonical_login_row
 from credmask.vault import VaultEntry, create_vault, open_vault
 from credmask.wire import Writer
 
 from conftest import make_rows, vault_entry
+from crash_child import KILLED, run_killed
 from test_vault_reference import tagged
 
 
@@ -275,18 +276,43 @@ def test_no_plaintext_leaks_to_disk(vault_path, tiny_kdf):
         assert field not in blob
 
 
-def test_crash_between_temp_write_and_rename_keeps_old_state(
-        vault_path, tiny_kdf, monkeypatch):
+@pytest.fixture
+def killed_before_replace(store_factory, vault_path, tiny_kdf):
+    """a.example masked, then a child masking b.example killed after writing
+    and fsyncing the new vault's temp file, before it replaces the vault."""
+    handle = store_factory({"a.example": 1, "b.example": 1})
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries_for({"a.example": 1}))
-        vf.commit()
-        vf.put_entries(entries_for({"b.example": 1}))
-        monkeypatch.setenv(CRASH_ENV, "vault-commit-pre-replace")
-        with pytest.raises(SimulatedCrash):
-            vf.commit()
-        monkeypatch.delenv(CRASH_ENV)
+        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example"]), handle, vf)
+    dump = handle.dump_canonical()
+    proc = run_killed("vault-commit-pre-replace", "mask", "--store", handle.path,
+                      "--vault", vault_path, "--hosts", "b.example", passphrase="secret")
+    assert proc.returncode == KILLED, proc.stderr
+    return handle, dump
+
+
+def test_crash_between_temp_write_and_rename_keeps_old_state(killed_before_replace,
+                                                             vault_path):
+    handle, dump = killed_before_replace
     with open_vault(vault_path, "secret") as vf:
         assert vf.hosts() == ["a.example"]
+    assert handle.dump_canonical() == dump
+
+
+def test_mask_after_a_crash_before_rename_succeeds_beside_the_stray_temp(
+        killed_before_replace, vault_path):
+    handle, _ = killed_before_replace
+    assert len(list(vault_path.parent.glob(f".{vault_path.name}.*.tmp"))) == 1
+    r, w = os.pipe()
+    os.write(w, b"secret\n")
+    os.close(w)
+    try:
+        assert main(["mask", "--store", str(handle.path), "--vault", str(vault_path),
+                     "--hosts", "b.example", "--passphrase-fd", str(r)]) == 0
+    finally:
+        os.close(r)
+    with open_vault(vault_path, "secret") as vf:
+        assert vf.hosts() == ["a.example", "b.example"]
+    assert list(handle.read_rows()) == []
 
 
 def test_second_commit_wins(vault_path, tiny_kdf):
