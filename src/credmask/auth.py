@@ -40,32 +40,23 @@ DEFAULT_FINGERPRINT_THRESHOLD = 0.4
 
 
 class _EnrolledRecord:
-    """An enrolled credential: equal by the fields named in ``_compared``.
+    """An enrolled credential with the fields named in ``_fields``.
 
-    ``vault_token`` binds the record to the open vault that holds it and takes
-    no part in equality or repr. Records are mutable, so unhashable.
+    ``vault_token`` binds the record to the open vault that holds it and is
+    left out of its repr.
     """
 
     __slots__ = ("vault_token",)
-    _compared: tuple[str, ...] = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+    _fields: tuple[str, ...] = ()
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
 
 
 class PassphraseRecord(_EnrolledRecord):
-    _compared = ("kdf", "verifier")
-    __slots__ = _compared
+    _fields = ("kdf", "verifier")
+    __slots__ = _fields
     kind = KIND_PASSPHRASE
 
     def __init__(self, kdf: crypto.KdfParams, verifier: bytes,
@@ -76,8 +67,8 @@ class PassphraseRecord(_EnrolledRecord):
 
 
 class FingerprintRecord(_EnrolledRecord):
-    _compared = ("template", "threshold")
-    __slots__ = _compared
+    _fields = ("template", "threshold")
+    __slots__ = _fields
     kind = KIND_FINGERPRINT
 
     def __init__(self, template: Template, threshold: float,

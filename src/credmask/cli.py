@@ -215,18 +215,17 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
             hosts = [h.strip() for h in hosts_csv.split(",") if h.strip()]
         else:
             hosts = _interactive_selection(handle, vf)
-        plan = engine.plan_mask(handle, vf, hosts, keystore_path)
-
         if dry_run:
+            plan = engine.plan_mask(handle, vf, hosts, keystore_path)
             _write_lines(["dry run, nothing changed; would mask:",
                           *(f"  {hostname}  rows {list(row_ids)}"
-                            for hostname, row_ids in plan.selections)])
+                            for hostname, row_ids, _ in plan.selections)])
             return
 
-        report = engine.apply_mask(plan, handle, vf, sibling_locks=locks)
+        plan = engine.apply_mask(handle, vf, hosts, keystore_path, sibling_locks=locks)
         _checkpoint(handle)
 
-    _write_lines([f"masked {len(plan.selections)} host(s); mode: {report.mode}",
+    _write_lines([f"masked {len(plan.selections)} host(s); mode: {engine.MODE_MASKED}",
                   "Log off and log back in now so open sessions drop their cached logins."])
 
 

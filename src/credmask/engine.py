@@ -2,8 +2,8 @@
 
 Everything mutating is split into a plan step (pure reads, produces a
 validated intent) and an apply step, which gives the CLI a dry-run for free.
-The apply step checks the plan against ids read under the store's write
-lock, so a plan the store no longer matches changes nothing.
+``apply_mask`` makes its plan itself, under the store's write lock, so the
+rows it moves are the rows it read there and the store is read once.
 
 Write ordering is the crash-safety core: masking commits the vault before
 deleting store rows, and unmasking reinserts store rows before committing
@@ -29,7 +29,6 @@ from .errors import (
     EmptySelectionError,
     MissingKeyStoreError,
     NothingMaskedError,
-    StalePlanError,
     StoreMismatchError,
     UnknownHostError,
     UnresolvedConflictError,
@@ -52,7 +51,10 @@ _DEDUP_COLUMN = "encryptedUsername"
 
 
 class MaskPlan(NamedTuple):
-    selections: tuple[tuple[str, tuple[int, ...]], ...]
+    """Per selected host, in hostname order: the hostname, its row ids and its
+    rows as the store read them, both in row-id order."""
+
+    selections: tuple[tuple[str, tuple[int, ...], tuple[tuple, ...]], ...]
     keystore_before: KeyStoreDigest | None
 
 
@@ -84,11 +86,12 @@ class ConflictReport(NamedTuple):
 
 def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
               keystore_path: str | Path | None = None) -> MaskPlan:
-    """Resolve a host selection into exact row ids; reads only.
+    """Read the selected hosts' rows, and no others, once; group them per host.
 
     Every host must have at least one stored row and must not be vaulted
     already. When a key-store path is given its digest is recorded so the
-    round trip can attest the file was never touched.
+    round trip can attest the file was never touched. A dry run calls this
+    alone; :func:`apply_mask` calls it under the store's write lock.
     """
     wanted = sorted(set(hosts))
     if not wanted:
@@ -97,30 +100,36 @@ def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
     already = [h for h in wanted if h in vaulted]
     if already:
         raise AlreadyMaskedError(f"already masked: {already}")
-    by_host = store.host_row_ids(wanted)
-    unknown = [h for h in wanted if h not in by_host]
+    rows_by_host: dict[str, list[tuple]] = {h: [] for h in wanted}
+    host_index = store.schema.index(store_mod.HOSTNAME_COLUMN)
+    for row in store.read_rows(hosts=wanted):
+        rows_by_host[row[host_index]].append(row)
+    unknown = [h for h, rows in rows_by_host.items() if not rows]
     if unknown:
         raise UnknownHostError(f"no stored rows for: {unknown}")
+    pk_index = store.schema.index(store.pk_column)
     digest = keystore_digest(keystore_path) if keystore_path is not None else None
     return MaskPlan(
-        selections=tuple((h, tuple(by_host[h])) for h in wanted),
+        selections=tuple((h, tuple(int(row[pk_index]) for row in rows), tuple(rows))
+                         for h, rows in rows_by_host.items()),
         keystore_before=digest,
     )
 
 
-def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
-               sibling_locks: Sequence[str] = store_mod.DEFAULT_SIBLING_LOCKS) -> StatusReport:
-    """Move the planned rows into the vault: vault commit first, then delete.
+def apply_mask(store: StoreHandle, vault: VaultFile, hosts: Iterable[str],
+               keystore_path: str | Path | None = None,
+               sibling_locks: Sequence[str] = store_mod.DEFAULT_SIBLING_LOCKS) -> MaskPlan:
+    """Move the selected hosts' rows into the vault: vault commit first, then
+    delete; returns the plan it carried out.
 
-    A browser lock file named in ``sibling_locks`` next to the store raises
-    StoreBusyError before anything is read. One store write transaction then
-    holds one read of the selected hosts' rows, a read of the live
-    hostnames, the vault commit and the delete; a database lock held past
-    sqlite3's 5 s busy wait raises StoreBusyError. The order means an
-    interruption can only ever duplicate rows, never lose them. A selected
-    host that is vaulted, or whose ids read under the lock are not exactly
-    the planned ids, raises StalePlanError before anything is written. The
-    report's live hosts are the hostnames read there.
+    A vault holding another store's hosts raises StoreMismatchError, and a
+    browser lock file named in ``sibling_locks`` next to the store raises
+    StoreBusyError, both before the store is read. One store write
+    transaction then holds :func:`plan_mask`, with its checks of the
+    selection, the vault commit and the delete; a database lock held past
+    sqlite3's 5 s busy wait raises StoreBusyError. The rows moved are the
+    rows read under that lock. The order means an interruption can only ever
+    duplicate rows, never lose them.
     """
     foreign = _foreign_stores(vault.entries, store.path)
     if foreign:
@@ -128,32 +137,19 @@ def apply_mask(plan: MaskPlan, store: StoreHandle, vault: VaultFile,
             f"the vault holds hosts masked from another store: {', '.join(foreign)}")
     check_not_busy(store.path, sibling_locks)
 
-    pk_index = store.schema.index(store.pk_column)
-    host_index = store.schema.index(store_mod.HOSTNAME_COLUMN)
     with store.write_transaction():
-        rows_by_host: dict[str, list[tuple]] = {h: [] for h, _ in plan.selections}
-        for row in store.read_rows(hosts=rows_by_host):
-            rows_by_host[row[host_index]].append(row)
-        vaulted = set(vault.hosts())
-        for hostname, row_ids in plan.selections:
-            if (hostname in vaulted
-                    or tuple(row[pk_index] for row in rows_by_host[hostname]) != row_ids):
-                raise StalePlanError(f"{hostname} changed after planning")
-        live_hosts = store.hostnames() - rows_by_host.keys()
+        plan = plan_mask(store, vault, hosts, keystore_path)
         now = int(time.time())
         store_path = str(Path(store.path).resolve())
-        entries = [
+        vault.put_entries(
             VaultEntry.from_store_rows(hostname, rows, now, store_path, store.schema,
                                        store.pk_column)
-            for hostname, rows in rows_by_host.items()
-        ]
-
-        vault.put_entries(entries)
+            for hostname, _, rows in plan.selections)
         if plan.keystore_before is not None and vault.keystore_record is None:
             vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
         vault.commit()
-        store.delete_rows(rid for _, row_ids in plan.selections for rid in row_ids)
-    return _report(vault, live_hosts, store.path)
+        store.delete_rows(rid for _, row_ids, _ in plan.selections for rid in row_ids)
+    return plan
 
 
 def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,

@@ -89,10 +89,6 @@ class AlreadyMaskedError(CredmaskError):
     """A selected host is already vaulted."""
 
 
-class StalePlanError(CredmaskError):
-    """The store or vault changed after the plan was computed."""
-
-
 class StoreMismatchError(CredmaskError):
     """Vaulted hosts were masked from a store other than the one given."""
 

@@ -166,11 +166,11 @@ class StoreHandle:
             for row in self.read_rows(ids)
         ]
 
-    def host_row_ids(self, hosts: Iterable[str] | None = None) -> dict[str, list[int]]:
-        """Row ids per hostname in row-id order, of every host or of ``hosts``
-        only, hosts in first-row order; reads no cells."""
+    def host_row_ids(self) -> dict[str, list[int]]:
+        """Row ids per hostname in row-id order, hosts in first-row order; reads
+        no cells."""
         by_host: dict[str, list[int]] = {}
-        for row_id, hostname in self._select((self.pk_column, HOSTNAME_COLUMN), hosts=hosts):
+        for row_id, hostname in self._select((self.pk_column, HOSTNAME_COLUMN)):
             _require_text_hostname(hostname)
             by_host.setdefault(hostname, []).append(int(row_id))
         return by_host

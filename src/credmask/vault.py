@@ -16,8 +16,9 @@ names come in another order are still read. Listing hosts and counting rows
 decode nothing, a commit copies the slices, and ``unmask`` decodes a slice
 straight into the values it inserts. Every commit re-encrypts the whole state
 under a fresh nonce and replaces the file atomically (write temp, fsync,
-rename); a crash mid-commit leaves the previous version intact. The header is
-bound as associated data, so any ciphertext or header flip fails the tag.
+rename); a crash mid-commit leaves the previous version intact, and the next
+commit removes the temp file it left. The header is bound as associated data,
+so any ciphertext or header flip fails the tag.
 
 The stated threat holds the machine's root credentials, so file permissions
 protect nothing; only the passphrase-derived key does.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import errno
 import fcntl
+import glob
 import operator
 import os
 import struct
@@ -216,7 +218,12 @@ class VaultFile:
 
     def commit(self) -> None:
         """Re-encrypt the full state under a fresh nonce and atomically replace
-        the file; on any failure the previous version remains intact."""
+        the file; on any failure the previous version remains intact.
+
+        Then remove the temp files an interrupted commit left beside the vault:
+        each is sealed and may hold rows restored since. The lock is held, so
+        none belongs to a commit in flight; one that cannot be removed stays.
+        """
         if self._closed:
             raise ValueError("vault handle is closed")
         nonce = os.urandom(crypto.NONCE_LEN)
@@ -227,6 +234,11 @@ class VaultFile:
         )
         sealed = crypto.seal(self._key, nonce, self._serialize(), header + nonce)
         _atomic_write(self.path, header + nonce + sealed)
+        for stray in self.path.parent.glob(f".{glob.escape(self.path.name)}.*.tmp"):
+            try:
+                stray.unlink()
+            except OSError:
+                pass
 
     # -- serialization -------------------------------------------------------------
 

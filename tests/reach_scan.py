@@ -34,8 +34,6 @@ RUNS = (
 # Functions that commands can reach but these runs do not, each with the reason
 # it is kept; they want tests, not deletion.
 ALLOWED = {
-    "auth._EnrolledRecord._values":
-        "called only by __eq__, which the scan skips; no command compares two records",
     "matching._invert":
         "maps a reverse-direction alignment back when the reverse pass scores higher",
     "vault._row_cells":

@@ -83,8 +83,7 @@ def test_criterion_1_round_trip_fidelity(tmp_path):
     digest_before = keystore_digest(keystore)
 
     started = time.perf_counter()
-    plan = engine.plan_mask(handle, vf, SIX_HOSTS, keystore)
-    engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, SIX_HOSTS, keystore)
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     elapsed = time.perf_counter() - started
@@ -101,8 +100,7 @@ def test_criterion_1_round_trip_fidelity(tmp_path):
 def test_criterion_2_auth_gating(tmp_path, capsys):
     handle, vf, keystore = build_world(tmp_path)
     store_path, vault_path = handle.path, vf.path
-    plan = engine.plan_mask(handle, vf, SIX_HOSTS, keystore)
-    engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, SIX_HOSTS, keystore)
     handle.close()
     vf.close()
 
@@ -253,8 +251,7 @@ def test_criterion_8_synthetic_separation():
 def test_criterion_9_exit_code_matrix(tmp_path, capsys):
     handle, vf, keystore = build_world(tmp_path)
     store_path, vault_path = handle.path, vf.path
-    plan = engine.plan_mask(handle, vf, SIX_HOSTS, keystore)
-    engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, SIX_HOSTS, keystore)
     handle.close()
     vf.close()
 

@@ -231,6 +231,22 @@ def test_mask_busy_store_exits_3(run, world):
     lock.unlink()
 
 
+@pytest.mark.parametrize("hosts", [[","], ["nobody.example"], ["host00.example"]],
+                         ids=["empty", "unknown", "already-masked"])
+def test_mask_checks_the_browser_lock_before_the_selection(run, world, hosts):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    lock = store_path.parent / ".parentlock"
+    lock.touch()
+    store_hash, vault_hash = file_sha256(store_path), file_sha256(vault_path)
+    code, _, err = cli_mask(run, store_path, vault_path, hosts, init=False)
+    assert code == 3 and "lock file" in err
+    lock.unlink()
+    assert cli_mask(run, store_path, vault_path, hosts, init=False)[0] == 1
+    assert file_sha256(store_path) == store_hash
+    assert file_sha256(vault_path) == vault_hash
+
+
 def test_mask_force_against_held_database_lock_exits_3(run, world, tiny_kdf):
     from credmask.vault import create_vault, open_vault
 
@@ -1055,26 +1071,34 @@ def run_subprocess(*args, stdin=PASS):
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
 
 
-def test_mask_with_a_non_utf8_hostname_on_another_host_exits_1_and_leaks_nothing(
+def test_mask_beside_a_non_utf8_hostname_moves_its_host_and_leaks_nothing(
         store_factory, tmp_path):
     handle = store_factory({"a.example": 2, "b.example": 1})
     handle.close()
+    original = dump_of(handle.path)
     conn = sqlite3.connect(handle.path)
     conn.execute("UPDATE moz_logins SET hostname = "
                  "CAST(x'5345435245542d686f737466ff' AS TEXT) WHERE id = 3")
     conn.commit()
-    conn.close()
-    store_hash = file_sha256(handle.path)
     vault_path = tmp_path / "vault.cmv"
     proc = run_subprocess("mask", "--store", handle.path, "--vault", vault_path,
                           "--hosts", "a.example", "--init", "--kdf-memory-mib", "1",
                           "--kdf-iterations", "1")
-    assert proc.returncode == 1, proc.stderr
-    assert "SECRET" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr  # the mask never reads the bad row
+    assert [row[0] for row in conn.execute("SELECT id FROM moz_logins")] == [3]
+    store_hash, vault_hash = file_sha256(handle.path), file_sha256(vault_path)
+    for command in (["status"], ["unmask", "--all"]):  # these read every hostname
+        proc = run_subprocess(*command, "--store", handle.path, "--vault", vault_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "SECRET" not in proc.stderr and "Traceback" not in proc.stderr
     assert file_sha256(handle.path) == store_hash
-    from credmask.vault import open_vault
-    with open_vault(vault_path, PASS) as vf:
-        assert vf.hosts() == []
+    assert file_sha256(vault_path) == vault_hash
+    conn.execute("UPDATE moz_logins SET hostname = 'b.example' WHERE id = 3")
+    conn.commit()
+    conn.close()
+    proc = run_subprocess("unmask", "--store", handle.path, "--vault", vault_path, "--all")
+    assert proc.returncode == 0, proc.stderr
+    assert dump_of(handle.path) == original
 
 
 def test_unmask_failing_a_non_id_constraint_exits_1_and_changes_nothing(run, world):

@@ -11,7 +11,6 @@ from credmask.errors import (
     EmptySelectionError,
     NothingMaskedError,
     PolicyUnsatisfiedError,
-    StalePlanError,
     StoreBusyError,
     UnknownHostError,
     UnresolvedConflictError,
@@ -61,12 +60,13 @@ SIX = [f"host0{i}.example" for i in range(6)]
 def test_plan_mask_matches_direct_query(world):
     handle, vf, keystore = world
     plan = engine.plan_mask(handle, vf, SIX, keystore)
-    assert [h for h, _ in plan.selections] == SIX
+    assert [h for h, _, _ in plan.selections] == SIX
     conn = sqlite3.connect(handle.path)
-    for hostname, row_ids in plan.selections:
-        direct = [r[0] for r in conn.execute(
-            "SELECT id FROM moz_logins WHERE hostname=? ORDER BY id", (hostname,))]
-        assert list(row_ids) == direct
+    for hostname, row_ids, rows in plan.selections:
+        direct = list(conn.execute(
+            "SELECT * FROM moz_logins WHERE hostname=? ORDER BY id", (hostname,)))
+        assert list(rows) == direct
+        assert list(row_ids) == [r[0] for r in direct]
     conn.close()
     assert plan.keystore_before.digest == __import__("hashlib").sha256(
         keystore.read_bytes()).digest()
@@ -86,8 +86,7 @@ def test_plan_mask_unknown_host(world):
 
 def test_plan_mask_already_masked(world):
     handle, vf, keystore = world
-    plan = engine.plan_mask(handle, vf, ["host00.example"], keystore)
-    engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, ["host00.example"], keystore)
     with pytest.raises(AlreadyMaskedError):
         engine.plan_mask(handle, vf, ["host00.example"])
 
@@ -95,24 +94,23 @@ def test_plan_mask_already_masked(world):
 def test_apply_mask_moves_exactly_the_selection(world):
     handle, vf, keystore = world
     before = {r[0] for r in handle.read_rows()}
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
-    report = engine.apply_mask(plan, handle, vf)
-    assert report.mode == engine.MODE_MASKED
-    assert sorted(report.masked_hosts) == SIX
-    moved = {rid for _, ids in plan.selections for rid in ids}
+    plan = engine.apply_mask(handle, vf, SIX, keystore)
+    assert [h for h, _, _ in plan.selections] == SIX
+    moved = {rid for _, ids, _ in plan.selections for rid in ids}
     assert {r[0] for r in handle.read_rows()} == before - moved
     assert sorted(vf.hosts()) == SIX
-    assert report.keystore_ok
+    report = engine.status(handle, vf)
+    assert report.mode == engine.MODE_MASKED and report.keystore_ok
 
 
-def test_apply_mask_twice_is_stale(world):
+def test_apply_mask_twice_is_already_masked(world):
     handle, vf, keystore = world
-    plan = engine.plan_mask(handle, vf, ["host00.example"], keystore)
-    engine.apply_mask(plan, handle, vf)
-    dump = handle.dump_canonical()
-    with pytest.raises(StalePlanError):
-        engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, ["host00.example"], keystore)
+    dump, vault_bytes = handle.dump_canonical(), vf.path.read_bytes()
+    with pytest.raises(AlreadyMaskedError):
+        engine.apply_mask(handle, vf, ["host00.example"], keystore)
     assert handle.dump_canonical() == dump
+    assert vf.path.read_bytes() == vault_bytes
 
 
 @pytest.mark.parametrize("change", [
@@ -121,50 +119,52 @@ def test_apply_mask_twice_is_stale(world):
     "DELETE FROM moz_logins WHERE id = 2",
     "UPDATE moz_logins SET hostname = 'host09.example' WHERE id = 2",
 ], ids=["row-added", "row-deleted", "row-moved"])
-def test_apply_mask_refuses_a_plan_the_store_no_longer_matches(world, change):
+def test_apply_mask_moves_what_the_browser_wrote_before_it(world, change):
     handle, vf, keystore = world
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
-    assert 2 in dict(plan.selections)["host00.example"]
-    browser = sqlite3.connect(handle.path)  # saves between planning and the write
+    hostname, row_ids, _ = engine.plan_mask(handle, vf, SIX).selections[0]
+    assert hostname == "host00.example" and 2 in row_ids
+    browser = sqlite3.connect(handle.path)  # saves after a dry run, before the mask
     browser.execute(change)
     browser.commit()
     browser.close()
-    dump = handle.dump_canonical()
-    vault_bytes = vf.path.read_bytes()
-    with pytest.raises(StalePlanError):
-        engine.apply_mask(plan, handle, vf)
-    assert handle.dump_canonical() == dump
-    assert vf.path.read_bytes() == vault_bytes
+    updated = handle.dump_canonical()
+    selected = Counter(tagged(r for r in handle.read_rows() if r[1] in SIX))
+    engine.apply_mask(handle, vf, SIX, keystore)
+    assert vault_multiset(vf) == selected
+    assert not any(r[1] in SIX for r in handle.read_rows())
+    engine.apply_unmask(engine.plan_unmask(vf), vf.open_proof, handle, vf)
+    assert handle.dump_canonical() == updated
 
 
 def test_mask_report_comes_from_one_scan_inside_the_transaction(world, monkeypatch):
     handle, vf, keystore = world
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
     in_transaction = []
-    real_scan = StoreHandle.hostnames
+    real_read = StoreHandle.read_rows
 
-    def hostnames(self):
+    def read_rows(self, *args, **kwargs):
         in_transaction.append(self._conn.in_transaction)
-        return real_scan(self)
+        return real_read(self, *args, **kwargs)
 
-    def host_row_ids(self, *args, **kwargs):
-        raise AssertionError("apply_mask scanned row ids")
+    def no_scan(self, *args, **kwargs):
+        raise AssertionError("apply_mask scanned every host")
 
-    monkeypatch.setattr(StoreHandle, "hostnames", hostnames)
-    monkeypatch.setattr(StoreHandle, "host_row_ids", host_row_ids)
-    report = engine.apply_mask(plan, handle, vf)
+    monkeypatch.setattr(StoreHandle, "read_rows", read_rows)
+    monkeypatch.setattr(StoreHandle, "hostnames", no_scan)
+    monkeypatch.setattr(StoreHandle, "host_row_ids", no_scan)
+    plan = engine.apply_mask(handle, vf, SIX, keystore)
     assert in_transaction == [True]
     monkeypatch.undo()
-    assert report == engine.status(handle, vf)
+    report = engine.status(handle, vf)
+    assert report.masked_hosts == tuple(h for h, _, _ in plan.selections) == tuple(SIX)
+    assert set(report.live_hosts).isdisjoint(SIX)
 
 
 def test_mask_reads_cells_once_under_the_lock_and_deletes_without_a_pre_read(world):
     handle, vf, keystore = world
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
     statements = []
     handle._conn.set_trace_callback(statements.append)
     try:
-        engine.apply_mask(plan, handle, vf)
+        engine.apply_mask(handle, vf, SIX, keystore)
     finally:
         handle._conn.set_trace_callback(None)
     cells = "SELECT " + ", ".join(f'"{c}"' for c in CANONICAL_COLUMNS) + " FROM"
@@ -174,10 +174,9 @@ def test_mask_reads_cells_once_under_the_lock_and_deletes_without_a_pre_read(wor
     selects = [i for i, sql in enumerate(statements)
                if sql.startswith("SELECT") and i != begin + 1]
     deletes = [i for i, sql in enumerate(statements) if sql.startswith("DELETE")]
-    assert [statements[i].startswith(cells) for i in selects].count(True) == 1
-    assert len(selects) == 2 and statements[selects[1]].startswith("SELECT DISTINCT")
-    assert begin < selects[0]
-    assert selects[-1] < deletes[0] and deletes[-1] < statements.index("COMMIT")
+    assert len(selects) == 1 and statements[selects[0]].startswith(cells)
+    assert begin < selects[0] < deletes[0]
+    assert deletes[-1] < statements.index("COMMIT")
 
 
 def nocase_store(path):
@@ -200,11 +199,10 @@ def test_mask_of_a_nocase_hostname_moves_only_that_spelling(tmp_path, tiny_kdf):
     with nocase_store(tmp_path / "signons.sqlite") as handle, \
             create_vault(tmp_path / "vault.cmv", "secret", tiny_kdf) as vf:
         original = handle.dump_canonical()
-        plan = engine.plan_mask(handle, vf, ["a.example"])
-        assert plan.selections == (("a.example", (1, 3, 6)),)
-        report = engine.apply_mask(plan, handle, vf)
-        assert report.live_hosts == ("A.EXAMPLE", "A.example", "b.example")
-        assert report == engine.status(handle, vf)
+        plan = engine.apply_mask(handle, vf, ["a.example"])
+        assert [(h, ids) for h, ids, _ in plan.selections] == [("a.example", (1, 3, 6))]
+        assert engine.status(handle, vf).live_hosts == ("A.EXAMPLE", "A.example",
+                                                        "b.example")
         assert [r[:2] for r in handle.read_rows()] == [
             (2, "A.example"), (4, "b.example"), (5, "A.EXAMPLE")]
         engine.apply_unmask(engine.plan_unmask(vf), vf.open_proof, handle, vf)
@@ -218,12 +216,10 @@ def test_mask_of_501_hosts_crosses_a_chunk_and_round_trips(store_factory, tmp_pa
     wanted = sorted(counts)[1:]  # 501 hosts: one chunk of 500 and one of 1
     original = handle.dump_canonical()
     with create_vault(tmp_path / "vault.cmv", "secret", tiny_kdf) as vf:
-        plan = engine.plan_mask(handle, vf, wanted)
-        assert [h for h, _ in plan.selections] == wanted
-        assert [len(ids) for _, ids in plan.selections] == [counts[h] for h in wanted]
-        report = engine.apply_mask(plan, handle, vf)
-        assert report.live_hosts == ("h000.example",)
-        assert report == engine.status(handle, vf)
+        plan = engine.apply_mask(handle, vf, wanted)
+        assert [h for h, _, _ in plan.selections] == wanted
+        assert [len(ids) for _, ids, _ in plan.selections] == [counts[h] for h in wanted]
+        assert engine.status(handle, vf).live_hosts == ("h000.example",)
         assert [e.row_count for e in vf.entries] == [counts[h] for h in wanted]
         engine.apply_unmask(engine.plan_unmask(vf), vf.open_proof, handle, vf)
         assert handle.dump_canonical() == original
@@ -231,20 +227,18 @@ def test_mask_of_501_hosts_crosses_a_chunk_and_round_trips(store_factory, tmp_pa
 
 def test_apply_mask_respects_busy_store(world):
     handle, vf, keystore = world
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
     (handle.path.parent / ".parentlock").touch()
     with pytest.raises(StoreBusyError):
-        engine.apply_mask(plan, handle, vf)
+        engine.apply_mask(handle, vf, SIX, keystore)
     os.unlink(handle.path.parent / ".parentlock")
-    engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
 
 
 def test_round_trip_restores_bytes_and_keystore(world):
     handle, vf, keystore = world
     original = handle.dump_canonical()
     keystore_before = file_sha256(keystore)
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
-    engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     assert handle.dump_canonical() != original
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
@@ -259,8 +253,7 @@ def test_round_trip_restores_bytes_and_keystore(world):
 def test_round_trip_under_every_policy_when_quiescent(world, policy):
     handle, vf, keystore = world
     original = handle.dump_canonical()
-    plan = engine.plan_mask(handle, vf, SIX, keystore)
-    engine.apply_mask(plan, handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     up = engine.plan_unmask(vf, None, policy)
     engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert handle.dump_canonical() == original
@@ -274,8 +267,7 @@ def test_plan_unmask_on_empty_vault(world):
 
 def test_plan_unmask_unknown_host(world):
     handle, vf, keystore = world
-    engine.apply_mask(engine.plan_mask(handle, vf, ["host00.example"], keystore),
-                      handle, vf)
+    engine.apply_mask(handle, vf, ["host00.example"], keystore)
     with pytest.raises(UnknownHostError):
         engine.plan_unmask(vf, ["host01.example"])
     plan = engine.plan_unmask(vf, ["host00.example"])
@@ -284,7 +276,7 @@ def test_plan_unmask_unknown_host(world):
 
 def test_unmask_of_a_host_no_longer_vaulted_touches_nothing(world):
     handle, vf, keystore = world
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     plan = engine.plan_unmask(vf)
     vf.take_entries(["host03.example"])
     store_hash = file_sha256(handle.path)
@@ -296,7 +288,7 @@ def test_unmask_of_a_host_no_longer_vaulted_touches_nothing(world):
 
 def test_unmask_with_invalid_proof_touches_nothing(world, tmp_path, tiny_kdf):
     handle, vf, keystore = world
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     store_hash = file_sha256(handle.path)
     vault_hash = file_sha256(vf.path)
     plan = engine.plan_unmask(vf)
@@ -317,7 +309,7 @@ def test_unmask_checks_policy_before_store(world):
     handle, vf, keystore = world
     auth.enroll_fingerprint(vf, _template_20())
     auth.set_policy(vf, auth.POLICY_BOTH)
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     store_hash = file_sha256(handle.path)
     plan = engine.plan_unmask(vf)
     with pytest.raises(PolicyUnsatisfiedError):
@@ -341,9 +333,8 @@ def _template_20():
 def masked_then_resaved(world, same_credential):
     """Mask host00, then let the 'browser' save a row for it again, reusing the id."""
     handle, vf, keystore = world
-    plan = engine.plan_mask(handle, vf, ["host00.example"], keystore)
-    vaulted_ids = [rid for _, ids in plan.selections for rid in ids]
-    engine.apply_mask(plan, handle, vf)
+    plan = engine.apply_mask(handle, vf, ["host00.example"], keystore)
+    vaulted_ids = [rid for _, ids, _ in plan.selections for rid in ids]
     resaved = canonical_login_row(
         vaulted_ids[0], "host00.example",
         encryptedUsername=f"ENC-USER-{vaulted_ids[0]}" if same_credential
@@ -417,7 +408,7 @@ def test_keep_live_tells_storage_classes_apart(tmp_path, tiny_kdf, live, vaulted
     conn.commit()
     with open_store(path, "rw") as handle, \
             create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
-        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example"]), handle, vf)
+        engine.apply_mask(handle, vf, ["a.example"])
         conn.execute("INSERT INTO moz_logins VALUES (1, 'a.example', ?)", (live,))
         conn.commit()
         up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
@@ -435,7 +426,7 @@ def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf)
     handle = store_factory({"x.example": 1, "b.example": 1, "a.example": 1})
     with create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
         original = {r[0]: r for r in handle.read_rows()}
-        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example", "b.example"]), handle, vf)
+        engine.apply_mask(handle, vf, ["a.example", "b.example"])
         resaved = canonical_login_row(2, "b.example", encryptedUsername="ENC-USER-new")
         handle.insert_rows([resaved])
         up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
@@ -458,8 +449,7 @@ def test_keep_live_fresh_ids_skip_the_ids_of_hosts_still_masked(tmp_path, tiny_k
     with init_fixture(tmp_path / "profile" / "signons.sqlite", rows) as handle, \
             create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
         b_rows = host_rows(handle, "b.example")
-        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example", "b.example"]),
-                          handle, vf)
+        engine.apply_mask(handle, vf, ["a.example", "b.example"])
         browser = sqlite3.connect(handle.path)
         with browser:
             saved = browser.execute(
@@ -483,7 +473,7 @@ def test_keep_live_fresh_ids_skip_the_ids_of_hosts_still_masked(tmp_path, tiny_k
 def test_unmask_report_equals_a_fresh_status_without_a_second_scan(world, policy,
                                                                    monkeypatch):
     handle, vf, keystore = world
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     if policy != engine.FAIL:  # host00 saved again under its old id 1: a conflict
         handle.insert_rows([canonical_login_row(1, "host00.example",
                                                 encryptedUsername="ENC-USER-new")])
@@ -516,7 +506,7 @@ def kill_mask(world, point):
 def kill_unmask(world, point):
     """Mask SIX here, then unmask them all in a child killed at ``point``."""
     handle, vf, keystore = world
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     vf.close()
     proc = run_killed(point, "unmask", "--store", handle.path, "--vault", vf.path, "--all",
                       passphrase="secret")
@@ -605,7 +595,7 @@ def test_status_without_vault(world):
 
 def test_status_after_mask(world):
     handle, vf, keystore = world
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     report = engine.status(handle, vf)
     assert report.mode == engine.MODE_MASKED
     assert sorted(report.masked_hosts) == SIX
@@ -613,7 +603,7 @@ def test_status_after_mask(world):
 
 def test_status_detects_replaced_keystore(world):
     handle, vf, keystore = world
-    engine.apply_mask(engine.plan_mask(handle, vf, SIX, keystore), handle, vf)
+    engine.apply_mask(handle, vf, SIX, keystore)
     keystore.write_bytes(b"replaced by someone else entirely")
     assert engine.status(handle, vf).keystore_ok is False
     os.unlink(keystore)
@@ -623,8 +613,7 @@ def test_status_detects_replaced_keystore(world):
 def test_mode_is_pure_function_of_vault_entries(world):
     handle, vf, keystore = world
     assert engine.status(handle, vf).mode == engine.MODE_NORMAL
-    engine.apply_mask(engine.plan_mask(handle, vf, ["host00.example"], keystore),
-                      handle, vf)
+    engine.apply_mask(handle, vf, ["host00.example"], keystore)
     assert engine.status(handle, vf).mode == engine.MODE_MASKED
     up = engine.plan_unmask(vf)
     engine.apply_unmask(up, vf.open_proof, handle, vf)

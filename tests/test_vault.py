@@ -282,7 +282,7 @@ def killed_before_replace(store_factory, vault_path, tiny_kdf):
     and fsyncing the new vault's temp file, before it replaces the vault."""
     handle = store_factory({"a.example": 1, "b.example": 1})
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        engine.apply_mask(engine.plan_mask(handle, vf, ["a.example"]), handle, vf)
+        engine.apply_mask(handle, vf, ["a.example"])
     dump = handle.dump_canonical()
     proc = run_killed("vault-commit-pre-replace", "mask", "--store", handle.path,
                       "--vault", vault_path, "--hosts", "b.example", passphrase="secret")
@@ -313,6 +313,30 @@ def test_mask_after_a_crash_before_rename_succeeds_beside_the_stray_temp(
     with open_vault(vault_path, "secret") as vf:
         assert vf.hosts() == ["a.example", "b.example"]
     assert list(handle.read_rows()) == []
+    assert list(vault_path.parent.glob(f".{vault_path.name}.*.tmp")) == []
+
+
+def test_commit_removes_only_its_own_stray_temps_and_keeps_what_it_cannot(tmp_path,
+                                                                          tiny_kdf):
+    vault_path = tmp_path / "v[1].cmv"  # a glob pattern, unescaped
+    with create_vault(vault_path, "secret", tiny_kdf):
+        pass
+    stray = tmp_path / ".v[1].cmv.abc123.tmp"
+    stray.write_bytes(b"sealed")
+    stuck = tmp_path / ".v[1].cmv.dir.tmp"
+    stuck.mkdir()  # unlink fails on a directory
+    others = [tmp_path / ".v1.cmv.abc123.tmp", tmp_path / ".other.cmv.abc123.tmp"]
+    for other in others:
+        other.write_bytes(b"not ours")
+    with open_vault(vault_path, "secret"):
+        pass  # opening writes nothing
+    assert stray.exists()
+    with open_vault(vault_path, "secret") as vf:
+        vf.commit()
+    assert not stray.exists() and stuck.is_dir()
+    assert all(other.read_bytes() == b"not ours" for other in others)
+    with open_vault(vault_path, "secret") as vf:
+        assert vf.hosts() == []
 
 
 def test_second_commit_wins(vault_path, tiny_kdf):

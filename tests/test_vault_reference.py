@@ -113,7 +113,7 @@ def test_an_opened_entry_decodes_to_the_rows_it_was_built_from(edge_store, tmp_p
 def test_mask_then_unmask_restores_every_edge_value(edge_store, tmp_path, tiny_kdf):
     original = edge_store.dump_canonical()
     with create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
-        engine.apply_mask(engine.plan_mask(edge_store, vf, [HOST]), edge_store, vf)
+        engine.apply_mask(edge_store, vf, [HOST])
         assert tagged(edge_store.read_rows()) == tagged([OTHER_ROW])
     with open_vault(tmp_path / "v.cmv", "secret") as vf:
         engine.apply_unmask(engine.plan_unmask(vf), vf.open_proof, edge_store, vf)
