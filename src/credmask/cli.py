@@ -168,7 +168,7 @@ def cmd_list(store_path, vault_path, fmt, passphrase_fd, config_path):
     vault_path = vault_path or _load_config(config_path).get("vault")
     with ExitStack() as stack:
         handle = stack.enter_context(store.open_store(store_path, store.READ_ONLY))
-        rows = [(host, len(ids), "live") for host, ids in handle.host_row_ids().items()]
+        rows = [(host, count, "live") for host, count in handle.host_counts().items()]
         if vault_path and Path(vault_path).exists():
             vf = stack.enter_context(
                 vault.open_vault(vault_path, _read_passphrase(passphrase_fd)))
@@ -177,7 +177,8 @@ def cmd_list(store_path, vault_path, fmt, passphrase_fd, config_path):
     rows.sort(key=lambda r: r[0])
     if fmt == "json-lines":
         import json  # only this format needs it; not on every command's start
-        _write_lines(json.dumps({"hostname": host, "rows": count, "state": state})
+        # the bytes json.dumps gives the whole dict, without building one per line
+        _write_lines(f'{{"hostname": {json.dumps(host)}, "rows": {count}, "state": "{state}"}}'
                      for host, count, state in rows)
     else:
         _write_lines([f"{'HOSTNAME':<40} {'ROWS':>4} STATE",
@@ -230,7 +231,7 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
 
 
 def _interactive_selection(handle: store.StoreHandle, vf) -> list[str]:
-    counts = {host: len(ids) for host, ids in handle.host_row_ids().items()}
+    counts = handle.host_counts()
     vaulted = set(vf.hosts()) if vf is not None else set()
     options = [h for h in sorted(counts) if h not in vaulted]
     if not options:
@@ -275,14 +276,15 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
         hosts = None if unmask_all else [h.strip() for h in hosts_csv.split(",") if h.strip()]
         plan = engine.plan_unmask(vf, hosts, conflict_policy, store_moved=store_moved)
         rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
-        report, conflicts = engine.apply_unmask(plan, proof, rw, vf, sibling_locks=locks)
+        conflicts = engine.apply_unmask(plan, proof, rw, vf, sibling_locks=locks)
         if conflict_policy == engine.OVERWRITE_LIVE:
             _checkpoint(rw)
 
     _write_lines([*(f"conflict on {c.hostname}: {c.live_rows} live / "
                     f"{c.vaulted_rows} vaulted row(s), {c.action}, "
                     f"{c.restored_rows} restored" for c in conflicts),
-                  f"restored {len(plan.hosts)} host(s); mode: {report.mode}"])
+                  f"restored {len(plan.hosts)} host(s); mode: "
+                  f"{engine.MODE_MASKED if vf.entries else engine.MODE_NORMAL}"])
 
 
 def _collect_proof(vf: vault.VaultFile, gate_passphrase_fd: int | None,

@@ -4,6 +4,8 @@ Everything mutating is split into a plan step (pure reads, produces a
 validated intent) and an apply step, which gives the CLI a dry-run for free.
 ``apply_mask`` makes its plan itself, under the store's write lock, so the
 rows it moves are the rows it read there and the store is read once.
+``apply_unmask`` reads every row id but only its own hosts' rows, so neither
+reads another host's hostname.
 
 Write ordering is the crash-safety core: masking commits the vault before
 deleting store rows, and unmasking reinserts store rows before committing
@@ -183,23 +185,26 @@ def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
 def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
                  vault: VaultFile,
                  sibling_locks: Sequence[str] = store_mod.DEFAULT_SIBLING_LOCKS,
-                 ) -> tuple[StatusReport, list[ConflictReport]]:
-    """Restore vaulted rows after the proof satisfies the vault's policy.
+                 ) -> list[ConflictReport]:
+    """Restore vaulted rows after the proof satisfies the vault's policy;
+    returns a report per restored host that had live rows again.
 
     Authentication is checked before any store access; an invalid proof
     performs zero writes. A selected host masked from another store path
     raises StoreMismatchError, unless the plan says the store moved and the
     key store beside it still matches the recorded digest. A browser lock
     file named in ``sibling_locks`` next to the store then raises
-    StoreBusyError. The read, deletes and inserts run as one store write
+    StoreBusyError. The reads, deletes and inserts run as one store write
     transaction, which commits before the vault forgets the rows, so an
     interruption never loses a credential.
 
-    A vaulted row keeps its id unless keep-live must remap it or another
-    host's live row holds it; a fresh id lies past every id the store or the
-    vault holds, so it never takes the id of a host that is still masked.
-    Cells are read only for the live rows keep-live compares, and the report
-    is built from the ids read there.
+    The store is read twice: every row id, and the restored hosts' live rows,
+    one scan per 500 hosts. Only keep-live, which compares those rows with
+    the vaulted ones, reads their cells; the other policies read their ids
+    and hostnames. No other host's hostname is read. A vaulted row keeps its
+    id unless keep-live must remap it or another host's live row holds it; a
+    fresh id lies past every id the store or the vault holds, so it never
+    takes the id of a host that is still masked. Rows are inserted in id order.
     """
     if proof is None or proof.vault_token != vault.auth_token:
         raise AuthFailedError("proof was not issued by this vault instance")
@@ -222,20 +227,26 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
 
     policy = plan.conflict_policy
     pk_index = store.schema.index(store.pk_column)
-    host_index = store.schema.index(store_mod.HOSTNAME_COLUMN)
     with store.write_transaction():
-        live_ids = store.host_row_ids()
-        occupied = {rid for ids in live_ids.values() for rid in ids}
+        occupied = store.row_ids()
         next_id = 1 + max([*occupied, *(e.max_row_id for e in vault.entries)], default=0)
-        ids = [rid for e in entries for rid in live_ids.get(e.hostname, ())]
-        live_keys = ({_dedup_key(row[host_index], row, store) for row in store.read_rows(ids)}
-                     if ids and policy == KEEP_LIVE else set())
+        live_ids: dict[str, list[int]] = {e.hostname: [] for e in entries}
+        live_keys = set()
+        # keep-live compares the live rows' cells; the other policies need their ids
+        columns = (store.schema if policy == KEEP_LIVE
+                   else (store.pk_column, store_mod.HOSTNAME_COLUMN))
+        id_at = columns.index(store.pk_column)
+        host_at = columns.index(store_mod.HOSTNAME_COLUMN)
+        for row in store._select(columns, hosts=plan.hosts):
+            live_ids[row[host_at]].append(int(row[id_at]))
+            if policy == KEEP_LIVE:
+                live_keys.add(_dedup_key(row[host_at], row, store))
 
         to_insert: list[tuple] = []
         to_delete: list[int] = []
         reports: list[ConflictReport] = []
         for entry in entries:
-            live = live_ids.get(entry.hostname, [])
+            live = live_ids[entry.hostname]
             if policy == OVERWRITE_LIVE:
                 to_delete.extend(live)
                 occupied.difference_update(live)
@@ -264,13 +275,13 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
         if to_delete:
             store.delete_rows(to_delete)
         if to_insert:
+            to_insert.sort(key=lambda row: row[pk_index])  # fills B-tree pages in order
             store.insert_rows(to_insert)
     vault.take_entries(plan.hosts)
     if not vault.entries:
         vault.keystore_record = None
     vault.commit()
-    # every restored host has live rows now: its own or the ones put back
-    return _report(vault, live_ids.keys() | plan.hosts, store.path), reports
+    return reports
 
 
 def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
@@ -279,22 +290,17 @@ def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
     ``foreign_stores`` names the stores, other than this one, that vaulted
     hosts were masked from.
     """
-    return _report(vault, store.hostnames(), store.path)
-
-
-# -- internals ------------------------------------------------------------------
-
-def _report(vault: VaultFile | None, live_hosts: Iterable[str],
-            store_path: Path) -> StatusReport:
     masked = tuple(vault.hosts()) if vault is not None else ()
     return StatusReport(
         mode=MODE_MASKED if masked else MODE_NORMAL,
         masked_hosts=masked,
-        live_hosts=tuple(sorted(live_hosts)),
+        live_hosts=tuple(sorted(store.hostnames())),
         keystore_ok=_keystore_ok(vault),
-        foreign_stores=_foreign_stores(vault.entries, store_path) if vault is not None else (),
+        foreign_stores=_foreign_stores(vault.entries, store.path) if vault is not None else (),
     )
 
+
+# -- internals ------------------------------------------------------------------
 
 def _keystore_ok(vault: VaultFile | None, directory: Path | None = None) -> bool:
     """False when the vault recorded a key-store digest that the key store no

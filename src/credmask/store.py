@@ -6,7 +6,9 @@ here. The adapter is column-agnostic: it introspects the schema when a
 handle is opened and copies every column verbatim, interpreting only the
 ``hostname`` column and the integer primary key. Restores are therefore
 byte-exact across schema versions, and credential ciphertexts are never
-parsed or decrypted.
+parsed or decrypted. The inventories (``row_ids``, ``host_counts``,
+``hostnames``) are single SELECTs that read the id or hostname column and no
+other cell; a host selector reads only the rows of its hosts.
 
 The sibling key-store file is opaque here; its integrity is attested purely
 by hash (:func:`keystore_digest`) and nothing in this module ever opens it
@@ -166,23 +168,20 @@ class StoreHandle:
             for row in self.read_rows(ids)
         ]
 
-    def host_row_ids(self) -> dict[str, list[int]]:
-        """Row ids per hostname in row-id order, hosts in first-row order; reads
-        no cells."""
-        by_host: dict[str, list[int]] = {}
-        for row_id, hostname in self._select((self.pk_column, HOSTNAME_COLUMN)):
-            _require_text_hostname(hostname)
-            by_host.setdefault(hostname, []).append(int(row_id))
-        return by_host
+    def row_ids(self, ids: Iterable[int] | None = None) -> set[int]:
+        """Every row id the table holds, or those of ``ids`` it holds; reads only
+        the id column."""
+        return {int(i) for (i,) in self._select((self.pk_column,), ids)}
+
+    def host_counts(self) -> dict[str, int]:
+        """Rows per hostname, hostnames told apart byte for byte; reads no cells."""
+        return dict(self._per_host(f'SELECT "{HOSTNAME_COLUMN}" COLLATE BINARY, count(*) '
+                                   f'FROM "{LOGINS_TABLE}" GROUP BY 1'))
 
     def hostnames(self) -> set[str]:
         """Every hostname that has a row, told apart byte for byte; reads no cells."""
-        query = f'SELECT DISTINCT "{HOSTNAME_COLUMN}" COLLATE BINARY FROM "{LOGINS_TABLE}"'
-        with _utf8_cells():  # fetchall: no frame an error keeps holds the cursor
-            names = {h for (h,) in self._conn.execute(query).fetchall()}
-        for hostname in names:
-            _require_text_hostname(hostname)
-        return names
+        return {h for h, in self._per_host(
+            f'SELECT DISTINCT "{HOSTNAME_COLUMN}" COLLATE BINARY FROM "{LOGINS_TABLE}"')}
 
     def dump_canonical(self) -> bytes:
         """Deterministic serialization of the logins table.
@@ -217,7 +216,7 @@ class StoreHandle:
                 for chunk in _chunks(ids, 500))
             if deleted != len(ids):
                 undo()
-                raise RowNotFoundError(set(ids) - self._existing_ids(ids))
+                raise RowNotFoundError(set(ids) - self.row_ids(ids))
         return len(ids)
 
     def insert_rows(self, rows: Sequence[tuple]) -> int:
@@ -243,7 +242,7 @@ class StoreHandle:
                     f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', rows)
             except sqlite3.IntegrityError:
                 undo()
-                taken = self._existing_ids(sorted(unique))
+                taken = self.row_ids(sorted(unique))
                 if not taken:
                     raise
                 raise RowIdConflictError(taken) from None
@@ -275,8 +274,13 @@ class StoreHandle:
             raise
         run("RELEASE credmask")
 
-    def _existing_ids(self, ids: Sequence[int]) -> set[int]:
-        return {int(r[0]) for r in self._select((self.pk_column,), ids)}
+    def _per_host(self, query: str) -> list[tuple]:
+        """The rows of a query whose first column is a hostname, each one TEXT."""
+        with _utf8_cells():  # fetchall: no frame an error keeps holds the cursor
+            rows = self._conn.execute(query).fetchall()
+        for hostname, *_ in rows:
+            _require_text_hostname(hostname)
+        return rows
 
     def _select(self, columns: Sequence[str], ids: Iterable[int] | None = None,
                 hosts: Iterable[str] | None = None):

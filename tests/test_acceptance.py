@@ -85,12 +85,12 @@ def test_criterion_1_round_trip_fidelity(tmp_path):
     started = time.perf_counter()
     engine.apply_mask(handle, vf, SIX_HOSTS, keystore)
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-    report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+    conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     elapsed = time.perf_counter() - started
 
     assert handle.dump_canonical() == original_dump
     assert keystore_digest(keystore) == digest_before
-    assert report.mode == engine.MODE_NORMAL and conflicts == []
+    assert engine.status(handle, vf).mode == engine.MODE_NORMAL and conflicts == []
     assert elapsed < 1.0, f"round trip took {elapsed:.3f}s"
     handle.close()
     vf.close()

@@ -109,6 +109,17 @@ def test_list_json_lines(run, world):
     assert sum(r["rows"] for r in records) == 25
 
 
+def test_list_json_lines_are_json_dumps_of_each_record(run, store_factory):
+    counts = {'quo"te.example': 1, "back\\slash.example": 2, "caf\u00e9.example": 3}
+    handle = store_factory(counts)
+    handle.close()
+    code, out, err = run("list", "--store", handle.path, "--format", "json-lines")
+    assert code == 0, err
+    assert out == "".join(
+        json.dumps({"hostname": host, "rows": counts[host], "state": "live"}) + "\n"
+        for host in sorted(counts))
+
+
 def test_list_shows_masked_hosts(run, world):
     store_path, vault_path, _ = world
     assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
@@ -1086,19 +1097,25 @@ def test_mask_beside_a_non_utf8_hostname_moves_its_host_and_leaks_nothing(
                           "--kdf-iterations", "1")
     assert proc.returncode == 0, proc.stderr  # the mask never reads the bad row
     assert [row[0] for row in conn.execute("SELECT id FROM moz_logins")] == [3]
-    store_hash, vault_hash = file_sha256(handle.path), file_sha256(vault_path)
-    for command in (["status"], ["unmask", "--all"]):  # these read every hostname
-        proc = run_subprocess(*command, "--store", handle.path, "--vault", vault_path)
+    conn.text_factory = bytes
+    bad_row = conn.execute("SELECT * FROM moz_logins WHERE id = 3").fetchone()
+    store_hash = file_sha256(handle.path)
+    for command in ("status", "list"):  # these read every hostname
+        proc = run_subprocess(command, "--store", handle.path, "--vault", vault_path)
         assert proc.returncode == 1, proc.stderr
         assert "SECRET" not in proc.stderr and "Traceback" not in proc.stderr
     assert file_sha256(handle.path) == store_hash
-    assert file_sha256(vault_path) == vault_hash
+    proc = run_subprocess("unmask", "--store", handle.path, "--vault", vault_path, "--all")
+    assert proc.returncode == 0, proc.stderr  # it reads ids, and hostnames of a.example only
+    assert "SECRET" not in proc.stdout + proc.stderr
+    assert conn.execute("SELECT * FROM moz_logins WHERE id = 3").fetchone() == bad_row
     conn.execute("UPDATE moz_logins SET hostname = 'b.example' WHERE id = 3")
     conn.commit()
     conn.close()
-    proc = run_subprocess("unmask", "--store", handle.path, "--vault", vault_path, "--all")
-    assert proc.returncode == 0, proc.stderr
     assert dump_of(handle.path) == original
+    from credmask.vault import open_vault
+    with open_vault(vault_path, PASS) as vf:
+        assert vf.hosts() == []
 
 
 def test_unmask_failing_a_non_id_constraint_exits_1_and_changes_nothing(run, world):

@@ -150,7 +150,7 @@ def test_mask_report_comes_from_one_scan_inside_the_transaction(world, monkeypat
 
     monkeypatch.setattr(StoreHandle, "read_rows", read_rows)
     monkeypatch.setattr(StoreHandle, "hostnames", no_scan)
-    monkeypatch.setattr(StoreHandle, "host_row_ids", no_scan)
+    monkeypatch.setattr(StoreHandle, "host_counts", no_scan)
     plan = engine.apply_mask(handle, vf, SIX, keystore)
     assert in_transaction == [True]
     monkeypatch.undo()
@@ -241,8 +241,8 @@ def test_round_trip_restores_bytes_and_keystore(world):
     engine.apply_mask(handle, vf, SIX, keystore)
     assert handle.dump_canonical() != original
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-    report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
-    assert report.mode == engine.MODE_NORMAL
+    conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+    assert engine.status(handle, vf).mode == engine.MODE_NORMAL
     assert conflicts == []
     assert handle.dump_canonical() == original
     assert vf.hosts() == []
@@ -349,7 +349,7 @@ def test_conflict_keep_live_keeps_both_rows(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
     vaulted_rows = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-    report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+    conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert len(conflicts) == 1
     c = conflicts[0]
     assert (c.hostname, c.action) == ("host00.example", engine.KEEP_LIVE)
@@ -365,7 +365,7 @@ def test_conflict_keep_live_keeps_both_rows(world):
 def test_conflict_keep_live_collapses_duplicates(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=True)
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-    report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+    conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     live = host_rows(handle, "host00.example")
     # the duplicate vaulted row was dropped in favor of the live one
     dup_key = encode_cell_value(resaved[USER])
@@ -377,7 +377,7 @@ def test_conflict_overwrite_live_restores_verbatim(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
     original_rows = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.OVERWRITE_LIVE)
-    report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+    conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     live = host_rows(handle, "host00.example")
     assert tagged(live) == tagged(original_rows)  # byte-exact, original ids, resaved row gone
     assert conflicts[0].action == engine.OVERWRITE_LIVE
@@ -412,7 +412,7 @@ def test_keep_live_tells_storage_classes_apart(tmp_path, tiny_kdf, live, vaulted
         conn.execute("INSERT INTO moz_logins VALUES (1, 'a.example', ?)", (live,))
         conn.commit()
         up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-        _, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+        conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
         rows = list(handle.read_rows())
     conn.close()
     assert [(c.live_rows, c.restored_rows) for c in conflicts] == [(1, 1)]
@@ -430,7 +430,7 @@ def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf)
         resaved = canonical_login_row(2, "b.example", encryptedUsername="ENC-USER-new")
         handle.insert_rows([resaved])
         up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
-        report, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+        conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     rows = {r[0]: r for r in handle.read_rows()}
     assert tagged([rows[1], rows[2], rows[3]]) == tagged([original[1], resaved, original[3]])
     assert content_multiset(rows.values()) == content_multiset(
@@ -464,7 +464,7 @@ def test_keep_live_fresh_ids_skip_the_ids_of_hosts_still_masked(tmp_path, tiny_k
             11, 14, 15, 16]
 
         up = engine.plan_unmask(vf, ["b.example"], policy)
-        _, conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
+        conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
         assert conflicts == []
         assert tagged(host_rows(handle, "b.example")) == tagged(b_rows)
 
@@ -477,17 +477,93 @@ def test_unmask_report_equals_a_fresh_status_without_a_second_scan(world, policy
     if policy != engine.FAIL:  # host00 saved again under its old id 1: a conflict
         handle.insert_rows([canonical_login_row(1, "host00.example",
                                                 encryptedUsername="ENC-USER-new")])
-    scans = []
-    scan = type(handle).host_row_ids
-    monkeypatch.setattr(type(handle), "host_row_ids",
-                        lambda self: scans.append(1) or scan(self))
+
+    def no_scan(self, *args, **kwargs):
+        raise AssertionError("apply_unmask read every hostname")
+
+    monkeypatch.setattr(StoreHandle, "hostnames", no_scan)
+    monkeypatch.setattr(StoreHandle, "host_counts", no_scan)
     up = engine.plan_unmask(vf, ["host00.example", "host03.example", "host05.example"],
                             policy)
-    report, _ = engine.apply_unmask(up, vf.open_proof, handle, vf)
-    assert len(scans) == 1
+    conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     monkeypatch.undo()
-    assert report == engine.status(handle, vf)
+    assert [(c.hostname, c.live_rows) for c in conflicts] == (
+        [] if policy == engine.FAIL else [("host00.example", 1)])
+    report = engine.status(handle, vf)
+    assert report.mode == (engine.MODE_MASKED if vf.entries else engine.MODE_NORMAL)
     assert report.masked_hosts == ("host01.example", "host02.example", "host04.example")
+    assert report.live_hosts == tuple(sorted(
+        set(ten_host_counts()) - {"host01.example", "host02.example", "host04.example"}))
+
+
+def trace_unmask(handle, vf, policy):
+    """The statements one apply_unmask runs, and the row ids insert_rows gets."""
+    statements, inserted = [], []
+    insert_rows = StoreHandle.insert_rows
+
+    def recording(self, rows):
+        inserted.extend(row[0] for row in rows)
+        return insert_rows(self, rows)
+
+    handle._conn.set_trace_callback(statements.append)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StoreHandle, "insert_rows", recording)
+            conflicts = engine.apply_unmask(engine.plan_unmask(vf, None, policy),
+                                            vf.open_proof, handle, vf)
+    finally:
+        handle._conn.set_trace_callback(None)
+    return statements, inserted, conflicts
+
+
+@pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)
+def test_unmask_reads_ids_then_its_own_hosts_and_inserts_in_id_order(world, policy):
+    handle, vf, keystore = world
+    original = handle.dump_canonical()
+    engine.apply_mask(handle, vf, SIX, keystore)
+    statements, inserted, _ = trace_unmask(handle, vf, policy)
+    begin = statements.index("BEGIN IMMEDIATE")
+    assert "sqlite_master" in statements[begin + 1]  # the trigger check
+    selects = [sql for i, sql in enumerate(statements)
+               if sql.startswith("SELECT") and i != begin + 1]
+    assert selects[0] == 'SELECT "id" FROM "moz_logins" ORDER BY "id"'
+    columns = CANONICAL_COLUMNS if policy == engine.KEEP_LIVE else ("id", "hostname")
+    cols = ", ".join(f'"{c}"' for c in columns)
+    assert selects[1].startswith(f'SELECT {cols} FROM "moz_logins" WHERE "hostname" IN (')
+    assert len(selects) == 2
+    assert inserted == sorted(inserted) and len(inserted) == sum(
+        ten_host_counts()[h] for h in SIX)
+    assert handle.dump_canonical() == original
+
+
+@pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)
+def test_unmask_of_501_hosts_finds_live_rows_on_both_sides_of_a_chunk(
+        store_factory, tmp_path, tiny_kdf, policy):
+    counts = {f"h{i:03d}.example": 1 + i % 2 for i in range(502)}
+    handle = store_factory(counts)
+    wanted = sorted(counts)[:501]  # one chunk of 500 hosts and one of 1
+    resaved = {wanted[i]: i for i in (0, 499, 500)}
+    with create_vault(tmp_path / "vault.cmv", "secret", tiny_kdf) as vf:
+        engine.apply_mask(handle, vf, wanted)
+        for host, i in resaved.items():
+            handle.insert_rows([canonical_login_row(10_000 + i, host,
+                                                    encryptedUsername="ENC-USER-new")])
+        before, vault_hash = handle.dump_canonical(), file_sha256(vf.path)
+        up = engine.plan_unmask(vf, None, policy)
+        if policy == engine.FAIL:
+            with pytest.raises(UnresolvedConflictError) as exc:
+                engine.apply_unmask(up, vf.open_proof, handle, vf)
+            assert [c.hostname for c in exc.value.reports] == list(resaved)
+            assert handle.dump_canonical() == before and file_sha256(vf.path) == vault_hash
+            return
+        statements, inserted, conflicts = trace_unmask(handle, vf, policy)
+    assert [(c.hostname, c.live_rows, c.action) for c in conflicts] == [
+        (host, 1, policy) for host in resaved]
+    assert len([sql for sql in statements if 'WHERE "hostname" IN' in sql]) == 2
+    assert inserted == sorted(inserted)
+    live = Counter(row[1] for row in handle.read_rows())
+    extra = 1 if policy == engine.KEEP_LIVE else 0  # the resaved row kept beside them
+    assert live == {h: counts[h] + (extra if h in resaved else 0) for h in counts}
 
 
 # -- crash safety ----------------------------------------------------------------------

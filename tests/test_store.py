@@ -390,21 +390,48 @@ def test_dump_streams_its_rows(tmp_path):
     assert peak < 3 * len(dump)
 
 
-def test_host_row_ids_reads_ids_only_and_checks_text(tmp_path):
-    p = tmp_path / "hosts.sqlite"
+def test_host_counts_tell_nocase_spellings_apart(tmp_path):
+    # GROUP BY on a COLLATE NOCASE column would fold A.example into a.example
+    p = tmp_path / "nocase.sqlite"
     conn = sqlite3.connect(p)
-    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY, hostname)")
-    conn.executemany("INSERT INTO moz_logins VALUES (?, ?)",
-                     [(3, "b.example"), (1, "b.example"), (2, "a.example")])
-    conn.commit()
-    with open_store(p) as handle:
-        by_host = handle.host_row_ids()
-    assert list(by_host.items()) == [("b.example", [1, 3]), ("a.example", [2])]
-    conn.execute("INSERT INTO moz_logins VALUES (4, 42)")
+    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY,"
+                 " hostname TEXT COLLATE NOCASE, encryptedUsername TEXT)")
+    conn.executemany("INSERT INTO moz_logins VALUES (?, ?, ?)",
+                     [(3, "a.example", "x"), (1, "A.example", "y"), (2, "a.example", "z")])
     conn.commit()
     conn.close()
     with open_store(p) as handle:
-        with pytest.raises(SchemaError, match="TEXT"):
-            handle.host_row_ids()
+        assert handle.host_counts() == {"A.example": 1, "a.example": 2}
+
+
+@pytest.mark.parametrize("hostname", ["CAST(x'53454352455466ff' AS TEXT)", "42"],
+                         ids=["not-utf8", "integer"])
+def test_host_counts_check_text_without_quoting_the_cell(tmp_path, hostname):
+    p = tmp_path / "hosts.sqlite"
+    conn = sqlite3.connect(p)
+    conn.execute("CREATE TABLE moz_logins (id INTEGER PRIMARY KEY, hostname)")
+    conn.execute("INSERT INTO moz_logins VALUES (1, 'a.example')")
+    conn.execute(f"INSERT INTO moz_logins VALUES (2, {hostname})")
+    conn.commit()
+    conn.close()
+    with open_store(p) as handle:
+        with pytest.raises(SchemaError) as exc:
+            handle.host_counts()
+        assert handle.row_ids() == {1, 2}  # ids alone never read the bad cell
         with pytest.raises(SchemaError, match="TEXT"):
             handle.list_logins()
+    assert "TEXT" in str(exc.value) and "SECRET" not in str(exc.value)
+
+
+def test_row_ids_read_the_id_column_only(tmp_path):
+    handle = init_fixture(tmp_path / "s.sqlite", make_rows({"a.example": 2, "b.example": 3}))
+    statements = []
+    handle._conn.set_trace_callback(statements.append)
+    try:
+        assert handle.row_ids() == {1, 2, 3, 4, 5}
+        assert handle.row_ids([5, 2, 9]) == {2, 5}
+    finally:
+        handle._conn.set_trace_callback(None)
+        handle.close()
+    assert len(statements) == 2
+    assert all(sql.startswith('SELECT "id" FROM') for sql in statements), statements
