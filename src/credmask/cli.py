@@ -172,7 +172,7 @@ def cmd_list(store_path, vault_path, fmt, passphrase_fd, config_path):
         if vault_path and Path(vault_path).exists():
             vf = stack.enter_context(
                 vault.open_vault(vault_path, _read_passphrase(passphrase_fd)))
-            for entry in vf.entries:
+            for entry in vf.entries.values():
                 rows.append((entry.hostname, entry.row_count, "masked"))
     rows.sort(key=lambda r: r[0])
     if fmt == "json-lines":
@@ -232,7 +232,7 @@ def cmd_mask(store_path, vault_path, hosts_csv, keystore_path, init_vault,
 
 def _interactive_selection(handle: store.StoreHandle, vf) -> list[str]:
     counts = handle.host_counts()
-    vaulted = set(vf.hosts()) if vf is not None else set()
+    vaulted = vf.entries if vf is not None else {}
     options = [h for h in sorted(counts) if h not in vaulted]
     if not options:
         raise UsageError("no live hosts available to mask")

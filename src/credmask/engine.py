@@ -98,8 +98,7 @@ def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
     wanted = sorted(set(hosts))
     if not wanted:
         raise EmptySelectionError("no hosts selected")
-    vaulted = set(vault.hosts()) if vault is not None else set()
-    already = [h for h in wanted if h in vaulted]
+    already = [h for h in wanted if vault is not None and h in vault.entries]
     if already:
         raise AlreadyMaskedError(f"already masked: {already}")
     rows_by_host: dict[str, list[tuple]] = {h: [] for h in wanted}
@@ -133,7 +132,7 @@ def apply_mask(store: StoreHandle, vault: VaultFile, hosts: Iterable[str],
     rows read under that lock. The order means an interruption can only ever
     duplicate rows, never lose them.
     """
-    foreign = _foreign_stores(vault.entries, store.path)
+    foreign = _foreign_stores(vault.entries.values(), store.path)
     if foreign:
         raise StoreMismatchError(
             f"the vault holds hosts masked from another store: {', '.join(foreign)}")
@@ -143,10 +142,9 @@ def apply_mask(store: StoreHandle, vault: VaultFile, hosts: Iterable[str],
         plan = plan_mask(store, vault, hosts, keystore_path)
         now = int(time.time())
         store_path = str(Path(store.path).resolve())
-        vault.put_entries(
-            VaultEntry.from_store_rows(hostname, rows, now, store_path, store.schema,
-                                       store.pk_column)
-            for hostname, _, rows in plan.selections)
+        for hostname, _, rows in plan.selections:  # none is vaulted: plan_mask checked
+            vault.entries[hostname] = VaultEntry.from_store_rows(
+                hostname, rows, now, store_path, store.schema, store.pk_column)
         if plan.keystore_before is not None and vault.keystore_record is None:
             vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
         vault.commit()
@@ -163,14 +161,13 @@ def plan_unmask(vault: VaultFile, hosts: Iterable[str] | None = None,
     """
     if conflict_policy not in CONFLICT_POLICIES:
         raise ValueError(f"conflict_policy must be one of {CONFLICT_POLICIES}")
-    vaulted = vault.hosts()
-    if not vaulted:
+    if not vault.entries:
         raise NothingMaskedError("the vault holds no entries")
     if hosts is None:
-        wanted = frozenset(vaulted)
+        wanted = frozenset(vault.entries)
     else:
         wanted = frozenset(hosts)
-        unknown = wanted - set(vaulted)
+        unknown = wanted - vault.entries.keys()
         if unknown:
             raise UnknownHostError(f"not vaulted: {sorted(unknown)}")
         if not wanted:
@@ -210,9 +207,8 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
         raise AuthFailedError("proof was not issued by this vault instance")
     check_policy(vault.policy, [proof])
 
-    by_host = {e.hostname: e for e in vault.entries}
     try:
-        entries = [by_host[h] for h in sorted(plan.hosts)]
+        entries = [vault.entries[h] for h in sorted(plan.hosts)]
     except KeyError as e:
         raise UnknownHostError(f"not vaulted: {e.args[0]}") from None
     foreign = _foreign_stores(entries, store.path)
@@ -229,7 +225,8 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     pk_index = store.schema.index(store.pk_column)
     with store.write_transaction():
         occupied = store.row_ids()
-        next_id = 1 + max([*occupied, *(e.max_row_id for e in vault.entries)], default=0)
+        next_id = 1 + max([*occupied, *(e.max_row_id for e in vault.entries.values())],
+                          default=0)
         live_ids: dict[str, list[int]] = {e.hostname: [] for e in entries}
         live_keys = set()
         # keep-live compares the live rows' cells; the other policies need their ids
@@ -277,7 +274,8 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
         if to_insert:
             to_insert.sort(key=lambda row: row[pk_index])  # fills B-tree pages in order
             store.insert_rows(to_insert)
-    vault.take_entries(plan.hosts)
+    for entry in entries:
+        del vault.entries[entry.hostname]
     if not vault.entries:
         vault.keystore_record = None
     vault.commit()
@@ -290,13 +288,13 @@ def status(store: StoreHandle, vault: VaultFile | None) -> StatusReport:
     ``foreign_stores`` names the stores, other than this one, that vaulted
     hosts were masked from.
     """
-    masked = tuple(vault.hosts()) if vault is not None else ()
+    entries = vault.entries if vault is not None else {}
     return StatusReport(
-        mode=MODE_MASKED if masked else MODE_NORMAL,
-        masked_hosts=masked,
+        mode=MODE_MASKED if entries else MODE_NORMAL,
+        masked_hosts=tuple(entries),
         live_hosts=tuple(sorted(store.hostnames())),
         keystore_ok=_keystore_ok(vault),
-        foreign_stores=_foreign_stores(vault.entries, store.path) if vault is not None else (),
+        foreign_stores=_foreign_stores(entries.values(), store.path),
     )
 
 

@@ -71,10 +71,6 @@ class VaultLockedError(CredmaskError):
     """Another handle already holds the vault's advisory lock."""
 
 
-class DuplicateHostError(CredmaskError):
-    """An entry for this hostname is already in the vault."""
-
-
 class UnknownHostError(CredmaskError):
     """The hostname is not present where it was required to be."""
 

@@ -8,17 +8,19 @@ On-disk layout, all integers big-endian:
 
 The payload (laid out in the README) writes every row with
 :func:`wire.encode_rows`, the encoder of the store's canonical dump, so a
-vaulted row restores byte-exactly. Every entry is held encoded, as its slice of
-the payload: ``mask`` encodes the rows it reads from SQLite straight into a new
-entry's bytes, and opening checks the whole payload and keeps each entry's
-slice. Opening checks each row against its entry's column list, and rows whose
-names come in another order are still read. Listing hosts and counting rows
-decode nothing, a commit copies the slices, and ``unmask`` decodes a slice
-straight into the values it inserts. Every commit re-encrypts the whole state
-under a fresh nonce and replaces the file atomically (write temp, fsync,
-rename); a crash mid-commit leaves the previous version intact, and the next
-commit removes the temp file it left. The header is bound as associated data,
-so any ciphertext or header flip fails the tag.
+vaulted row restores byte-exactly. A vault holds one entry per hostname, keyed
+by it in payload order; a payload that repeats a hostname does not open. Every
+entry is held encoded, as its slice of the payload: ``mask`` encodes the rows
+it reads from SQLite straight into a new entry's bytes, and opening checks the
+whole payload and keeps each entry's slice. Opening checks each row against its
+entry's column list, and rows whose names come in another order are still
+read. Listing hosts and counting rows decode nothing, a commit copies the
+slices, and ``unmask`` decodes a slice straight into the values it inserts.
+Every commit re-encrypts the whole state under a fresh nonce and replaces the
+file atomically (write temp, fsync, rename); a crash mid-commit leaves the
+previous version intact, and the next commit removes the temp file it left.
+The header is bound as associated data, so any ciphertext or header flip fails
+the tag.
 
 The stated threat holds the machine's root credentials, so file permissions
 protect nothing; only the passphrase-derived key does.
@@ -34,16 +36,14 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import auth, crypto
 from .errors import (
     AlreadyExistsError,
     BadVersionError,
-    DuplicateHostError,
     SchemaMismatchError,
     TamperedVaultError,
-    UnknownHostError,
     VaultLockedError,
     WrongSecretError,
 )
@@ -154,22 +154,25 @@ class VaultEntry:
 class VaultFile:
     """Decrypted in-memory view of a vault; durably saved only by commit().
 
-    Confined to one thread of control; at most one open handle per path per
-    process, enforced by an advisory lock on a sidecar ``.lock`` file.
+    ``entries`` maps each vaulted hostname to its entry, in payload order;
+    change it in place and commit. Confined to one thread of control; at most
+    one open handle per path per process, enforced by an advisory lock on a
+    sidecar ``.lock`` file.
     """
 
     def __init__(self, path: Path, kdf_params: crypto.KdfParams, key: bytes,
                  lock_fd: int):
         self.path = path
         self.kdf_params = kdf_params
-        self.format_version = FORMAT_VERSION
-        self.entries: list[VaultEntry] = []
+        self.entries: dict[str, VaultEntry] = {}
         self.auth_records: list[auth.AuthRecord] = []
         self.policy: str = auth.POLICY_PASSPHRASE_ONLY
         self.keystore_record: tuple[str, bytes] | None = None
         # ephemeral identity binding proofs to this open instance
         self.auth_token: bytes = os.urandom(16)
-        self.open_proof: auth.AuthProof | None = None
+        # the key opened the vault, so its passphrase is proven
+        self.open_proof = auth.AuthProof(kinds=frozenset({auth.KIND_PASSPHRASE}),
+                                         vault_token=self.auth_token)
         self._key = key
         self._lock_fd = lock_fd
         self._closed = False
@@ -188,32 +191,6 @@ class VaultFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- entry operations ------------------------------------------------------
-
-    def hosts(self) -> list[str]:
-        return [e.hostname for e in self.entries]
-
-    def put_entries(self, new: Iterable[VaultEntry]) -> None:
-        """Append entries; hostnames must be new to the vault. Not durable."""
-        incoming = list(new)
-        present = set(self.hosts())
-        for entry in incoming:
-            if entry.hostname in present:
-                raise DuplicateHostError(f"already vaulted: {entry.hostname}")
-            present.add(entry.hostname)
-        self.entries.extend(incoming)
-
-    def take_entries(self, hostnames: Iterable[str]) -> list[VaultEntry]:
-        """Remove and return the entries for the given hosts; all or nothing."""
-        wanted = set(hostnames)
-        present = set(self.hosts())
-        missing = wanted - present
-        if missing:
-            raise UnknownHostError(f"not vaulted: {sorted(missing)}")
-        taken = [e for e in self.entries if e.hostname in wanted]
-        self.entries = [e for e in self.entries if e.hostname not in wanted]
-        return taken
-
     # -- durability --------------------------------------------------------------
 
     def commit(self) -> None:
@@ -228,7 +205,7 @@ class VaultFile:
             raise ValueError("vault handle is closed")
         nonce = os.urandom(crypto.NONCE_LEN)
         header = _HEADER.pack(
-            MAGIC, self.format_version, self.kdf_params.memory_bytes,
+            MAGIC, FORMAT_VERSION, self.kdf_params.memory_bytes,
             self.kdf_params.iterations, self.kdf_params.parallelism,
             self.kdf_params.salt,
         )
@@ -245,7 +222,7 @@ class VaultFile:
     def _serialize(self) -> bytes:
         w = Writer()
         w.u32(len(self.entries))
-        for entry in self.entries:
+        for entry in self.entries.values():
             w.raw(entry._encoded)
         w.u32(len(self.auth_records))
         for record in self.auth_records:
@@ -334,7 +311,10 @@ class VaultFile:
             keystore = (r.text(), r.raw(32))
         if not r.exhausted():
             raise ValueError("trailing bytes after payload")
-        self.entries = entries
+        by_host = {e.hostname: e for e in entries}
+        if len(by_host) != len(entries):
+            raise ValueError("a hostname has more than one vault entry")
+        self.entries = by_host
         self.auth_records = records
         for record in records:
             record.vault_token = self.auth_token
@@ -474,9 +454,6 @@ def create_vault(path: str | os.PathLike, passphrase: bytes | str,
     except Exception:
         _release_lock(lock_fd)
         raise
-    vault.open_proof = auth.AuthProof(
-        kinds=frozenset({auth.KIND_PASSPHRASE}), vault_token=vault.auth_token
-    )
     return vault
 
 
@@ -496,14 +473,10 @@ def open_vault(path: str | os.PathLike, passphrase: bytes | str) -> VaultFile:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(p))
     lock_fd = _acquire_lock(p)
     try:
-        vault = _read_locked(p, passphrase, lock_fd)
+        return _read_locked(p, passphrase, lock_fd)
     except BaseException:
         _release_lock(lock_fd)
         raise
-    vault.open_proof = auth.AuthProof(
-        kinds=frozenset({auth.KIND_PASSPHRASE}), vault_token=vault.auth_token
-    )
-    return vault
 
 
 # -- internals --------------------------------------------------------------------------

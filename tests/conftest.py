@@ -33,12 +33,6 @@ def make_rows(host_counts):
     return rows
 
 
-def vault_entry(vf, hostname):
-    """The open vault's entry for ``hostname``."""
-    [entry] = [e for e in vf.entries if e.hostname == hostname]
-    return entry
-
-
 def ten_host_counts(rows_total=25, hosts=10):
     counts = {}
     for i in range(rows_total):

@@ -36,8 +36,6 @@ RUNS = (
 ALLOWED = {
     "matching._invert":
         "maps a reverse-direction alignment back when the reverse pass scores higher",
-    "vault._row_cells":
-        "decodes a vaulted row whose cells are off its entry's column layout",
 }
 
 SITECUSTOMIZE = '''\

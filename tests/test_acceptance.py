@@ -146,9 +146,8 @@ def test_criterion_3_tamper_suite(tmp_path):
     with create_vault(path, PASSPHRASE, KdfParams.generate(**TINY_KDF)) as vf:
         rows = [canonical_login_row(1, "only.example")]
         from credmask.vault import VaultEntry
-        vf.put_entries([VaultEntry.from_store_rows("only.example", rows, 0,
-                                                   str(tmp_path / "signons.sqlite"),
-                                                   CANONICAL_COLUMNS, "id")])
+        vf.entries["only.example"] = VaultEntry.from_store_rows(
+            "only.example", rows, 0, str(tmp_path / "signons.sqlite"), CANONICAL_COLUMNS, "id")
         auth.enroll_passphrase(vf, PASSPHRASE, KdfParams.generate(**TINY_KDF))
         vf.commit()
 
@@ -187,7 +186,7 @@ def test_criterion_4_crash_safety(tmp_path):
     # every original row is recoverable from store + vault
     recoverable = Counter(tagged(handle.read_rows()))
     recoverable.update(tagged(
-        row for e in vf.entries for row in e.store_rows(CANONICAL_COLUMNS, "id")))
+        row for e in vf.entries.values() for row in e.store_rows(CANONICAL_COLUMNS, "id")))
     for key, count in original.items():
         assert recoverable[key] >= count
 

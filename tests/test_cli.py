@@ -17,7 +17,7 @@ from credmask.store import CANONICAL_COLUMNS, canonical_login_row, init_fixture,
 from credmask.evaluation import generate_synthetic
 from credmask.wire import encode_cell_value
 
-from conftest import file_sha256, ten_host_counts, vault_entry
+from conftest import file_sha256, ten_host_counts
 from test_vault_reference import tagged
 
 PASS = "correct horse"
@@ -277,7 +277,7 @@ def test_mask_force_against_held_database_lock_exits_3(run, world, tiny_kdf):
     assert code == 3, err
     assert elapsed < 6
     with open_vault(vault_path, PASS) as vf:
-        assert vf.hosts() == []
+        assert vf.entries == {}
     assert dump_of(store_path) == before
 
 
@@ -327,7 +327,7 @@ def test_mask_menu_refuses_numbers_below_1(run, world, answer):
     assert "cannot parse selection" in err
     assert dump_of(store_path) == before
     with open_vault(vault_path, PASS) as vf:
-        assert vf.entries == []
+        assert vf.entries == {}
 
 
 # -- deleted cells leave the store's files ---------------------------------------
@@ -522,7 +522,7 @@ def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, wor
     with open_vault(vault_path, PASS) as vf:
         # the entries lead the payload: append one, sealed under the vault's key
         payload = vf._serialize()
-        end = 4 + sum(len(e._encoded) for e in vf.entries)
+        end = 4 + sum(len(e._encoded) for e in vf.entries.values())
         count = len(vf.entries) + 1
         monkeypatch.setattr(vf, "_serialize", lambda: (
             count.to_bytes(4, "big") + payload[4:end] + bad + payload[end:]))
@@ -534,6 +534,58 @@ def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, wor
     assert "cell" in err
     assert dump_of(store_path) == before
     assert file_sha256(vault_path) == vault_hash
+
+
+def sealed_entries(vault_path, tiny_kdf, monkeypatch, store_path, rows_by_entry):
+    """Seal a vault of one entry per item of ``rows_by_entry``, each a hostname
+    and its canonical rows as (column name, tagged bytes) row objects; returns
+    the store and vault bytes."""
+    import vault_reference
+    from test_vault import sealed, u32
+
+    entries = b"".join(vault_reference.encode_entry(host, 0, str(store_path.resolve()),
+                                                    CANONICAL_COLUMNS, rows)
+                       for host, rows in rows_by_entry)
+    sealed(vault_path, tiny_kdf, monkeypatch,
+           u32(len(rows_by_entry)) + entries + u32(0) + b"\x01\x00")
+    return store_path.read_bytes(), vault_path.read_bytes()
+
+
+def test_a_vault_naming_a_host_twice_exits_4_and_changes_nothing(run, store_factory, tmp_path,
+                                                                  tiny_kdf, monkeypatch):
+    import dump_reference
+
+    handle = store_factory({"b.example": 1})
+    handle.close()
+    vault_path = tmp_path / "vault.cmv"
+    before = sealed_entries(vault_path, tiny_kdf, monkeypatch, handle.path, [
+        ("a.example", dump_reference.login_rows([canonical_login_row(row_id, "a.example")],
+                                                CANONICAL_COLUMNS, "id"))
+        for row_id in (101, 102)])
+    for command in (["list"], ["status"], ["unmask", "--all"]):
+        code, out, err = run(*command, "--store", handle.path, "--vault", vault_path,
+                             passphrase="secret")
+        assert (code, out) == (4, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (handle.path.read_bytes(), vault_path.read_bytes()) == before
+
+
+def test_unmask_restores_a_row_whose_cells_are_off_its_column_list_in_store_order(
+        run, store_factory, tmp_path, tiny_kdf, monkeypatch):
+    import dump_reference
+
+    handle = store_factory({"b.example": 1})
+    vault_path = tmp_path / "vault.cmv"
+    rows = [canonical_login_row(101, "a.example", httpRealm="ü realm"),
+            canonical_login_row(102, "a.example", encryptedUsername=b"\x00\xff", encType=1.5),
+            canonical_login_row(103, "a.example", guid=None)]
+    encoded = dump_reference.login_rows(rows, CANONICAL_COLUMNS, "id")
+    encoded[1] = encoded[1]._replace(cells=encoded[1].cells[::-1])  # id cell last
+    sealed_entries(vault_path, tiny_kdf, monkeypatch, handle.path, [("a.example", encoded)])
+    code, out, err = run("unmask", "--store", handle.path, "--vault", vault_path, "--all",
+                         passphrase="secret")
+    assert code == 0, err
+    assert tagged(handle.read_rows(hosts=["a.example"])) == tagged(rows)
 
 
 def test_unmask_requires_selection(run, world):
@@ -610,7 +662,7 @@ def test_unmask_against_held_database_lock_exits_3(run, world):
     assert dump_of(store_path) == before
     assert file_sha256(vault_path) == vault_hash
     with open_vault(vault_path, PASS) as vf:
-        assert vf.hosts() == ["host00.example"]
+        assert list(vf.entries) == ["host00.example"]
 
 
 def test_mask_init_on_busy_profile_leaves_an_empty_vault_a_rerun_opens(run, world):
@@ -624,10 +676,10 @@ def test_mask_init_on_busy_profile_leaves_an_empty_vault_a_rerun_opens(run, worl
     lock.unlink()
     assert dump_of(store_path) == before
     with open_vault(vault_path, PASS) as vf:
-        assert vf.entries == []
+        assert vf.entries == {}
     assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
     with open_vault(vault_path, PASS) as vf:
-        assert vf.hosts() == ["host00.example"]
+        assert list(vf.entries) == ["host00.example"]
 
 
 @pytest.mark.parametrize("init", [False, True], ids=["without-init", "with-init"])
@@ -712,7 +764,7 @@ def test_unmask_remaps_only_an_id_another_host_took(run, world, policy):
     store_path, vault_path, _ = world
     assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
     with open_vault(vault_path, PASS) as vf:
-        vaulted = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
+        vaulted = vf.entries["host00.example"].store_rows(CANONICAL_COLUMNS, "id")
     taker = canonical_login_row(vaulted[1][0], "host01.example",
                                 encryptedUsername="ENC-USER-new")
     with open_store(store_path, "rw") as handle:
@@ -855,11 +907,11 @@ def test_interleaved_maskers_lose_no_row(store_factory, tmp_path, capsys, monkey
     monkeypatch.undo()
 
     with open_vault(vault_path, PASS) as vf:
-        vaulted = [row for entry in vf.entries
+        vaulted = [row for entry in vf.entries.values()
                    for row in entry.store_rows(CANONICAL_COLUMNS, "id")]
     with open_store(handle.path) as after:
         live = list(after.read_rows())
-    assert [e.hostname for e in vf.entries] == ["a.example"]
+    assert list(vf.entries) == ["a.example"]
     assert tagged(sorted(vaulted + live, key=lambda row: row[0])) == tagged(before)
 
 
@@ -899,7 +951,7 @@ def test_masker_during_another_vault_commit_exits_3(store_factory, tmp_path, mon
     places = []
     for path in (vault_a, vault_b):
         with open_vault(path, PASS) as vf:
-            places.append([row for entry in vf.entries
+            places.append([row for entry in vf.entries.values()
                            for row in entry.store_rows(CANONICAL_COLUMNS, "id")])
     with open_store(handle.path) as after:
         places.append(list(after.read_rows()))
@@ -1072,7 +1124,7 @@ def test_mask_of_a_text_cell_that_is_not_utf8_exits_1_and_leaks_nothing(store_fa
     assert file_sha256(handle.path) == store_hash
     from credmask.vault import open_vault
     with open_vault(vault_path, PASS) as vf:
-        assert vf.hosts() == []
+        assert vf.entries == {}
 
 
 def run_subprocess(*args, stdin=PASS):
@@ -1115,7 +1167,7 @@ def test_mask_beside_a_non_utf8_hostname_moves_its_host_and_leaks_nothing(
     assert dump_of(handle.path) == original
     from credmask.vault import open_vault
     with open_vault(vault_path, PASS) as vf:
-        assert vf.hosts() == []
+        assert vf.entries == {}
 
 
 def test_unmask_failing_a_non_id_constraint_exits_1_and_changes_nothing(run, world):
@@ -1529,7 +1581,7 @@ def test_init_prompt_asks_again_until_the_passphrases_match(run, world, monkeypa
     assert "final" not in out + err and "typo" not in out + err
     from credmask.vault import open_vault
     with open_vault(vault_path, "final") as vf:
-        assert vf.hosts() == ["host00.example"]
+        assert list(vf.entries) == ["host00.example"]
 
 
 def test_eof_at_the_host_menu_exits_1_and_changes_nothing(run, world):

@@ -20,7 +20,7 @@ from credmask.store import (CANONICAL_COLUMNS, StoreHandle, canonical_login_row,
 from credmask.vault import create_vault, open_vault
 from credmask.wire import encode_cell_value
 
-from conftest import file_sha256, ten_host_counts, vault_entry
+from conftest import file_sha256, ten_host_counts
 from crash_child import KILLED, run_killed
 from test_vault_reference import tagged
 
@@ -41,7 +41,7 @@ def row_multiset(handle):
 
 
 def vault_multiset(vf):
-    return Counter(tagged(row for e in vf.entries
+    return Counter(tagged(row for e in vf.entries.values()
                           for row in e.store_rows(CANONICAL_COLUMNS, "id")))
 
 
@@ -98,7 +98,7 @@ def test_apply_mask_moves_exactly_the_selection(world):
     assert [h for h, _, _ in plan.selections] == SIX
     moved = {rid for _, ids, _ in plan.selections for rid in ids}
     assert {r[0] for r in handle.read_rows()} == before - moved
-    assert sorted(vf.hosts()) == SIX
+    assert sorted(vf.entries) == SIX
     report = engine.status(handle, vf)
     assert report.mode == engine.MODE_MASKED and report.keystore_ok
 
@@ -220,7 +220,7 @@ def test_mask_of_501_hosts_crosses_a_chunk_and_round_trips(store_factory, tmp_pa
         assert [h for h, _, _ in plan.selections] == wanted
         assert [len(ids) for _, ids, _ in plan.selections] == [counts[h] for h in wanted]
         assert engine.status(handle, vf).live_hosts == ("h000.example",)
-        assert [e.row_count for e in vf.entries] == [counts[h] for h in wanted]
+        assert [e.row_count for e in vf.entries.values()] == [counts[h] for h in wanted]
         engine.apply_unmask(engine.plan_unmask(vf), vf.open_proof, handle, vf)
         assert handle.dump_canonical() == original
 
@@ -245,7 +245,7 @@ def test_round_trip_restores_bytes_and_keystore(world):
     assert engine.status(handle, vf).mode == engine.MODE_NORMAL
     assert conflicts == []
     assert handle.dump_canonical() == original
-    assert vf.hosts() == []
+    assert vf.entries == {}
     assert file_sha256(keystore) == keystore_before
 
 
@@ -278,12 +278,12 @@ def test_unmask_of_a_host_no_longer_vaulted_touches_nothing(world):
     handle, vf, keystore = world
     engine.apply_mask(handle, vf, SIX, keystore)
     plan = engine.plan_unmask(vf)
-    vf.take_entries(["host03.example"])
+    del vf.entries["host03.example"]
     store_hash = file_sha256(handle.path)
     with pytest.raises(UnknownHostError, match=r"^not vaulted: host03\.example$"):
         engine.apply_unmask(plan, vf.open_proof, handle, vf)
     assert file_sha256(handle.path) == store_hash
-    assert sorted(vf.hosts()) == [h for h in SIX if h != "host03.example"]
+    assert sorted(vf.entries) == [h for h in SIX if h != "host03.example"]
 
 
 def test_unmask_with_invalid_proof_touches_nothing(world, tmp_path, tiny_kdf):
@@ -347,7 +347,7 @@ def masked_then_resaved(world, same_credential):
 
 def test_conflict_keep_live_keeps_both_rows(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
-    vaulted_rows = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
+    vaulted_rows = vf.entries["host00.example"].store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.KEEP_LIVE)
     conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     assert len(conflicts) == 1
@@ -375,7 +375,7 @@ def test_conflict_keep_live_collapses_duplicates(world):
 
 def test_conflict_overwrite_live_restores_verbatim(world):
     handle, vf, vaulted_ids, resaved = masked_then_resaved(world, same_credential=False)
-    original_rows = vault_entry(vf, "host00.example").store_rows(CANONICAL_COLUMNS, "id")
+    original_rows = vf.entries["host00.example"].store_rows(CANONICAL_COLUMNS, "id")
     up = engine.plan_unmask(vf, None, engine.OVERWRITE_LIVE)
     conflicts = engine.apply_unmask(up, vf.open_proof, handle, vf)
     live = host_rows(handle, "host00.example")
@@ -604,13 +604,13 @@ def test_crash_after_vault_commit_loses_nothing(world):
         in_store = row_multiset(handle)
         in_vault = vault_multiset(reopened)
         assert in_store == original
-        assert sorted(reopened.hosts()) == SIX
+        assert sorted(reopened.entries) == SIX
         for key in original:
             assert in_store[key] or in_vault[key]
         recover(handle, reopened)
         assert row_multiset(handle) == original
         assert handle.dump_canonical() == dump
-        assert reopened.hosts() == []
+        assert reopened.entries == {}
 
 
 def test_crash_after_store_delete_is_recoverable(world):
@@ -619,7 +619,7 @@ def test_crash_after_store_delete_is_recoverable(world):
     kill_mask(world, "after-store-commit")
     # the mask itself completed; a normal unmask restores everything
     with open_vault(vf.path, "secret") as reopened:
-        assert sorted(reopened.hosts()) == SIX
+        assert sorted(reopened.entries) == SIX
         assert not any(row[1] in SIX for row in handle.read_rows())
         recover(handle, reopened)
         assert handle.dump_canonical() == original
@@ -633,13 +633,13 @@ def test_crash_after_store_insert_loses_nothing(world):
     with open_vault(vf.path, "secret") as reopened:
         in_store = row_multiset(handle)
         in_vault = vault_multiset(reopened)
-        assert sorted(reopened.hosts()) == SIX
+        assert sorted(reopened.entries) == SIX
         for key in rows:
             assert in_store[key] or in_vault[key]
         # recovery: keep-live drops the vaulted copies of the restored rows
         recover(handle, reopened)
         assert handle.dump_canonical() == original
-        assert reopened.hosts() == []
+        assert reopened.entries == {}
 
 
 def test_crash_after_unmask_vault_commit_loses_nothing(world):
@@ -649,7 +649,7 @@ def test_crash_after_unmask_vault_commit_loses_nothing(world):
     # the store took the rows back before the vault forgot them
     assert handle.dump_canonical() == original
     with open_vault(vf.path, "secret") as reopened:
-        assert reopened.entries == []
+        assert reopened.entries == {}
 
 
 # -- status ------------------------------------------------------------------------------

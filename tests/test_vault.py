@@ -9,9 +9,8 @@ from credmask.cli import main
 from credmask.errors import (
     AlreadyExistsError,
     BadVersionError,
-    DuplicateHostError,
+    EmptySelectionError,
     TamperedVaultError,
-    UnknownHostError,
     VaultLockedError,
     WrongSecretError,
 )
@@ -20,7 +19,7 @@ from credmask.store import CANONICAL_COLUMNS, canonical_login_row
 from credmask.vault import VaultEntry, create_vault, open_vault
 from credmask.wire import Writer
 
-from conftest import make_rows, vault_entry
+from conftest import make_rows
 from crash_child import KILLED, run_killed
 from test_vault_reference import tagged
 
@@ -42,11 +41,12 @@ def stored(entry):
 
 
 def entries_for(host_counts):
+    """Entries keyed by hostname, in ``host_counts`` order."""
     rows = make_rows(host_counts)
     by_host = {}
     for row in rows:
         by_host.setdefault(row[1], []).append(row)
-    return [entry_for(h, rs) for h, rs in by_host.items()]
+    return {h: entry_for(h, rs) for h, rs in by_host.items()}
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def test_create_then_open_empty(vault_path, tiny_kdf):
     with create_vault(vault_path, "secret", tiny_kdf):
         pass
     with open_vault(vault_path, "secret") as vf:
-        assert vf.entries == []
+        assert vf.entries == {}
         assert vf.auth_records == []
         assert vf.policy == auth.POLICY_PASSPHRASE_ONLY
 
@@ -78,64 +78,52 @@ def test_create_rejects_empty_passphrase(vault_path, tiny_kdf):
 def test_entries_survive_commit_and_reopen(vault_path, tiny_kdf):
     entries = entries_for({"a.example": 2, "b.example": 1})
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries)
+        vf.entries.update(entries)
         vf.commit()
     with open_vault(vault_path, "secret") as vf:
-        assert vf.entries == entries
+        assert list(vf.entries.items()) == list(entries.items())
 
 
 def test_put_six_entries_lists_six(vault_path, tiny_kdf):
-    entries = entries_for({f"h{i}.example": 1 for i in range(6)})
+    order = [f"h{i}.example" for i in (3, 0, 5, 1, 4, 2)]
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries)
-        assert len(vf.hosts()) == 6
+        vf.entries.update(entries_for(dict.fromkeys(order, 1)))
+        vf.commit()
+    with open_vault(vault_path, "secret") as vf:  # in payload order, not sorted
+        assert list(vf.entries) == order
 
 
-def test_put_nothing_changes_nothing(vault_path, tiny_kdf):
+def test_take_removes_only_requested(store_factory, vault_path, tiny_kdf):
+    handle = store_factory({"a.example": 1, "b.example": 2})
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries([])
-        assert vf.entries == []
-
-
-def test_put_duplicate_host_rejected(vault_path, tiny_kdf):
-    entries = entries_for({"a.example": 1})
-    with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries)
-        with pytest.raises(DuplicateHostError):
-            vf.put_entries(entries_for({"a.example": 1}))
-
-
-def test_take_removes_only_requested(vault_path, tiny_kdf):
-    entries = entries_for({"a.example": 1, "b.example": 1})
-    with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries)
-        taken = vf.take_entries({"a.example"})
-        assert [e.hostname for e in taken] == ["a.example"]
-        assert vf.hosts() == ["b.example"]
+        engine.apply_mask(handle, vf, ["a.example", "b.example"])
+        kept = vf.entries["b.example"]
+        engine.apply_unmask(engine.plan_unmask(vf, ["a.example"]), vf.open_proof, handle, vf)
+    with open_vault(vault_path, "secret") as vf:
+        assert list(vf.entries.items()) == [("b.example", kept)]
 
 
 def test_take_empty_set(vault_path, tiny_kdf):
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries_for({"a.example": 1}))
-        assert vf.take_entries(set()) == []
-        assert vf.hosts() == ["a.example"]
-
-
-def test_take_unknown_host(vault_path, tiny_kdf):
-    with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        with pytest.raises(UnknownHostError):
-            vf.take_entries({"nope.example"})
+        vf.entries.update(entries_for({"a.example": 1}))
+        with pytest.raises(EmptySelectionError):
+            engine.plan_unmask(vf, [])
+        assert list(vf.entries) == ["a.example"]
 
 
 def test_put_then_take_round_trips_verbatim(vault_path, tiny_kdf):
     keep = entries_for({"stay.example": 2})
     move = entries_for({"go.example": 3})
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(keep)
-        vf.put_entries(move)
-        taken = vf.take_entries({"go.example"})
-        assert taken == move
-        assert vf.entries == keep
+        vf.entries.update(keep)
+        without = vf._serialize()
+        vf.entries.update(move)
+        vf.commit()
+    with open_vault(vault_path, "secret") as vf:
+        assert vf.entries.pop("go.example") == move["go.example"]
+        vf.commit()
+    with open_vault(vault_path, "secret") as vf:  # as if it had never held go.example
+        assert vf._serialize() == without
 
 
 def test_wrong_passphrase_rejected(vault_path, tiny_kdf):
@@ -148,7 +136,7 @@ def test_wrong_passphrase_rejected(vault_path, tiny_kdf):
 def test_every_byte_flip_fails_to_open(vault_path, tiny_kdf):
     # full-file sweep lives in the acceptance suite; sample positions here
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries_for({"a.example": 1}))
+        vf.entries.update(entries_for({"a.example": 1}))
         vf.commit()
     blob = bytearray(vault_path.read_bytes())
     for pos in range(0, len(blob), 17):
@@ -231,7 +219,7 @@ def test_on_disk_layout_is_bit_exact(vault_path, tiny_kdf):
     from credmask import crypto
 
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries_for({"a.example": 1}))
+        vf.entries.update(entries_for({"a.example": 1}))
         vf.commit()
         payload_len = len(vf._serialize())
     blob = vault_path.read_bytes()
@@ -268,7 +256,7 @@ def test_no_plaintext_leaks_to_disk(vault_path, tiny_kdf):
                                 encryptedUsername="SENSITIVE-USER-BYTES",
                                 encryptedPassword="SENSITIVE-PASS-BYTES")]
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries([entry_for("leaky.example", rows)])
+        vf.entries["leaky.example"] = entry_for("leaky.example", rows)
         vf.commit()
     blob = vault_path.read_bytes()
     for field in (b"leaky.example", b"SENSITIVE-USER-BYTES", b"SENSITIVE-PASS-BYTES",
@@ -294,7 +282,7 @@ def test_crash_between_temp_write_and_rename_keeps_old_state(killed_before_repla
                                                              vault_path):
     handle, dump = killed_before_replace
     with open_vault(vault_path, "secret") as vf:
-        assert vf.hosts() == ["a.example"]
+        assert list(vf.entries) == ["a.example"]
     assert handle.dump_canonical() == dump
 
 
@@ -311,7 +299,7 @@ def test_mask_after_a_crash_before_rename_succeeds_beside_the_stray_temp(
     finally:
         os.close(r)
     with open_vault(vault_path, "secret") as vf:
-        assert vf.hosts() == ["a.example", "b.example"]
+        assert list(vf.entries) == ["a.example", "b.example"]
     assert list(handle.read_rows()) == []
     assert list(vault_path.parent.glob(f".{vault_path.name}.*.tmp")) == []
 
@@ -336,17 +324,17 @@ def test_commit_removes_only_its_own_stray_temps_and_keeps_what_it_cannot(tmp_pa
     assert not stray.exists() and stuck.is_dir()
     assert all(other.read_bytes() == b"not ours" for other in others)
     with open_vault(vault_path, "secret") as vf:
-        assert vf.hosts() == []
+        assert vf.entries == {}
 
 
 def test_second_commit_wins(vault_path, tiny_kdf):
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries_for({"a.example": 1}))
+        vf.entries.update(entries_for({"a.example": 1}))
         vf.commit()
-        vf.put_entries(entries_for({"b.example": 1}))
+        vf.entries.update(entries_for({"b.example": 1}))
         vf.commit()
     with open_vault(vault_path, "secret") as vf:
-        assert vf.hosts() == ["a.example", "b.example"]
+        assert list(vf.entries) == ["a.example", "b.example"]
 
 
 def test_one_open_handle_per_path(vault_path, tiny_kdf):
@@ -406,7 +394,7 @@ def varied_rows():
 
 
 def varied_entries():
-    return [entry_for(host, rows) for host, rows in varied_rows().items()]
+    return {host: entry_for(host, rows) for host, rows in varied_rows().items()}
 
 
 def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
@@ -417,7 +405,7 @@ def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
     ), source_id="enrolled-ü")
     entries = varied_entries()
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(entries)
+        vf.entries.update(entries)
         auth.enroll_passphrase(vf, "gate-secret", tiny_kdf)
         auth.enroll_fingerprint(vf, template, threshold=0.4)
         vf.keystore_record = ("/profile/key3.db", bytes(range(32)))
@@ -427,25 +415,24 @@ def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
         payload = decrypted_payload(vault_path, "secret")
         with open_vault(vault_path, "secret") as vf:
             assert vf._serialize() == payload
-            assert vf.entries == expected_entries
-            assert [e.row_count for e in vf.entries] == [
-                len(stored(e)) for e in expected_entries]
-            assert [e.max_row_id for e in vf.entries] == [
-                max(row[0] for row in stored(e)) for e in vf.entries]
+            assert list(vf.entries.items()) == list(expected_entries.items())
+            assert [e.row_count for e in vf.entries.values()] == [
+                len(stored(e)) for e in expected_entries.values()]
+            assert [e.max_row_id for e in vf.entries.values()] == [
+                max(row[0] for row in stored(e)) for e in vf.entries.values()]
             vf.commit()  # no entry change: the same payload again
         assert decrypted_payload(vault_path, "secret") == payload
 
     check_reopened(entries)
     added = entries_for({"added.example": 2})
     with open_vault(vault_path, "secret") as vf:
-        vf.put_entries(added)
+        vf.entries.update(added)
         vf.commit()
-    check_reopened(entries + added)
+    check_reopened(entries | added)
     with open_vault(vault_path, "secret") as vf:
-        taken = vf.take_entries({"bücher.example"})
-        assert taken == entries[:1]
+        assert vf.entries.pop("bücher.example") == entries.pop("bücher.example")
         vf.commit()
-    check_reopened(entries[1:] + added)
+    check_reopened(entries | added)
 
 
 def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
@@ -453,17 +440,17 @@ def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
 
     rows = varied_rows()
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        vf.put_entries(varied_entries())
+        vf.entries.update(varied_entries())
         vf.commit()
     decoded = []
     decode = vault_mod._decode_rows
     monkeypatch.setattr(vault_mod, "_decode_rows",
                         lambda *a: decoded.append(a[-1]) or decode(*a))
     with open_vault(vault_path, "secret") as vf:
-        assert [(e.hostname, e.row_count) for e in vf.entries] == [
+        assert [(e.hostname, e.row_count) for e in vf.entries.values()] == [
             ("bücher.example", 2), ("plain.example", 1)]
         assert decoded == []
-        assert tagged(stored(vault_entry(vf, "plain.example"))) == tagged(rows["plain.example"])
+        assert tagged(stored(vf.entries["plain.example"])) == tagged(rows["plain.example"])
         assert decoded == ["plain.example"]
 
 
@@ -513,6 +500,8 @@ MALFORMED = {
     "unknown record tag": payload_of(records=u32(1) + b"\x09"),
     "unknown policy code": payload_of(tail=b"\x09\x00"),
     "trailing bytes": payload_of() + b"\x00",
+    "a hostname with two entries": (u32(2) + entry_head() + row_bytes(row_id=1)
+                                    + entry_head() + row_bytes(row_id=2) + u32(0) + b"\x01\x00"),
 }
 
 
@@ -527,7 +516,7 @@ def sealed(vault_path, tiny_kdf, monkeypatch, payload):
 def test_hand_built_payload_opens(vault_path, tiny_kdf, monkeypatch):
     sealed(vault_path, tiny_kdf, monkeypatch, payload_of())
     with open_vault(vault_path, "secret") as vf:
-        entry = vault_entry(vf, "a.example")
+        entry = vf.entries["a.example"]
         assert (entry.row_count, entry.schema_columns) == (1, ("id",))
         assert tagged(entry.store_rows(("id",), "id")) == [(b"i" + (1).to_bytes(8, "big"),)]
 
@@ -554,7 +543,7 @@ def test_rows_with_the_columns_in_another_order_open_and_decode_in_store_order(
     sealed(vault_path, tiny_kdf, monkeypatch,
            payload_of(entry_head(row_count=3, columns=("x", "id")) + rows))
     with open_vault(vault_path, "secret") as vf:
-        entry = vault_entry(vf, "a.example")
+        entry = vf.entries["a.example"]
         assert (entry.row_count, entry.max_row_id) == (3, 3)
         assert entry.store_rows(("id", "x"), "id") == [(1, "ü"), (2, "more"), (3, "")]
         assert entry.store_rows(("x", "id"), "id") == [("ü", 1), ("more", 2), ("", 3)]
@@ -577,7 +566,7 @@ def test_entry_whose_rows_lack_a_listed_column_opens_and_unmask_exits_1(
                                          CANONICAL_COLUMNS, [row])
     sealed(vault_path, tiny_kdf, monkeypatch, payload_of(entry))
     with open_vault(vault_path, "secret") as vf:
-        assert vault_entry(vf, "gone.example").schema_columns == CANONICAL_COLUMNS
+        assert vf.entries["gone.example"].schema_columns == CANONICAL_COLUMNS
     before = store_path.read_bytes(), vault_path.read_bytes()
     r, w = os.pipe()
     os.write(w, b"secret\n")

@@ -18,7 +18,6 @@ from credmask.wire import encode_cell_value
 
 import dump_reference
 import vault_reference as reference
-from conftest import vault_entry
 
 HOST = "ëdge.example"
 COLUMNS = ("hostname", "a", "id", "b", "c")
@@ -95,11 +94,11 @@ def test_an_opened_entry_decodes_to_the_rows_it_was_built_from(edge_store, tmp_p
     entry = VaultEntry.from_store_rows(HOST, native, 0, "/p", COLUMNS, "id")
     path = tmp_path / "v.cmv"
     with create_vault(path, "secret", tiny_kdf) as vf:
-        vf.put_entries([entry])
+        vf.entries[HOST] = entry
         vf.commit()
         payload = vf._serialize()
     with open_vault(path, "secret") as vf:
-        opened = vault_entry(vf, HOST)
+        opened = vf.entries[HOST]
         assert vf._serialize() == payload
         assert opened == entry
         assert tagged(opened.store_rows(COLUMNS, "id")) == tagged(
