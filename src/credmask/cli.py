@@ -137,11 +137,12 @@ def _default_keystore(store_path: str) -> str | None:
     return str(candidate) if candidate.is_file() else None
 
 
-def _open_vault_as_auth(vault_path, passphrase) -> vault.VaultFile:
+def _open_vault_as_auth(vault_path, passphrase, decode=()) -> vault.VaultFile:
     """Open a vault where presenting the passphrase IS the authentication step,
-    so a wrong secret is an auth failure (exit 2), not a vault error (exit 4)."""
+    so a wrong secret is an auth failure (exit 2), not a vault error (exit 4).
+    ``decode`` is as for :func:`vault.open_vault`."""
     try:
-        return vault.open_vault(vault_path, passphrase)
+        return vault.open_vault(vault_path, passphrase, decode)
     except WrongSecretError as exc:
         raise AuthFailedError(str(exc)) from exc
 
@@ -269,11 +270,12 @@ def cmd_unmask(store_path, vault_path, hosts_csv, unmask_all, conflict_policy,
     if unmask_all == bool(hosts_csv):
         raise UsageError("pass exactly one of --hosts or --all")
     passphrase = _read_passphrase(passphrase_fd)
+    hosts = None if unmask_all else [h.strip() for h in hosts_csv.split(",") if h.strip()]
 
     with ExitStack() as stack:
-        vf = stack.enter_context(_open_vault_as_auth(vault_path, passphrase))
+        # the rows to restore are decoded by the walk that checks them
+        vf = stack.enter_context(_open_vault_as_auth(vault_path, passphrase, hosts))
         proof = _collect_proof(vf, gate_passphrase_fd, probe_path)
-        hosts = None if unmask_all else [h.strip() for h in hosts_csv.split(",") if h.strip()]
         plan = engine.plan_unmask(vf, hosts, conflict_policy, store_moved=store_moved)
         rw = stack.enter_context(store.open_store(store_path, store.READ_WRITE))
         conflicts = engine.apply_unmask(plan, proof, rw, vf, sibling_locks=locks)

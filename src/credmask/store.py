@@ -23,6 +23,7 @@ import sqlite3
 from collections import Counter
 from contextlib import contextmanager
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -171,7 +172,7 @@ class StoreHandle:
     def row_ids(self, ids: Iterable[int] | None = None) -> set[int]:
         """Every row id the table holds, or those of ``ids`` it holds; reads only
         the id column."""
-        return {int(i) for (i,) in self._select((self.pk_column,), ids)}
+        return {i for (i,) in self._select((self.pk_column,), ids)}
 
     def host_counts(self) -> dict[str, int]:
         """Rows per hostname, hostnames told apart byte for byte; reads no cells."""
@@ -225,6 +226,7 @@ class StoreHandle:
         A row is a tuple of native values in schema order. A duplicate id, or
         an id the table holds, raises RowIdConflictError with this call's
         inserts undone; any other constraint failure raises sqlite3's own error.
+        Each statement inserts as many rows as SQLite's 999 bound variables hold.
         """
         self._require_writable()
         if not rows:
@@ -235,11 +237,14 @@ class StoreHandle:
         if len(unique) != len(ids):
             raise RowIdConflictError(sorted(i for i, n in Counter(ids).items() if n > 1))
         cols = ", ".join(f'"{c}"' for c in self.schema)
-        marks = ", ".join("?" for _ in self.schema)
+        marks = f'({", ".join("?" * len(self.schema))})'
+        per = max(1, 999 // len(self.schema))
         with self.write_transaction(), self._savepoint() as undo:
             try:
-                self._conn.executemany(
-                    f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES ({marks})', rows)
+                for chunk in _chunks(rows, per):
+                    self._conn.execute(
+                        f'INSERT INTO "{LOGINS_TABLE}" ({cols}) VALUES '
+                        f'{", ".join([marks] * len(chunk))}', list(chain.from_iterable(chunk)))
             except sqlite3.IntegrityError:
                 undo()
                 taken = self.row_ids(sorted(unique))

@@ -12,10 +12,11 @@ vaulted row restores byte-exactly. A vault holds one entry per hostname, keyed
 by it in payload order; a payload that repeats a hostname does not open. Every
 entry is held encoded, as its slice of the payload: ``mask`` encodes the rows
 it reads from SQLite straight into a new entry's bytes, and opening checks the
-whole payload and keeps each entry's slice. Opening checks each row against its
-entry's column list, and rows whose names come in another order are still
-read. Listing hosts and counting rows decode nothing, a commit copies the
-slices, and ``unmask`` decodes a slice straight into the values it inserts.
+whole payload and keeps each entry's slice. One walker checks each row against
+its entry's column list, and rows whose names come in another order are still
+read. Listing hosts and counting rows decode nothing, and a commit copies the
+slices. ``unmask`` names the hosts it restores when it opens the vault, and the
+same walk that checks their rows decodes them into the values it inserts.
 Every commit re-encrypts the whole state under a fresh nonce and replaces the
 file atomically (write temp, fsync, rename); a crash mid-commit leaves the
 previous version intact, and the next commit removes the temp file it left.
@@ -36,7 +37,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from . import auth, crypto
 from .errors import (
@@ -76,13 +77,14 @@ class VaultEntry:
     """The masked rows of one hostname plus what is needed to restore them.
 
     An entry holds its payload bytes, whether it was built from store rows or
-    read from a vault file, and decodes its rows only in :meth:`store_rows`:
-    ``row_count``, ``max_row_id`` and the other fields need no decoding, and a
-    commit copies the bytes. Treat it as a value.
+    read from a vault file: ``row_count``, ``max_row_id`` and the other fields
+    need no decoding, and a commit copies the bytes. Its rows are decoded when
+    the vault opens, for the hosts named then, or else in :meth:`store_rows`.
+    Treat it as a value.
     """
 
     __slots__ = ("hostname", "masked_at", "store_path", "schema_columns",
-                 "row_count", "max_row_id", "_encoded", "_rows_at", "_on_layout")
+                 "row_count", "max_row_id", "_encoded", "_rows_at", "_rows")
 
     @classmethod
     def from_store_rows(cls, hostname: str, rows: Sequence[tuple], masked_at: int,
@@ -94,7 +96,8 @@ class VaultEntry:
             raise ValueError("a vault entry must hold at least one row")
         columns = tuple(schema_columns)
         pk_index = columns.index(pk_column)
-        w = Writer()
+        out = bytearray()
+        w = Writer(out)
         w.text(hostname)
         w.u64(masked_at)
         w.text(store_path)
@@ -102,17 +105,17 @@ class VaultEntry:
         for col in columns:
             w.text(col)
         w.u32(len(rows))
-        out = bytearray(w.getvalue())
         rows_at = len(out)
         encode_rows(out, rows, pk_index, _name_fields(columns))
         return cls._from_payload(hostname, masked_at, store_path, columns, len(rows),
                                  max(row[pk_index] for row in rows),
-                                 memoryview(bytes(out)), rows_at, True)
+                                 memoryview(bytes(out)), rows_at)
 
     @classmethod
     def _from_payload(cls, hostname: str, masked_at: int, store_path: str,
                       schema_columns: tuple[str, ...], row_count: int, max_row_id: int,
-                      encoded: memoryview, rows_at: int, on_layout: bool) -> "VaultEntry":
+                      encoded: memoryview, rows_at: int,
+                      rows: list | None = None) -> "VaultEntry":
         entry = cls.__new__(cls)
         entry.hostname = hostname
         entry.masked_at = masked_at  # UTC seconds
@@ -122,7 +125,7 @@ class VaultEntry:
         entry.max_row_id = max_row_id
         entry._encoded = encoded  # the entry's payload bytes
         entry._rows_at = rows_at  # offset of its first row in _encoded
-        entry._on_layout = on_layout  # every row's cells are schema_columns, in order
+        entry._rows = rows  # as _walk_rows decoded them at open, or None
         return entry
 
     def store_rows(self, columns: tuple[str, ...], pk_column: str) -> list[tuple]:
@@ -130,16 +133,38 @@ class VaultEntry:
 
         SchemaMismatchError when a row's cells are not exactly ``columns`` or
         its ``pk_column`` cell is not its row id; ValueError for a cell that is
-        not a well-formed tagged value.
+        not a well-formed tagged value. The first row whose cells fail raises,
+        and a wrong ``pk_column`` cell only once every row was laid out.
         """
+        rows, error = self._rows, None
+        if rows is None:  # not decoded at open, or a cell failed to decode there
+            rows = []
+            try:
+                _walk_rows(self._encoded.tobytes(), self._rows_at, self.row_count,
+                           _cells(self.schema_columns), rows)
+            except ValueError as exc:  # the rows before it are laid out first
+                error = exc
         pk_index = columns.index(pk_column)
-        rows = _decode_rows(self._encoded, self._rows_at, self.row_count, columns,
-                            self.schema_columns if self._on_layout else None, self.hostname)
-        for row_id, values in rows:
-            if values[pk_index] != row_id:
+        out, ids = [], []
+        for names, run_ids, values in rows:
+            names = self.schema_columns if names is None else names
+            if not run_ids:
+                continue
+            if names != columns and sorted(names) != sorted(columns):
                 raise SchemaMismatchError(
-                    f"row_id {row_id} disagrees with its {pk_column} cell")
-        return [values for _, values in rows]
+                    f"vaulted row {run_ids[0]} of {self.hostname}: columns {sorted(names)} "
+                    f"!= schema {sorted(columns)}")
+            # a tuple per row, a part row at the end dropped; columns are never ()
+            run = zip(*[iter(values)] * len(names))
+            out.extend(run if names == columns else
+                       map(operator.itemgetter(*map(names.index, columns)), run))
+            ids += run_ids
+        if error is not None:
+            raise error
+        if list(map(operator.itemgetter(pk_index), out)) != ids:
+            wrong_id = next(i for i, row in zip(ids, out) if row[pk_index] != i)
+            raise SchemaMismatchError(f"row_id {wrong_id} disagrees with its {pk_column} cell")
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VaultEntry):
@@ -210,7 +235,7 @@ class VaultFile:
             self.kdf_params.salt,
         )
         sealed = crypto.seal(self._key, nonce, self._serialize(), header + nonce)
-        _atomic_write(self.path, header + nonce + sealed)
+        _atomic_write(self.path, header + nonce, sealed)
         for stray in self.path.parent.glob(f".{glob.escape(self.path.name)}.*.tmp"):
             try:
                 stray.unlink()
@@ -219,8 +244,9 @@ class VaultFile:
 
     # -- serialization -------------------------------------------------------------
 
-    def _serialize(self) -> bytes:
-        w = Writer()
+    def _serialize(self) -> bytearray:
+        out = bytearray()
+        w = Writer(out)
         w.u32(len(self.entries))
         for entry in self.entries.values():
             w.raw(entry._encoded)
@@ -250,13 +276,16 @@ class VaultFile:
             w.u8(1)
             w.text(self.keystore_record[0])
             w.raw(self.keystore_record[1])
-        return w.getvalue()
+        return out
 
-    def _deserialize(self, payload: bytes) -> None:
-        """Check the whole payload, decoding all but the entries' rows.
+    def _deserialize(self, payload: bytes, decode: Container[str] | None = ()) -> None:
+        """Check the whole payload, decoding the rows of the entries of the
+        hostnames in ``decode`` (None: of every entry) and all else but rows.
 
         Every length, every text field and every record is checked here, so
-        the rows decoded later from an entry's slice need no checks.
+        the rows decoded later from an entry's slice need no checks. An entry
+        with a cell that does not decode is left to :meth:`VaultEntry.store_rows`
+        to refuse, as are rows whose cells are not those of the store.
         """
         r = Reader(payload)
         view = memoryview(payload)
@@ -270,18 +299,23 @@ class VaultFile:
             at = r.pos
             if not (block and payload.startswith(block, at)):  # mostly the last one again
                 columns = tuple(r.text() for _ in range(r.u16()))
-                block, cells = payload[at:r.pos], [  # per column: unpacker, name field, step
-                    (struct.Struct(f">{len(f)}sI").unpack_from, f, len(f) + 4)
-                    for f in _name_fields(columns)]
+                block, cells = payload[at:r.pos], _cells(columns)
             r.pos = at + len(block)
             count = r.u32()
             if not count:
                 raise ValueError(f"vault entry {hostname!r} holds no rows")
             rows_at = r.pos
-            r.pos, max_row_id, on_layout = _skip_rows(payload, rows_at, count, cells)
+            rows = [] if decode is None or hostname in decode else None
+            try:
+                r.pos, max_row_id = _walk_rows(payload, rows_at, count, cells, rows)
+            except (ValueError, IndexError, struct.error):
+                if rows is None:
+                    raise
+                rows = None  # check alone: a broken payload raises as it would undecoded
+                r.pos, max_row_id = _walk_rows(payload, rows_at, count, cells, None)
             entries.append(VaultEntry._from_payload(
                 hostname, masked_at, store_path, columns, count, max_row_id,
-                view[start:r.pos], rows_at - start, on_layout))
+                view[start:r.pos], rows_at - start, rows))
         records: list[auth.AuthRecord] = []
         for _ in range(r.u32()):
             tag = r.u8()
@@ -327,112 +361,108 @@ def _name_fields(columns: tuple[str, ...]) -> list[bytes]:
     return [_U32.pack(len(name)) + name for name in map(str.encode, columns)]
 
 
-def _skip_rows(payload: bytes, pos: int, count: int, cells: list) -> tuple[int, int, bool]:
-    """Check ``count`` encoded rows from ``pos``; return the offset past them,
-    the highest row id among them and whether every row is on ``cells``.
+def _cells(columns: tuple[str, ...]) -> list[tuple[Callable, bytes, int]]:
+    """Per column, as a row on ``columns`` holds its cell: the unpacker of the
+    name field and value length, the name field, and the width of both."""
+    return [(struct.Struct(f">{len(f)}sI").unpack_from, f, len(f) + 4)
+            for f in _name_fields(columns)]
+
+
+def _walk_rows(buf: bytes, pos: int, count: int, cells: list,
+               rows: list | None) -> tuple[int, int]:
+    """Check ``count`` encoded rows from ``pos``; return the offset past them
+    and the highest row id among them. Unless ``rows`` is None, also decode
+    them onto it in runs of rows with the same cell names: (the names, None
+    for ``cells``; the ids of the rows decoded whole; their native values end
+    to end, then perhaps part of a row's that was not). When decoding fails,
+    the runs hold every row before.
 
     Each row is row id i64, cell count u16, then per cell its name (u32
     length, UTF-8) and its value (u32 length or NULL_LENGTH, bytes). A row on
-    ``cells`` costs one unpack per cell; _row_cells walks the others. A length
-    past the payload fails the next unpack, or the last check.
+    ``cells`` costs one unpack per cell; any other row is walked cell by cell.
+    A length past the payload fails the next unpack, or the last check.
+    Decoding raises ValueError for a malformed tagged value, and IndexError or
+    struct.error only where checking alone fails too.
     """
-    head = _ROW_HEAD.unpack_from
+    head, u32 = _ROW_HEAD.unpack_from, _U32.unpack_from
+    i64, f64 = _I64.unpack_from, _F64.unpack_from
     max_row_id = -1 << 63  # the least i64
-    on_layout = True
-    for _ in range(count):
-        row_id, n_cells = head(payload, pos)
-        if row_id > max_row_id:
-            max_row_id = row_id
-        row_at = pos = pos + 10
-        if n_cells == len(cells):
-            try:
-                for cell, field, step in cells:
-                    got, n = cell(payload, pos)
-                    if got != field:
-                        break
-                    pos += step if n == NULL_LENGTH else step + n
-                else:
-                    continue
-            except struct.error:  # a shorter cell than its column's, near the end
-                pass
-        on_layout = False
-        pos = _row_cells(payload, row_at, n_cells)[0]
-    if pos > len(payload):
+
+    def off_layout(pos: int, n_cells: int) -> tuple[int, tuple[str, ...], list]:
+        """A row not on ``cells``: the offset past it, its names and its
+        values' slices of ``buf``, None for NULL."""
+        names, values = [], []
+        for _ in range(n_cells):
+            (n,) = u32(buf, pos)
+            names.append(buf[pos + 4:pos + 4 + n].decode("utf-8"))
+            pos += 4 + n
+            (n,) = u32(buf, pos)
+            values.append(None if n == NULL_LENGTH else slice(pos + 4, pos + 4 + n))
+            pos += 4 if n == NULL_LENGTH else 4 + n
+        return pos, tuple(names), values
+
+    if rows is None:
+        for _ in range(count):
+            row_id, n_cells = head(buf, pos)
+            if row_id > max_row_id:
+                max_row_id = row_id
+            row_at = pos = pos + 10
+            if n_cells == len(cells):
+                try:
+                    for cell, field, step in cells:
+                        got, n = cell(buf, pos)
+                        if got != field:
+                            break
+                        pos += step if n == NULL_LENGTH else step + n
+                    else:
+                        continue
+                except struct.error:  # a shorter cell than its column's, near the end
+                    pass
+            pos = off_layout(row_at, n_cells)[0]
+    else:
+        ids, values = [], []  # the run of rows on cells
+        rows.append((None, ids, values))
+        add = values.append
+        for _ in range(count):
+            row_id, n_cells = head(buf, pos)
+            if row_id > max_row_id:
+                max_row_id = row_id
+            row_at = pos = pos + 10
+            if n_cells == len(cells):
+                try:
+                    for cell, field, step in cells:
+                        got, n = cell(buf, pos)
+                        if got != field:
+                            break
+                        pos += step
+                        if n == NULL_LENGTH:
+                            add(None)
+                            continue
+                        end = pos + n
+                        tag = buf[pos] if n else None
+                        if tag == 0x74:  # t: UTF-8 text
+                            add(buf[pos + 1:end].decode())
+                        elif tag == 0x69 and n == 9:  # i: 64-bit integer
+                            add(i64(buf, pos + 1)[0])
+                        elif tag == 0x66 and n == 9:  # f: double
+                            add(f64(buf, pos + 1)[0])
+                        else:  # b: blob; decode_cell_value refuses a malformed cell
+                            add(decode_cell_value(buf[pos:end]))
+                        pos = end
+                    else:
+                        ids.append(row_id)
+                        continue
+                except struct.error:  # a shorter cell than its column's, near the end
+                    pass
+            pos, names, at = off_layout(row_at, n_cells)  # the run ends here
+            rows.append((names, [row_id], [v if v is None else decode_cell_value(buf[v])
+                                           for v in at]))
+            ids, values = [], []
+            rows.append((None, ids, values))
+            add = values.append
+    if pos > len(buf):
         raise TruncatedError("a row runs past the payload")
-    return pos, max_row_id, on_layout
-
-
-def _row_cells(buf: bytes, pos: int, n_cells: int) -> tuple[int, tuple[str, ...], list[int]]:
-    """Walk one row's cells from ``pos``, decoding their UTF-8 names; return
-    the offset past them, the names and each name field's width."""
-    u32 = _U32.unpack_from
-    names, widths = [], []
-    for _ in range(n_cells):
-        (n,) = u32(buf, pos)
-        names.append(buf[pos + 4:pos + 4 + n].decode("utf-8"))
-        widths.append(4 + n)
-        pos += 4 + n
-        (n,) = u32(buf, pos)
-        pos += 4 if n == NULL_LENGTH else 4 + n
-    return pos, tuple(names), widths
-
-
-def _decode_rows(encoded: memoryview, pos: int, count: int, columns: tuple[str, ...],
-                 header: tuple[str, ...] | None, hostname: str) -> list[tuple[int, tuple]]:
-    """Decode the rows _skip_rows already checked into (row id, values) pairs,
-    the values native and in ``columns`` order; no bound is checked again.
-    When every row holds the ``header`` columns in order, no name is read.
-
-    SchemaMismatchError when a row's cell names are not exactly ``columns``;
-    ValueError for a cell that is not a well-formed tagged value.
-    """
-    buf = encoded.tobytes()
-    u32, head, i64, f64 = (_U32.unpack_from, _ROW_HEAD.unpack_from,
-                           _I64.unpack_from, _F64.unpack_from)
-    if header is not None:
-        key, widths = header, list(map(len, _name_fields(header)))
-    layouts: dict[tuple[str, ...], Callable[[list], tuple]] = {}
-    rows = []
-    for _ in range(count):
-        row_id, n_cells = head(buf, pos)
-        pos += 10
-        if header is None:
-            _, key, widths = _row_cells(buf, pos, n_cells)
-        values = []
-        for width in widths:
-            (n,) = u32(buf, pos + width)
-            pos += width + 4
-            if n == NULL_LENGTH:
-                values.append(None)
-                continue
-            end = pos + n
-            tag = buf[pos] if n else None
-            if tag == 0x74:  # t: UTF-8 text
-                values.append(buf[pos + 1:end].decode("utf-8"))
-            elif tag == 0x69 and n == 9:  # i: 64-bit integer
-                values.append(i64(buf, pos + 1)[0])
-            elif tag == 0x66 and n == 9:  # f: double
-                values.append(f64(buf, pos + 1)[0])
-            else:  # b: blob; decode_cell_value refuses a malformed cell
-                values.append(decode_cell_value(buf[pos:end]))
-            pos = end
-        layout = layouts.get(key)
-        if layout is None:
-            layout = layouts[key] = _layout(key, columns, row_id, hostname)
-        rows.append((row_id, layout(values)))
-    return rows
-
-
-def _layout(names: tuple[str, ...], columns: tuple[str, ...], row_id: int,
-            hostname: str) -> Callable[[list], tuple]:
-    """The function putting values in ``names`` order into ``columns`` order."""
-    if sorted(names) != sorted(columns):
-        raise SchemaMismatchError(
-            f"vaulted row {row_id} of {hostname}: columns {sorted(names)} "
-            f"!= schema {sorted(columns)}")
-    if list(names) == list(columns):
-        return tuple
-    return operator.itemgetter(*(names.index(c) for c in columns))
+    return pos, max_row_id
 
 
 # -- module operations ---------------------------------------------------------------
@@ -457,8 +487,10 @@ def create_vault(path: str | os.PathLike, passphrase: bytes | str,
     return vault
 
 
-def open_vault(path: str | os.PathLike, passphrase: bytes | str) -> VaultFile:
-    """Lock, decrypt and authenticate a vault file into memory.
+def open_vault(path: str | os.PathLike, passphrase: bytes | str,
+               decode: Iterable[str] | None = ()) -> VaultFile:
+    """Lock, decrypt and authenticate a vault file into memory, decoding the
+    rows of the hostnames in ``decode`` (None: of every host) as it checks them.
 
     The lock is taken before the file is read, so no other handle can commit
     between this read and this handle's own commit. VaultLockedError when
@@ -473,7 +505,8 @@ def open_vault(path: str | os.PathLike, passphrase: bytes | str) -> VaultFile:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(p))
     lock_fd = _acquire_lock(p)
     try:
-        return _read_locked(p, passphrase, lock_fd)
+        return _read_locked(p, passphrase, lock_fd,
+                            None if decode is None else frozenset(decode))
     except BaseException:
         _release_lock(lock_fd)
         raise
@@ -488,7 +521,8 @@ def _passphrase_bytes(passphrase: bytes | str) -> bytes:
     return secret
 
 
-def _read_locked(p: Path, passphrase: bytes | str, lock_fd: int) -> VaultFile:
+def _read_locked(p: Path, passphrase: bytes | str, lock_fd: int,
+                 decode: Container[str] | None) -> VaultFile:
     blob = p.read_bytes()
     if len(blob) < _MIN_FILE:
         raise TamperedVaultError(f"vault file truncated: {p}")
@@ -499,7 +533,7 @@ def _read_locked(p: Path, passphrase: bytes | str, lock_fd: int) -> VaultFile:
     if version != FORMAT_VERSION:
         raise BadVersionError(f"vault format {version} not supported")
     nonce = blob[_HEADER.size:_HEADER.size + crypto.NONCE_LEN]
-    sealed = blob[_HEADER.size + crypto.NONCE_LEN:]
+    sealed = memoryview(blob)[_HEADER.size + crypto.NONCE_LEN:]  # read in place, not copied
     try:
         params = crypto.KdfParams(memory, iterations, parallelism, salt)
     except ValueError as exc:
@@ -511,9 +545,10 @@ def _read_locked(p: Path, passphrase: bytes | str, lock_fd: int) -> VaultFile:
         raise WrongSecretError(
             "vault did not authenticate (wrong passphrase or modified file)"
         ) from None
+    del blob, sealed  # the payload alone is parsed
     vault = VaultFile(p, params, key, lock_fd)
     try:
-        vault._deserialize(payload)
+        vault._deserialize(payload, decode)
     except (ValueError, KeyError, struct.error) as exc:
         raise TamperedVaultError(f"vault payload corrupt: {exc}") from exc
     return vault
@@ -540,14 +575,14 @@ def _release_lock(fd: int) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, *chunks: bytes) -> None:
     tmp_fd, tmp_name = None, None
     try:
         tmp_fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
                                             dir=str(path.parent))
         with os.fdopen(tmp_fd, "wb") as fh:
             tmp_fd = None
-            fh.write(data)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)

@@ -110,8 +110,8 @@ def encode_rows(out: bytearray, rows: Iterable[tuple], pk_index: int,
 
 
 class Writer:
-    def __init__(self):
-        self._buf = bytearray()
+    def __init__(self, buf: bytearray):
+        self._buf = buf  # appended to
 
     def u8(self, v: int):
         self._buf += struct.pack(">B", v)
@@ -137,9 +137,6 @@ class Writer:
 
     def text(self, s: str):
         self.prefixed(s.encode("utf-8"))
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
 
 
 class Reader:

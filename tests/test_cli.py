@@ -161,10 +161,16 @@ def test_list_status_and_mask_decode_no_vaulted_row(run, world, monkeypatch):
     original = dump_of(store_path)
     assert cli_mask(run, store_path, vault_path, ["host00.example", "host01.example"])[0] == 0
 
-    def refuse(*args):
-        raise AssertionError("a vaulted row was decoded")
+    from credmask import vault as vault_mod
 
-    monkeypatch.setattr("credmask.vault._decode_rows", refuse)
+    walk = vault_mod._walk_rows
+
+    def refuse(buf, pos, count, cells, rows):
+        if rows is not None:
+            raise AssertionError("a vaulted row was decoded")
+        return walk(buf, pos, count, cells, rows)
+
+    monkeypatch.setattr(vault_mod, "_walk_rows", refuse)
     code, out, err = run("list", "--store", store_path, "--vault", vault_path,
                          "--format", "json-lines", passphrase=PASS)
     assert code == 0, err
@@ -498,35 +504,43 @@ def test_unmask_overwrite_live_failing_insert_keeps_the_live_row(run, world):
     assert file_sha256(vault_path) == vault_hash
 
 
-@pytest.mark.parametrize("cell", [
+MALFORMED_CELLS = pytest.mark.parametrize("cell", [
     b"i" + (7).to_bytes(4, "big"),
     b"f\x00\x00",
     b"zjunk",
     b"",
 ], ids=["5-byte-integer", "3-byte-real", "unknown-tag", "empty"])
-def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, world, cell,
-                                                                        monkeypatch):
+
+
+def vault_bad_entry(vault_path, store_path, cell, monkeypatch):
+    """Add an entry for bad.example whose one row holds ``cell`` as its encType."""
     from credmask.vault import open_vault
 
     import dump_reference
     import vault_reference
 
-    store_path, vault_path, _ = world
-    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
     [good] = dump_reference.login_rows([canonical_login_row(900, "bad.example")],
                                        CANONICAL_COLUMNS, "id")
     row = good._replace(cells=tuple(
         (name, cell if name == "encType" else value) for name, value in good.cells))
     bad = vault_reference.encode_entry("bad.example", 0, str(store_path.resolve()),
                                        CANONICAL_COLUMNS, [row])
-    with open_vault(vault_path, PASS) as vf:
+    with open_vault(vault_path, PASS) as vf, monkeypatch.context() as patch:
         # the entries lead the payload: append one, sealed under the vault's key
         payload = vf._serialize()
         end = 4 + sum(len(e._encoded) for e in vf.entries.values())
         count = len(vf.entries) + 1
-        monkeypatch.setattr(vf, "_serialize", lambda: (
+        patch.setattr(vf, "_serialize", lambda: (
             count.to_bytes(4, "big") + payload[4:end] + bad + payload[end:]))
         vf.commit()
+
+
+@MALFORMED_CELLS
+def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, world, cell,
+                                                                        monkeypatch):
+    store_path, vault_path, _ = world
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    vault_bad_entry(vault_path, store_path, cell, monkeypatch)
     before, vault_hash = dump_of(store_path), file_sha256(vault_path)
     code, _, err = run("unmask", "--store", store_path, "--vault", vault_path,
                        "--all", passphrase=PASS)
@@ -534,6 +548,26 @@ def test_unmask_of_a_malformed_vaulted_cell_exits_1_and_changes_nothing(run, wor
     assert "cell" in err
     assert dump_of(store_path) == before
     assert file_sha256(vault_path) == vault_hash
+
+
+@MALFORMED_CELLS
+def test_unmask_of_a_host_beside_a_malformed_vaulted_cell_restores_it(run, world, cell,
+                                                                      monkeypatch):
+    from credmask.vault import open_vault
+
+    store_path, vault_path, _ = world
+    original = dump_of(store_path)
+    assert cli_mask(run, store_path, vault_path, ["host00.example"])[0] == 0
+    vault_bad_entry(vault_path, store_path, cell, monkeypatch)
+    code, out, err = run("unmask", "--store", store_path, "--vault", vault_path,
+                         "--hosts", "host00.example", passphrase=PASS)
+    assert code == 0, err
+    assert "restored 1 host(s); mode: masked" in out
+    assert dump_of(store_path) == original
+    with open_vault(vault_path, PASS) as vf:
+        assert list(vf.entries) == ["bad.example"]
+        with pytest.raises(ValueError, match="cell"):
+            vf.entries["bad.example"].store_rows(CANONICAL_COLUMNS, "id")
 
 
 def sealed_entries(vault_path, tiny_kdf, monkeypatch, store_path, rows_by_entry):

@@ -17,7 +17,7 @@ from credmask.errors import (
 )
 from credmask.store import (CANONICAL_COLUMNS, StoreHandle, canonical_login_row,
                             init_fixture, open_store)
-from credmask.vault import create_vault, open_vault
+from credmask.vault import VaultEntry, create_vault, open_vault
 from credmask.wire import encode_cell_value
 
 from conftest import file_sha256, ten_host_counts
@@ -436,6 +436,22 @@ def test_fresh_ids_skip_ids_restored_verbatim(store_factory, tmp_path, tiny_kdf)
     assert content_multiset(rows.values()) == content_multiset(
         list(original.values()) + [resaved])
     assert [(c.hostname, c.restored_rows) for c in conflicts] == [("b.example", 1)]
+
+
+@pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)
+def test_an_entry_naming_one_id_twice_restores_both_rows(store_factory, tmp_path, tiny_kdf,
+                                                         policy):
+    # the first row keeps the id and the second takes a fresh one, as if
+    # another host's row held it
+    handle = store_factory({"x.example": 2})
+    twice = [canonical_login_row(7, "a.example"),
+             canonical_login_row(7, "a.example", encryptedUsername="ENC-USER-other")]
+    with create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
+        vf.entries["a.example"] = VaultEntry.from_store_rows(
+            "a.example", twice, 0, str(handle.path.resolve()), CANONICAL_COLUMNS, "id")
+        assert engine.apply_unmask(engine.plan_unmask(vf, None, policy), vf.open_proof,
+                                   handle, vf) == []
+    assert tagged(host_rows(handle, "a.example")) == tagged([twice[0], (8, *twice[1][1:])])
 
 
 @pytest.mark.parametrize("policy", engine.CONFLICT_POLICIES)

@@ -18,6 +18,7 @@ from credmask.errors import (
     StoreBusyError,
 )
 from credmask.store import (
+    CANONICAL_COLUMNS,
     READ_ONLY,
     READ_WRITE,
     canonical_login_row,
@@ -27,10 +28,12 @@ from credmask.store import (
     open_store,
 )
 
+import dump_reference
 from conftest import make_rows
 from test_vault_reference import tagged
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+PER_INSERT = 999 // len(CANONICAL_COLUMNS)  # canonical rows per INSERT statement
 
 
 def test_open_store_introspects_schema(store_factory):
@@ -435,3 +438,65 @@ def test_row_ids_read_the_id_column_only(tmp_path):
         handle.close()
     assert len(statements) == 2
     assert all(sql.startswith('SELECT "id" FROM') for sql in statements), statements
+
+
+def varied_rows(count, first_id=1):
+    """Canonical rows whose cells run through every storage class, each value
+    one that the column's affinity keeps as it is."""
+    text = [None, "", "ü 世界", "nul\x00text", b"", b"\x00\xff blob"]
+    number = [None, 0, -(2 ** 63), 2 ** 63 - 1, 2.5, float("-inf"), "not a number", b"\x01"]
+    return [canonical_login_row(first_id + i, f"h{i % 7}.example",
+                                httpRealm=text[i % len(text)],
+                                encryptedPassword=text[(i * 5) % len(text)],
+                                encType=number[i % len(number)])
+            for i in range(count)]
+
+
+def inserts_of(handle, rows) -> list[str]:
+    """The INSERT statements one insert_rows call runs."""
+    statements = []
+    handle._conn.set_trace_callback(statements.append)
+    try:
+        assert handle.insert_rows(rows) == len(rows)
+    finally:
+        handle._conn.set_trace_callback(None)
+    return [sql for sql in statements if sql.startswith("INSERT")]
+
+
+@pytest.mark.parametrize("count", [PER_INSERT - 1, PER_INSERT, PER_INSERT + 1,
+                                   2 * PER_INSERT + 1])
+def test_insert_rows_fills_statements_of_999_variables_byte_exactly(tmp_path, count):
+    rows = varied_rows(count)
+    with init_fixture(tmp_path / "s.sqlite") as handle:
+        assert len(inserts_of(handle, rows)) == -(-count // PER_INSERT)
+        assert handle.dump_canonical() == dump_reference.dump(
+            dump_reference.login_rows(rows, CANONICAL_COLUMNS, "id"))
+
+
+def test_a_conflict_in_the_last_statement_undoes_every_statement_of_the_call(store_factory):
+    handle = store_factory({"a.example": 2})
+    kept = canonical_login_row(3, "c.example")
+    rows = varied_rows(2 * PER_INSERT + 1, first_id=10)
+    rows[-1] = canonical_login_row(2, "z.example")  # id 2 is taken
+    with handle.write_transaction():
+        handle.insert_rows([kept])
+        before = handle.dump_canonical()
+        with pytest.raises(RowIdConflictError) as taken:
+            handle.insert_rows(rows)
+        assert taken.value.conflicting_ids == (2,)
+        assert handle.dump_canonical() == before
+    assert [row[0] for row in handle.read_rows()] == [1, 2, 3]
+
+
+def test_a_table_of_120_columns_inserts(tmp_path):
+    path = tmp_path / "wide.sqlite"
+    extra = [f"c{i}" for i in range(118)]
+    conn = sqlite3.connect(path)
+    conn.execute('CREATE TABLE moz_logins ("id" INTEGER PRIMARY KEY, "hostname" TEXT, '
+                 + ", ".join(f'"{c}" TEXT' for c in extra) + ")")
+    conn.close()
+    rows = [(i, "wide.example", *(f"{i}-{c}" for c in extra)) for i in range(1, 21)]
+    with open_store(path, READ_WRITE) as handle:
+        assert len(handle.schema) == 120
+        assert len(inserts_of(handle, rows)) == 3  # 999 // 120 = 8 rows a statement
+        assert list(handle.read_rows()) == rows

@@ -1,6 +1,7 @@
 import fcntl
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from credmask.errors import (
 from credmask.minutiae import Minutia, Template
 from credmask.store import CANONICAL_COLUMNS, canonical_login_row
 from credmask.vault import VaultEntry, create_vault, open_vault
-from credmask.wire import Writer
+from credmask.wire import Reader, Writer
 
 from conftest import make_rows
 from crash_child import KILLED, run_killed
@@ -435,6 +436,26 @@ def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
     check_reopened(entries | added)
 
 
+def test_opening_holds_less_than_2_2_copies_of_the_file(vault_path, tiny_kdf):
+    """The sealed body is decrypted in place and the file's bytes are freed
+    before the payload is parsed: the file and the payload, no third copy."""
+    rows = [canonical_login_row(i, "big.example", encryptedPassword=f"{i:0200d}")
+            for i in range(1, 5001)]
+    with create_vault(vault_path, "secret", tiny_kdf) as vf:
+        vf.entries["big.example"] = entry_for("big.example", rows)
+        vf.commit()
+    size = vault_path.stat().st_size
+    assert size >= 1 << 20
+    tracemalloc.start()
+    try:
+        with open_vault(vault_path, "secret") as vf:
+            peak = tracemalloc.get_traced_memory()[1]
+            assert vf.entries["big.example"].row_count == 5000
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * size
+
+
 def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
     from credmask import vault as vault_mod
 
@@ -443,9 +464,14 @@ def test_rows_are_decoded_only_when_read(vault_path, tiny_kdf, monkeypatch):
         vf.entries.update(varied_entries())
         vf.commit()
     decoded = []
-    decode = vault_mod._decode_rows
-    monkeypatch.setattr(vault_mod, "_decode_rows",
-                        lambda *a: decoded.append(a[-1]) or decode(*a))
+    walk = vault_mod._walk_rows
+
+    def recording(buf, pos, count, cells, rows):
+        if rows is not None:  # decoding: an entry's bytes begin with its hostname
+            decoded.append(Reader(bytes(buf)).text())
+        return walk(buf, pos, count, cells, rows)
+
+    monkeypatch.setattr(vault_mod, "_walk_rows", recording)
     with open_vault(vault_path, "secret") as vf:
         assert [(e.hostname, e.row_count) for e in vf.entries.values()] == [
             ("bücher.example", 2), ("plain.example", 1)]
@@ -460,7 +486,8 @@ def u32(n):
 
 def entry_head(hostname=b"a.example", row_count=1, columns=("id",)):
     """An entry's fields up to and including its row count."""
-    w = Writer()
+    buf = bytearray()
+    w = Writer(buf)
     w.prefixed(hostname)
     w.u64(0)
     w.text("/profile/signons.sqlite")
@@ -468,12 +495,13 @@ def entry_head(hostname=b"a.example", row_count=1, columns=("id",)):
     for column in columns:
         w.text(column)
     w.u32(row_count)
-    return w.getvalue()
+    return bytes(buf)
 
 
 def row_bytes(name=b"id", row_id=1, extra=()):
     """A row whose id cell is named ``name``, preceded by ``extra`` (name, text) cells."""
-    w = Writer()
+    buf = bytearray()
+    w = Writer(buf)
     w.u64(row_id)
     w.u16(1 + len(extra))
     for extra_name, text in extra:
@@ -481,7 +509,7 @@ def row_bytes(name=b"id", row_id=1, extra=()):
         w.prefixed(b"t" + text.encode())
     w.prefixed(name)
     w.prefixed(b"i" + row_id.to_bytes(8, "big"))
-    return w.getvalue()
+    return bytes(buf)
 
 
 def payload_of(entry=None, records=u32(0), tail=b"\x01\x00"):
@@ -524,21 +552,23 @@ def test_hand_built_payload_opens(vault_path, tiny_kdf, monkeypatch):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_payload_is_tampered_at_open(vault_path, tiny_kdf, monkeypatch, case):
     sealed(vault_path, tiny_kdf, monkeypatch, MALFORMED[case])
-    with pytest.raises(TamperedVaultError):
-        open_vault(vault_path, "secret")
-    assert_unlocked(vault_path)
+    for decode in ((), None):  # checking alone, and decoding every host as unmask --all
+        with pytest.raises(TamperedVaultError):
+            open_vault(vault_path, "secret", decode)
+        assert_unlocked(vault_path)
 
 
 def test_rows_with_the_columns_in_another_order_open_and_decode_in_store_order(
         vault_path, tiny_kdf, monkeypatch):
-    reordered = Writer()  # row 2: its id cell before its x cell
+    row_2 = bytearray()  # its id cell before its x cell
+    reordered = Writer(row_2)
     reordered.u64(2)
     reordered.u16(2)
     reordered.text("id")
     reordered.prefixed(b"i" + (2).to_bytes(8, "big"))
     reordered.text("x")
     reordered.prefixed(b"tmore")
-    rows = (row_bytes(row_id=1, extra=[("x", "ü")]) + reordered.getvalue()
+    rows = (row_bytes(row_id=1, extra=[("x", "ü")]) + bytes(row_2)
             + row_bytes(row_id=3, extra=[("x", "")]))  # rows 1 and 3: x, then id
     sealed(vault_path, tiny_kdf, monkeypatch,
            payload_of(entry_head(row_count=3, columns=("x", "id")) + rows))

@@ -10,9 +10,13 @@ infinities, non-ASCII and NUL-holding text and blobs. Open must give the
 reference's fields and slices, ``store_rows`` the reference's values in two
 column orders, and every payload the reference refuses, truncated and
 corrupted ones included, must be refused with the same exception class at the
-same step. The reference predates one entry per hostname: a payload it opens
-whose hostnames repeat must raise ValueError, so the random payloads name each
-host once.
+same step. Each payload is opened three times, decoding no host, every host
+and a random few: the rows decoded at open must be the reference's decoded
+rows, and an entry whose rows the reference cannot decode opens all the same
+and raises the reference's exception class only when its rows are asked for.
+The reference predates one entry per hostname: a payload it opens whose
+hostnames repeat must raise ValueError, so the random payloads name each host
+once.
 """
 
 import random
@@ -20,6 +24,7 @@ import struct
 
 import pytest
 
+from credmask.errors import SchemaMismatchError
 from credmask.vault import VaultFile
 from credmask.wire import NULL_LENGTH, encode_cell_value
 
@@ -117,11 +122,29 @@ def outcome(fn):
         return "raised", type(exc)
 
 
-def opened(payload: bytes):
+def opened(payload: bytes, decode=()):
     vf = VaultFile.__new__(VaultFile)
     vf.auth_token = b"t" * 16
-    vf._deserialize(payload)
+    vf._deserialize(payload, decode)
     return list(vf.entries.values())
+
+
+def decoded_at_open(entry, columns: tuple[str, ...]) -> list[tuple[int, tuple]]:
+    """The rows the open decoded, as the reference's ``_decode_rows`` gives
+    them: (row id, values in ``columns`` order)."""
+    rows = []
+    for names, ids, values in entry._rows:
+        names = entry.schema_columns if names is None else names
+        for k, row_id in enumerate(ids):
+            if sorted(names) != sorted(columns):
+                raise SchemaMismatchError(f"row {row_id}: {names} != {columns}")
+            cells = dict(zip(names, values[k * len(names):(k + 1) * len(names)]))
+            rows.append((row_id, tuple(cells[c] for c in columns)))
+    return rows
+
+
+def tagged_pairs(rows) -> list:
+    return [(row_id, *tagged([values])) for row_id, values in rows]
 
 
 def fields_of(entry) -> tuple:
@@ -129,44 +152,67 @@ def fields_of(entry) -> tuple:
             entry.row_count, entry.max_row_id, bytes(entry._encoded), entry._rows_at)
 
 
-def check(payload: bytes) -> list:
-    """Assert that open and decode agree with the reference on ``payload``;
-    return the opened entries (empty when it is refused)."""
+def check(payload: bytes, reached: set | None = None) -> list:
+    """Assert that open and decode agree with the reference on ``payload``,
+    decoding at open no host, every host and a few drawn by the payload's own
+    seed; return the entries opened without decoding (empty when the payload
+    is refused). ``reached`` collects where asked-for entries were decoded,
+    and which walks their rows took."""
     ref = outcome(lambda: reference.open_entries(payload))
     if ref[0] == "ok" and len({fields[0] for fields in ref[1]}) < len(ref[1]):
         ref = "raised", ValueError  # a hostname repeats
-    got = outcome(lambda: opened(payload))
-    if ref[0] == "raised" or got[0] == "raised":
-        assert got == ref
-        return []
-    entries = got[1]
-    assert [fields_of(e) for e in entries] == ref[1]
-    for entry, (hostname, _, _, header, count, _, encoded, rows_at) in zip(entries, ref[1]):
-        for columns in (header, tuple(reversed(header))):
-            want = outcome(lambda: tagged(reference.store_rows(
-                memoryview(encoded), rows_at, count, hostname, columns, "id")))
-            assert outcome(lambda: tagged(entry.store_rows(columns, "id"))) == want
-    return entries
+    pick = random.Random(payload)
+    some = set(pick.sample(HOSTNAMES, pick.randint(1, len(HOSTNAMES))))
+    found = []
+    for decode in ((), None, some):
+        got = outcome(lambda: opened(payload, decode))
+        if ref[0] == "raised" or got[0] == "raised":
+            assert got == ref
+            continue
+        entries = got[1]
+        found.append(entries)
+        assert [fields_of(e) for e in entries] == ref[1]
+        for entry, (hostname, _, _, header, count, _, encoded, rows_at) in zip(entries, ref[1]):
+            wanted = decode is None or hostname in decode
+            for columns in (header, tuple(reversed(header))):
+                want = outcome(lambda: tagged(reference.store_rows(
+                    memoryview(encoded), rows_at, count, hostname, columns, "id")))
+                assert outcome(lambda: tagged(entry.store_rows(columns, "id"))) == want
+                rows = outcome(lambda: tagged_pairs(reference._decode_rows(
+                    memoryview(encoded), rows_at, count, columns, hostname)))
+                if entry._rows is not None:
+                    assert wanted
+                    assert outcome(lambda: tagged_pairs(decoded_at_open(entry, columns))) == rows
+                else:  # not asked for, or a cell the reference cannot decode either
+                    assert not wanted or rows[0] == "raised"
+                if wanted and reached is not None:
+                    reached.add("at open" if entry._rows is not None else "in store_rows")
+                    reached.update("on the column list" if names is None else "off it"
+                                   for names, ids, _ in entry._rows or () if ids)
+    return found[0] if found else []
 
 
 def test_random_payloads_open_and_decode_as_the_reference():
     rng = random.Random(20131)
-    entries = []
+    entries, reached = [], set()
     for _ in range(300):
-        entries += check(random_payload(rng))
-    # both walks were taken: entries on their column list and entries off it
-    assert {e._on_layout for e in entries} == {True, False}
+        entries += check(random_payload(rng), reached)
+    # both walks were taken: rows on their entry's column list and rows off it
+    assert reached == {"at open", "on the column list", "off it"}
 
 
 def test_truncated_and_corrupted_payloads_are_refused_as_by_the_reference():
     rng = random.Random(20132)
+    reached = set()
     for _ in range(60):
         payload = random_payload(rng)
         for _ in range(15):
-            check(payload[:rng.randrange(len(payload))])
+            check(payload[:rng.randrange(len(payload))], reached)
             flipped = bytearray(payload)
             flipped[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
-            check(bytes(flipped))
+            check(bytes(flipped), reached)
+    # a flipped cell that only decoding refuses is left to store_rows
+    assert {"at open", "in store_rows"} <= reached
 
 
 @pytest.mark.parametrize("name", [b"", b"timePasswordChange", b"timePasswordChangeD"])
@@ -179,5 +225,6 @@ def test_an_off_layout_last_cell_near_the_payload_end_opens(name):
     entry = field(b"a.example") + struct.pack(">Q", 0) + field(b"/p")
     entry += struct.pack(">H", 2) + field(b"id") + field(b"timePasswordChanged")
     payload = struct.pack(">I", 1) + entry + struct.pack(">I", 1) + row + TAIL
-    [opened_entry] = check(payload)
-    assert opened_entry._on_layout is False
+    reached = set()
+    assert len(check(payload, reached)) == 1
+    assert reached == {"at open", "off it"}

@@ -47,14 +47,15 @@ def test_fixed_width_cell_of_another_length_rejected(data):
 
 
 def test_writer_reader_round_trip():
-    w = Writer()
+    buf = bytearray()
+    w = Writer(buf)
     w.u8(7)
     w.u16(65535)
     w.u32(123456)
     w.u64(2**40)
     w.f64(3.25)
     w.text("text field")
-    r = Reader(w.getvalue())
+    r = Reader(bytes(buf))
     assert (r.u8(), r.u16(), r.u32(), r.u64(), r.f64()) == (
         7, 65535, 123456, 2**40, 3.25)
     assert r.text() == "text field"
@@ -62,9 +63,9 @@ def test_writer_reader_round_trip():
 
 
 def test_reader_truncation_detected():
-    w = Writer()
-    w.u32(10)  # announces 10 bytes that never arrive
-    r = Reader(w.getvalue())
+    buf = bytearray()
+    Writer(buf).u32(10)  # announces 10 bytes that never arrive
+    r = Reader(bytes(buf))
     with pytest.raises(TruncatedError):
         r.prefixed()
 
