@@ -202,10 +202,9 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
     and hostnames. No other host's hostname is read. A vaulted row keeps its
     id unless keep-live must remap it or another host's live row holds it; a
     fresh id lies past every id the store or the vault holds, so it never
-    takes the id of a host that is still masked. A host's rows come decoded
-    from the vault's open when it was asked to decode them, from the same walk
-    that checked them, and are decoded here otherwise; they are inserted in id
-    order, many rows per statement.
+    takes the id of a host that is still masked. The vault's open decodes the
+    rows in the walk that checks them, when asked to (else ``store_rows``
+    does), and they are inserted in id order, many rows per statement.
     """
     if proof is None or proof.vault_token != vault.auth_token:
         raise AuthFailedError("proof was not issued by this vault instance")
@@ -256,25 +255,18 @@ def apply_unmask(plan: UnmaskPlan, proof: AuthProof | None, store: StoreHandle,
             # the vaulted rows that do not duplicate them under fresh ids: the
             # one sanctioned deviation from byte-exactness.
             remap = bool(live) and policy == KEEP_LIVE
-            rows = entry.store_rows(store.schema, store.pk_column)
-            if remap:
-                rows = [row for row in rows
-                        if _dedup_key(entry.hostname, row, store) not in live_keys]
-            ids = set(map(pk_of, rows))
-            if policy == FAIL and (live or not occupied.isdisjoint(ids)):
+            rows = [row for row in entry.store_rows(store.schema, store.pk_column)
+                    if not remap or _dedup_key(entry.hostname, row, store) not in live_keys]
+            if policy == FAIL and (live or not occupied.isdisjoint(map(pk_of, rows))):
                 reports.append(ConflictReport(
                     entry.hostname, len(live), entry.row_count, 0, FAIL))
                 continue
-            if not remap and len(ids) == len(rows) and occupied.isdisjoint(ids):
-                to_insert.extend(rows)  # every row keeps its id
-                occupied.update(ids)
-            else:
-                for row in rows:
-                    if remap or row[pk_index] in occupied:
-                        row = (*row[:pk_index], next_id, *row[pk_index + 1:])
-                        next_id += 1
-                    to_insert.append(row)
-                    occupied.add(row[pk_index])
+            for row in rows:
+                if remap or row[pk_index] in occupied:
+                    row = (*row[:pk_index], next_id, *row[pk_index + 1:])
+                    next_id += 1
+                to_insert.append(row)
+                occupied.add(row[pk_index])
             if live:
                 reports.append(ConflictReport(
                     entry.hostname, len(live), entry.row_count, len(rows), policy))

@@ -171,8 +171,8 @@ class StoreHandle:
 
     def row_ids(self, ids: Iterable[int] | None = None) -> set[int]:
         """Every row id the table holds, or those of ``ids`` it holds; reads only
-        the id column."""
-        return {i for (i,) in self._select((self.pk_column,), ids)}
+        the id column. The cursor is spent before ``int`` can raise for a text id."""
+        return set(map(int, {i for (i,) in self._select((self.pk_column,), ids)}))
 
     def host_counts(self) -> dict[str, int]:
         """Rows per hostname, hostnames told apart byte for byte; reads no cells."""

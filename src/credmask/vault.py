@@ -136,17 +136,17 @@ class VaultEntry:
         not a well-formed tagged value. The first row whose cells fail raises,
         and a wrong ``pk_column`` cell only once every row was laid out.
         """
-        rows, error = self._rows, None
-        if rows is None:  # not decoded at open, or a cell failed to decode there
+        rows = self._rows
+        if rows is None:  # not decoded at open
             rows = []
-            try:
-                _walk_rows(self._encoded.tobytes(), self._rows_at, self.row_count,
-                           _cells(self.schema_columns), rows)
-            except ValueError as exc:  # the rows before it are laid out first
-                error = exc
+            _walk_rows(self._encoded.tobytes(), self._rows_at, self.row_count,
+                       _cells(self.schema_columns), rows)
         pk_index = columns.index(pk_column)
         out, ids = [], []
-        for names, run_ids, values in rows:
+        for run in rows:
+            if isinstance(run, ValueError):  # a cell that does not decode
+                raise run
+            names, run_ids, values = run
             names = self.schema_columns if names is None else names
             if not run_ids:
                 continue
@@ -159,8 +159,6 @@ class VaultEntry:
             out.extend(run if names == columns else
                        map(operator.itemgetter(*map(names.index, columns)), run))
             ids += run_ids
-        if error is not None:
-            raise error
         if list(map(operator.itemgetter(pk_index), out)) != ids:
             wrong_id = next(i for i, row in zip(ids, out) if row[pk_index] != i)
             raise SchemaMismatchError(f"row_id {wrong_id} disagrees with its {pk_column} cell")
@@ -306,13 +304,7 @@ class VaultFile:
                 raise ValueError(f"vault entry {hostname!r} holds no rows")
             rows_at = r.pos
             rows = [] if decode is None or hostname in decode else None
-            try:
-                r.pos, max_row_id = _walk_rows(payload, rows_at, count, cells, rows)
-            except (ValueError, IndexError, struct.error):
-                if rows is None:
-                    raise
-                rows = None  # check alone: a broken payload raises as it would undecoded
-                r.pos, max_row_id = _walk_rows(payload, rows_at, count, cells, None)
+            r.pos, max_row_id = _walk_rows(payload, rows_at, count, cells, rows)
             entries.append(VaultEntry._from_payload(
                 hostname, masked_at, store_path, columns, count, max_row_id,
                 view[start:r.pos], rows_at - start, rows))
@@ -374,15 +366,14 @@ def _walk_rows(buf: bytes, pos: int, count: int, cells: list,
     and the highest row id among them. Unless ``rows`` is None, also decode
     them onto it in runs of rows with the same cell names: (the names, None
     for ``cells``; the ids of the rows decoded whole; their native values end
-    to end, then perhaps part of a row's that was not). When decoding fails,
-    the runs hold every row before.
+    to end, then perhaps part of a row's that was not). A cell that is not a
+    well-formed tagged value ends the runs with its ValueError, and the rows
+    from its row on are only checked.
 
     Each row is row id i64, cell count u16, then per cell its name (u32
     length, UTF-8) and its value (u32 length or NULL_LENGTH, bytes). A row on
     ``cells`` costs one unpack per cell; any other row is walked cell by cell.
     A length past the payload fails the next unpack, or the last check.
-    Decoding raises ValueError for a malformed tagged value, and IndexError or
-    struct.error only where checking alone fails too.
     """
     head, u32 = _ROW_HEAD.unpack_from, _U32.unpack_from
     i64, f64 = _I64.unpack_from, _F64.unpack_from
@@ -423,43 +414,48 @@ def _walk_rows(buf: bytes, pos: int, count: int, cells: list,
         ids, values = [], []  # the run of rows on cells
         rows.append((None, ids, values))
         add = values.append
-        for _ in range(count):
-            row_id, n_cells = head(buf, pos)
-            if row_id > max_row_id:
-                max_row_id = row_id
-            row_at = pos = pos + 10
-            if n_cells == len(cells):
-                try:
-                    for cell, field, step in cells:
-                        got, n = cell(buf, pos)
-                        if got != field:
-                            break
-                        pos += step
-                        if n == NULL_LENGTH:
-                            add(None)
+        try:
+            for k in range(count):
+                row_id, n_cells = head(buf, pos)
+                if row_id > max_row_id:
+                    max_row_id = row_id
+                row_at = pos = pos + 10
+                if n_cells == len(cells):
+                    try:
+                        for cell, field, step in cells:
+                            got, n = cell(buf, pos)
+                            if got != field:
+                                break
+                            pos += step
+                            if n == NULL_LENGTH:
+                                add(None)
+                                continue
+                            end = pos + n
+                            tag = buf[pos] if n else None
+                            if tag == 0x74:  # t: UTF-8 text
+                                add(buf[pos + 1:end].decode())
+                            elif tag == 0x69 and n == 9:  # i: 64-bit integer
+                                add(i64(buf, pos + 1)[0])
+                            elif tag == 0x66 and n == 9:  # f: double
+                                add(f64(buf, pos + 1)[0])
+                            else:  # b: blob; decode_cell_value refuses a malformed cell
+                                add(decode_cell_value(buf[pos:end]))
+                            pos = end
+                        else:
+                            ids.append(row_id)
                             continue
-                        end = pos + n
-                        tag = buf[pos] if n else None
-                        if tag == 0x74:  # t: UTF-8 text
-                            add(buf[pos + 1:end].decode())
-                        elif tag == 0x69 and n == 9:  # i: 64-bit integer
-                            add(i64(buf, pos + 1)[0])
-                        elif tag == 0x66 and n == 9:  # f: double
-                            add(f64(buf, pos + 1)[0])
-                        else:  # b: blob; decode_cell_value refuses a malformed cell
-                            add(decode_cell_value(buf[pos:end]))
-                        pos = end
-                    else:
-                        ids.append(row_id)
-                        continue
-                except struct.error:  # a shorter cell than its column's, near the end
-                    pass
-            pos, names, at = off_layout(row_at, n_cells)  # the run ends here
-            rows.append((names, [row_id], [v if v is None else decode_cell_value(buf[v])
-                                           for v in at]))
-            ids, values = [], []
-            rows.append((None, ids, values))
-            add = values.append
+                    except struct.error:  # a shorter cell than its column's, near the end
+                        pass
+                pos, names, at = off_layout(row_at, n_cells)  # the run ends here
+                rows.append((names, [row_id], [v if v is None else decode_cell_value(buf[v])
+                                               for v in at]))
+                ids, values = [], []
+                rows.append((None, ids, values))
+                add = values.append
+        except (ValueError, IndexError) as exc:  # a cell that does not decode, or a
+            rows.append(exc.with_traceback(None))  # broken row that the check refuses
+            pos, top = _walk_rows(buf, row_at - 10, count - k, cells, None)
+            return pos, max(max_row_id, top)
     if pos > len(buf):
         raise TruncatedError("a row runs past the payload")
     return pos, max_row_id

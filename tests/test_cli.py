@@ -1224,6 +1224,27 @@ def test_unmask_failing_a_non_id_constraint_exits_1_and_changes_nothing(run, wor
     assert file_sha256(vault_path) == vault_hash
 
 
+def test_unmask_beside_a_text_id_under_an_int_primary_key_exits_1_and_changes_nothing(
+        run, tmp_path):
+    # "INT PRIMARY KEY" is no rowid alias, so the id column can hold text
+    store_path, vault_path = tmp_path / "signons.sqlite", tmp_path / "vault.cmv"
+    conn = sqlite3.connect(store_path)
+    conn.execute('CREATE TABLE moz_logins ("id" INT PRIMARY KEY, hostname TEXT, password TEXT)')
+    conn.executemany("INSERT INTO moz_logins VALUES (?, ?, ?)",
+                     [(1, "a.example", "p1"), (2, "a.example", "p2"), ("x", "b.example", "p3")])
+    conn.commit()
+    conn.close()
+    code, _, err = cli_mask(run, store_path, vault_path, ["a.example"])
+    assert code == 0, err
+    store_hash, vault_hash = file_sha256(store_path), file_sha256(vault_path)
+    proc = run_subprocess("unmask", "--store", store_path, "--vault", vault_path, "--all")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert file_sha256(store_path) == store_hash  # the dump cannot encode a text id
+    assert file_sha256(vault_path) == vault_hash
+
+
 # Triggers a user who can write the store could plant: each would run inside
 # credmask's own write transaction.
 LOGINS_TRIGGERS = [
