@@ -4,9 +4,10 @@ The store is a SQLite 3 file with a ``moz_logins`` table (saved logins) and
 an optional ``moz_disabledHosts`` table (never-save list) that is never read
 here. The adapter is column-agnostic: it introspects the schema when a
 handle is opened and copies every column verbatim, interpreting only the
-``hostname`` column and the integer primary key. Restores are therefore
-byte-exact across schema versions, and credential ciphertexts are never
-parsed or decrypted. The inventories (``row_ids``, ``host_counts``,
+``hostname`` column and the primary key, which must be the rowid alias (an
+``INTEGER PRIMARY KEY`` of a rowid table) so that every id is an integer.
+Restores are therefore byte-exact across schema versions, and credential
+ciphertexts are never parsed or decrypted. The inventories (``row_ids``, ``host_counts``,
 ``hostnames``) are single SELECTs that read the id or hostname column and no
 other cell; a host selector reads only the rows of its hosts.
 
@@ -450,8 +451,11 @@ def _introspect(conn: sqlite3.Connection) -> tuple[tuple[str, ...], str]:
     if HOSTNAME_COLUMN not in columns:
         raise SchemaError(f"{LOGINS_TABLE} has no {HOSTNAME_COLUMN} column")
     pk_cols = [r for r in info if r[5]]
-    if len(pk_cols) != 1 or "INT" not in (pk_cols[0][2] or "").upper():
-        raise SchemaError(f"{LOGINS_TABLE} needs a single integer primary key")
+    # only the rowid alias holds integers alone: an INTEGER key with no index of
+    # its own, which INT PRIMARY KEY and WITHOUT ROWID tables have
+    if len(pk_cols) != 1 or (pk_cols[0][2] or "").upper() != "INTEGER" or any(
+            r[3] == "pk" for r in conn.execute(f'PRAGMA index_list("{LOGINS_TABLE}")')):
+        raise SchemaError(f"{LOGINS_TABLE} needs an INTEGER PRIMARY KEY on a rowid table")
     return columns, pk_cols[0][1]
 
 

@@ -14,9 +14,11 @@ entry is held encoded, as its slice of the payload: ``mask`` encodes the rows
 it reads from SQLite straight into a new entry's bytes, and opening checks the
 whole payload and keeps each entry's slice. One walker checks each row against
 its entry's column list, and rows whose names come in another order are still
-read. Listing hosts and counting rows decode nothing, and a commit copies the
-slices. ``unmask`` names the hosts it restores when it opens the vault, and the
-same walk that checks their rows decodes them into the values it inserts.
+read; a row that repeats the byte layout of the row before it (the same names
+and value lengths) is checked with one unpack, the format unchanged. Listing
+hosts and counting rows decode nothing, and a commit copies the slices.
+``unmask`` names the hosts it restores when it opens the vault, and the same
+walk that checks their rows decodes them into the values it inserts.
 Every commit re-encrypts the whole state under a fresh nonce and replaces the
 file atomically (write temp, fsync, rename); a crash mid-commit leaves the
 previous version intact, and the next commit removes the temp file it left.
@@ -353,14 +355,39 @@ def _name_fields(columns: tuple[str, ...]) -> list[bytes]:
     return [_U32.pack(len(name)) + name for name in map(str.encode, columns)]
 
 
-def _cells(columns: tuple[str, ...]) -> list[tuple[Callable, bytes, int]]:
-    """Per column, as a row on ``columns`` holds its cell: the unpacker of the
-    name field and value length, the name field, and the width of both."""
-    return [(struct.Struct(f">{len(f)}sI").unpack_from, f, len(f) + 4)
-            for f in _name_fields(columns)]
+class _Cells(list):
+    """Per column, as a row on the columns holds its cell: the unpacker of the
+    name field and value length, the name field, and the width of both. Also
+    the whole-row layout to try next and the credit left for layouts, kept
+    from entry to entry, so that rows which seldom repeat stop paying for
+    layouts after a few tries however short their entries; rows that repeat
+    after that are walked cell by cell."""
+
+    __slots__ = ("last", "credit")
 
 
-def _walk_rows(buf: bytes, pos: int, count: int, cells: list,
+def _cells(columns: tuple[str, ...]) -> _Cells:
+    cells = _Cells((struct.Struct(f">{len(f)}sI").unpack_from, f, len(f) + 4)
+                   for f in _name_fields(columns))
+    cells.last, cells.credit = (None, None, 0), 8
+    return cells
+
+
+def _layout(cells: _Cells, buf: bytes, pos: int) -> tuple[Callable, tuple, int]:
+    """The layout of the row on ``cells`` whose cells start at ``pos``: the
+    unpacker of a whole row like it, what that gives after the row id, and the
+    row's width."""
+    fmt, expected = [">qH"], [len(cells)]
+    for _, f, step in cells:
+        (n,) = _U32.unpack_from(buf, pos + step - 4)
+        fmt.append(f"{len(f)}sI{0 if n == NULL_LENGTH else n}x")
+        expected += f, n
+        pos += step if n == NULL_LENGTH else step + n
+    row = struct.Struct("".join(fmt))
+    return row.unpack_from, tuple(expected), row.size
+
+
+def _walk_rows(buf: bytes, pos: int, count: int, cells: _Cells,
                rows: list | None) -> tuple[int, int]:
     """Check ``count`` encoded rows from ``pos``; return the offset past them
     and the highest row id among them. Unless ``rows`` is None, also decode
@@ -373,7 +400,12 @@ def _walk_rows(buf: bytes, pos: int, count: int, cells: list,
     Each row is row id i64, cell count u16, then per cell its name (u32
     length, UTF-8) and its value (u32 length or NULL_LENGTH, bytes). A row on
     ``cells`` costs one unpack per cell; any other row is walked cell by cell.
-    A length past the payload fails the next unpack, or the last check.
+    When only checking, a row that repeats the value lengths of the row on
+    ``cells`` before it gives ``cells`` a whole-row layout, and a later row
+    that fits it costs one unpack. Layouts are tried and built only while
+    the rows that fit them pay for the failed tries and the builds, so rows
+    that seldom repeat cost what they did before. A length past the payload
+    fails the next unpack, or the last check.
     """
     head, u32 = _ROW_HEAD.unpack_from, _U32.unpack_from
     i64, f64 = _I64.unpack_from, _F64.unpack_from
@@ -393,7 +425,22 @@ def _walk_rows(buf: bytes, pos: int, count: int, cells: list,
         return pos, tuple(names), values
 
     if rows is None:
+        row, expected, size = cells.last
+        credit = cells.credit  # rows fitted, less failed tries, less 3 per layout built
+        prev_at = prev_end = -1  # the cells of the last row checked cell by cell
         for _ in range(count):
+            if row is not None and credit > 0:
+                try:
+                    got = row(buf, pos)
+                    if got[1:] == expected:
+                        if got[0] > max_row_id:
+                            max_row_id = got[0]
+                        pos += size
+                        credit += 1
+                        continue
+                except struct.error:  # a shorter row near the end: the cells tell
+                    pass
+                credit -= 1
             row_id, n_cells = head(buf, pos)
             if row_id > max_row_id:
                 max_row_id = row_id
@@ -406,10 +453,18 @@ def _walk_rows(buf: bytes, pos: int, count: int, cells: list,
                             break
                         pos += step if n == NULL_LENGTH else step + n
                     else:
+                        if (credit > 0 and prev_end == row_at - 10
+                                and pos - row_at == prev_end - prev_at):
+                            credit -= 3  # about what a layout's build and check cost
+                            layout = _layout(cells, buf, row_at)
+                            if layout[0](buf, prev_at - 10)[1:] == layout[1]:  # a repeat
+                                row, expected, size = layout
+                        prev_at, prev_end = row_at, pos
                         continue
                 except struct.error:  # a shorter cell than its column's, near the end
                     pass
             pos = off_layout(row_at, n_cells)[0]
+        cells.last, cells.credit = (row, expected, size), credit
     else:
         ids, values = [], []  # the run of rows on cells
         rows.append((None, ids, values))

@@ -71,6 +71,21 @@ def test_open_store_requires_logins_table(tmp_path):
         open_store(p)
 
 
+@pytest.mark.parametrize("ddl", [
+    '("id" INT PRIMARY KEY, hostname TEXT)',
+    '("id" INTEGER PRIMARY KEY, hostname TEXT) WITHOUT ROWID',
+])
+def test_open_store_refuses_a_primary_key_that_is_not_the_rowid_alias(tmp_path, ddl):
+    # either key can hold text, which no vaulted row id can
+    p = tmp_path / "signons.sqlite"
+    conn = sqlite3.connect(p)
+    conn.execute(f"CREATE TABLE moz_logins {ddl}")
+    conn.commit()
+    conn.close()
+    with pytest.raises(SchemaError, match="rowid"):
+        open_store(p)
+
+
 def test_open_store_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         open_store(tmp_path / "nope.sqlite")
