@@ -13,8 +13,7 @@ that issued them and expire with it.
 
 from __future__ import annotations
 
-import hmac
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import crypto
 from .errors import (
@@ -24,8 +23,10 @@ from .errors import (
     PolicyUnsatisfiedError,
     TooFewMinutiaeError,
 )
-from .matching import DEFAULT_PARAMS, MatchParams, match_templates
-from .minutiae import Template
+
+if TYPE_CHECKING:  # the matcher loads numpy; only a fingerprint check imports it
+    from .matching import MatchParams, MatchResult
+    from .minutiae import Template
 
 KIND_PASSPHRASE = "passphrase"
 KIND_FINGERPRINT = "fingerprint"
@@ -147,6 +148,7 @@ def enroll_passphrase(vault, passphrase: bytes | str,
 
 def verify_passphrase(record: PassphraseRecord, passphrase: bytes | str) -> AuthProof:
     """Proof iff the derived verifier matches, compared in constant time."""
+    import hmac  # loads the system OpenSSL; only a gate passphrase needs it
     secret = _as_bytes(passphrase)
     if not secret:
         raise AuthFailedError("empty passphrase")
@@ -171,8 +173,16 @@ def enroll_fingerprint(vault, template: Template,
     return record
 
 
+def match_templates(enrolled: Template, probe: Template,
+                    params: MatchParams | None = None) -> MatchResult:
+    """:func:`credmask.matching.match_templates`, imported on the first call."""
+    from . import matching
+    return matching.match_templates(
+        enrolled, probe, matching.DEFAULT_PARAMS if params is None else params)
+
+
 def verify_fingerprint(record: FingerprintRecord, probe: Template,
-                       params: MatchParams = DEFAULT_PARAMS) -> AuthProof:
+                       params: MatchParams | None = None) -> AuthProof:
     """Proof iff the probe's match score reaches the enrolled threshold.
 
     The failure error carries the score for logging; it never carries the

@@ -26,7 +26,7 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-from . import auth, engine, evaluation, minutiae, store, vault
+from . import auth, engine, store, vault
 from .crypto import KdfParams
 from .errors import (
     AuthFailedError,
@@ -306,7 +306,8 @@ def _collect_proof(vf: vault.VaultFile, gate_passphrase_fd: int | None,
         records = [r for r in vf.auth_records if r.kind == auth.KIND_FINGERPRINT]
         if not records or not probe_path:
             raise PolicyUnsatisfiedError({auth.KIND_FINGERPRINT})
-        probe = minutiae.load_template(probe_path)
+        from .minutiae import load_template  # only a fingerprint check reads a .min
+        probe = load_template(probe_path)
         proof = None
         last_error: AuthFailedError | None = None
         for record in records:
@@ -360,7 +361,8 @@ def cmd_enroll_passphrase(vault_path, passphrase_fd, gate_passphrase_fd):
 
 def cmd_enroll_fingerprint(vault_path, template_path, threshold, passphrase_fd):
     """Enroll a fingerprint template from a .min file."""
-    template = minutiae.load_template(template_path)
+    from .minutiae import load_template
+    template = load_template(template_path)
     with _open_vault_as_auth(vault_path, _read_passphrase(passphrase_fd)) as vf:
         auth.enroll_fingerprint(vf, template, threshold)
         vf.commit()
@@ -380,6 +382,7 @@ def cmd_bio_eval(dataset_dir, synthetic, seed, n_templates, n_minutiae, field_sp
     """Sweep thresholds over genuine/impostor scores; print FAR, FRR, and the EER."""
     if synthetic == bool(dataset_dir):
         raise UsageError("pass exactly one of --dataset or --synthetic")
+    from . import evaluation  # loads numpy, which no vault command needs
     if synthetic:
         try:
             width, height = (int(v) for v in field_spec.lower().split("x"))

@@ -18,7 +18,6 @@ for writing.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sqlite3
 from collections import Counter
@@ -27,6 +26,8 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from cryptography.hazmat.primitives.hashes import SHA256, Hash
 
 from .errors import (
     AlreadyExistsError,
@@ -344,11 +345,14 @@ def open_store(path: str | os.PathLike, mode: str = READ_ONLY) -> StoreHandle:
 
 def keystore_digest(path: str | os.PathLike) -> KeyStoreDigest:
     """SHA-256 over the key-store file, which is named by its resolved path;
-    equal files give equal digests."""
+    equal files give equal digests. cryptography's hash, not hashlib's, so a
+    command maps one OpenSSL, not two."""
     p = Path(path).resolve()
     if not p.is_file():
         raise MissingKeyStoreError(f"key store not found: {p}")
-    return KeyStoreDigest(path=str(p), digest=hashlib.sha256(p.read_bytes()).digest())
+    sha = Hash(SHA256())
+    sha.update(p.read_bytes())
+    return KeyStoreDigest(path=str(p), digest=sha.finalize())
 
 
 def check_not_busy(path: str | os.PathLike,

@@ -50,7 +50,6 @@ from .errors import (
     VaultLockedError,
     WrongSecretError,
 )
-from .minutiae import BIFURCATION, TERMINATION, Minutia, Template
 from .wire import NULL_LENGTH, Reader, TruncatedError, Writer, decode_cell_value, encode_rows
 
 MAGIC = b"CMV1"
@@ -71,7 +70,8 @@ _POLICY_CODE = {
     auth.POLICY_BOTH: 3,
 }
 _CODE_POLICY = {v: k for k, v in _POLICY_CODE.items()}
-_KIND_CODE = {TERMINATION: 1, BIFURCATION: 2}
+# minutiae.TERMINATION and BIFURCATION; only a fingerprint record needs minutiae
+_KIND_CODE = {"termination": 1, "bifurcation": 2}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
@@ -319,6 +319,7 @@ class VaultFile:
                 kdf = crypto.KdfParams(r.u32(), r.u32(), r.u8(), salt)
                 records.append(auth.PassphraseRecord(kdf=kdf, verifier=verifier))
             elif tag == _RECORD_FINGERPRINT:
+                from .minutiae import Minutia, Template
                 threshold = r.f64()
                 source_id = r.text()
                 minutiae = tuple(

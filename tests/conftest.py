@@ -1,11 +1,20 @@
 import hashlib
 import os
 import sqlite3
+import sys
+from pathlib import Path
 
 import pytest
 
 from credmask.crypto import KdfParams
 from credmask.store import canonical_login_row, init_fixture
+
+# The environment of a credmask child interpreter: the checkout's src/, a plain
+# PATH, and whether this run writes bytecode (-B or PYTHONDONTWRITEBYTECODE),
+# so the children leave no __pycache__ in src/ that the tests themselves would not.
+CHILD_ENV = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+             "PATH": "/usr/bin:/bin",
+             **({"PYTHONDONTWRITEBYTECODE": "1"} if sys.flags.dont_write_bytecode else {})}
 
 # Cheapest valid Argon2id settings; vault tests would crawl at production cost.
 TINY_KDF = dict(memory_bytes=8 * 1024, iterations=1, parallelism=1)

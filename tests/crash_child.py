@@ -21,22 +21,22 @@ import contextlib
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 from credmask import cli, store, vault
 
 KILLED = 137
 KILL_POINTS = ("vault-commit-pre-replace", "after-vault-commit", "after-store-commit")
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_killed(point, *args, passphrase):
     """Run ``credmask ARGS --passphrase-fd 0`` in a child killed at ``point``;
     returns the CompletedProcess, with text output."""
+    from conftest import CHILD_ENV  # here, so the killed child imports neither it nor pytest
+
     return subprocess.run(
         [sys.executable, __file__, point, *map(str, args), "--passphrase-fd", "0"],
         input=passphrase + "\n", capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+        env=CHILD_ENV)
 
 
 def die():

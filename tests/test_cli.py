@@ -17,7 +17,7 @@ from credmask.store import CANONICAL_COLUMNS, canonical_login_row, init_fixture,
 from credmask.evaluation import generate_synthetic
 from credmask.wire import encode_cell_value
 
-from conftest import file_sha256, ten_host_counts
+from conftest import CHILD_ENV, file_sha256, ten_host_counts
 from test_vault_reference import tagged
 
 PASS = "correct horse"
@@ -970,7 +970,7 @@ def test_masker_during_another_vault_commit_exits_3(store_factory, tmp_path, mon
                 [sys.executable, "-m", "credmask", "mask", "--store", str(handle.path),
                  "--vault", str(vault_b), "--hosts", "a.example", "--passphrase-fd", "0"],
                 input=PASS + "\n", capture_output=True, text=True, timeout=60, cwd=REPO_ROOT,
-                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+                env=CHILD_ENV)
         return real_seal(*args)
 
     monkeypatch.setattr(crypto, "seal", seal)
@@ -1152,7 +1152,7 @@ def test_mask_of_a_text_cell_that_is_not_utf8_exits_1_and_leaks_nothing(store_fa
          "--vault", str(vault_path), "--hosts", "a.example", "--init",
          "--kdf-memory-mib", "1", "--kdf-iterations", "1", "--passphrase-fd", "0"],
         input=PASS + "\n", capture_output=True, text=True, timeout=60, cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+        env=CHILD_ENV)
     assert proc.returncode == 1, proc.stderr
     assert "SECRET" not in proc.stderr and "Traceback" not in proc.stderr
     assert file_sha256(handle.path) == store_hash
@@ -1165,7 +1165,7 @@ def run_subprocess(*args, stdin=PASS):
     return subprocess.run(
         [sys.executable, "-m", "credmask", *map(str, args), "--passphrase-fd", "0"],
         input=stdin + "\n", capture_output=True, text=True, timeout=60, cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+        env=CHILD_ENV)
 
 
 def test_mask_beside_a_non_utf8_hostname_moves_its_host_and_leaks_nothing(

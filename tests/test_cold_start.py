@@ -1,9 +1,10 @@
 """Commands run as fresh processes, the way the CLI is used.
 
 Every in-process test shares one interpreter where numpy is already loaded,
-so only a fresh process shows which commands start without numpy (or the
-slow-to-import click, dataclasses and inspect) and that the commands which
-compute with numpy work from a cold start.
+so only a fresh process shows which commands start without numpy, the
+matcher and the system OpenSSL that hashlib maps (or the slow-to-import
+click, dataclasses and inspect), and that the commands which compute with
+them work from a cold start.
 """
 
 import subprocess
@@ -16,14 +17,14 @@ from credmask.evaluation import generate_synthetic
 from credmask.minutiae import save_template
 from credmask.store import open_store
 
-from conftest import ten_host_counts
+from conftest import CHILD_ENV, ten_host_counts
 from test_matcher_differential import spread_over_1e300
 
 PASS = "correct horse"
 REPO_ROOT = Path(__file__).resolve().parents[1]
-ENV = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
 # A name set to None in sys.modules makes every import of it raise ImportError
-UNLOADED = ("numpy", "click", "dataclasses", "inspect")
+UNLOADED = ("numpy", "click", "dataclasses", "inspect", "hashlib", "_hashlib", "hmac",
+            "credmask.matching", "credmask.minutiae", "credmask.evaluation")
 LEAN_LAUNCH = (f"import sys, runpy; sys.modules.update(dict.fromkeys({UNLOADED!r})); "
                "runpy.run_module('credmask', run_name='__main__', alter_sys=True)")
 
@@ -34,7 +35,7 @@ def credmask(*args, lean=False, passphrase=PASS):
     return subprocess.run(
         [sys.executable, *launch, *(str(a) for a in args), *fd],
         input=f"{passphrase}\n", capture_output=True, text=True, timeout=120,
-        cwd=REPO_ROOT, env=ENV)
+        cwd=REPO_ROOT, env=CHILD_ENV)
 
 
 def dump_of(path):
@@ -104,7 +105,7 @@ def test_bio_eval_of_far_flung_templates_warns_of_nothing(tmp_path):
         save_template(spread_over_1e300(rng, 12), tmp_path / name)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "credmask", "bio-eval", "--dataset", tmp_path],
-        capture_output=True, text=True, timeout=120, cwd=REPO_ROOT, env=ENV)
+        capture_output=True, text=True, timeout=120, cwd=REPO_ROOT, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "genuine 1, impostor 1 comparisons" in proc.stdout

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sqlite3
 from collections import Counter
@@ -16,7 +17,7 @@ from credmask.errors import (
     UnresolvedConflictError,
 )
 from credmask.store import (CANONICAL_COLUMNS, StoreHandle, canonical_login_row,
-                            init_fixture, open_store)
+                            init_fixture, keystore_digest, open_store)
 from credmask.vault import VaultEntry, create_vault, open_vault
 from credmask.wire import encode_cell_value
 
@@ -68,8 +69,16 @@ def test_plan_mask_matches_direct_query(world):
         assert list(rows) == direct
         assert list(row_ids) == [r[0] for r in direct]
     conn.close()
-    assert plan.keystore_before.digest == __import__("hashlib").sha256(
-        keystore.read_bytes()).digest()
+    assert plan.keystore_before.digest == hashlib.sha256(keystore.read_bytes()).digest()
+
+
+@pytest.mark.parametrize("size", [0, 16 * 1024, 3 * 1024 * 1024], ids=["empty", "16KiB", "3MiB"])
+def test_keystore_digest_is_the_files_sha256(tmp_path, size):
+    path = tmp_path / "key3.db"
+    path.write_bytes(os.urandom(size))
+    digest = keystore_digest(path)
+    assert digest.path == str(path.resolve())
+    assert digest.digest == hashlib.sha256(path.read_bytes()).digest()
 
 
 def test_plan_mask_empty_selection(world):

@@ -29,7 +29,7 @@ from credmask.store import (
 )
 
 import dump_reference
-from conftest import make_rows
+from conftest import CHILD_ENV, make_rows
 from test_vault_reference import tagged
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -316,7 +316,7 @@ def test_dump_stable_across_processes(store_factory):
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          check=True, cwd=REPO_ROOT,
-                         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+                         env=CHILD_ENV)
     assert out.stdout == handle.dump_canonical()
 
 
@@ -355,7 +355,7 @@ def test_one_writer_at_a_time(store_factory):
             child = subprocess.Popen(
                 [sys.executable, "-c", CHILD_WRITER, str(first.path)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO_ROOT,
-                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+                env=CHILD_ENV)
             with pytest.raises(StoreBusyError):
                 second.delete_rows({1})
             out, err = child.communicate(timeout=60)
