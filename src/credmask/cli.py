@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import resource
 import sqlite3
 import sys
 from contextlib import ExitStack
@@ -550,7 +551,12 @@ def _parser() -> argparse.ArgumentParser:
 # -- dispatch -----------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI, mapping every error to its contract exit code."""
+    """Run the CLI, mapping every error to its contract exit code.
+
+    First it forbids core files to this process for good, hard limit too, so
+    a crash leaves no passphrase or derived key on disk in a core dump.
+    """
+    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
     try:
         try:
             args = vars(_parser().parse_args(argv))

@@ -2,8 +2,9 @@
 
 Everything mutating is split into a plan step (pure reads, produces a
 validated intent) and an apply step, which gives the CLI a dry-run for free.
-``apply_mask`` makes its plan itself, under the store's write lock, so the
-rows it moves are the rows it read there and the store is read once.
+``plan_mask`` encodes each selected row into its host's vault entry as SQLite
+yields it. ``apply_mask`` makes its plan itself, under the store's write lock,
+so the rows it moves are the rows it read there and the store is read once.
 ``apply_unmask`` reads every row id but only its own hosts' rows, so neither
 reads another host's hostname.
 
@@ -37,7 +38,7 @@ from .errors import (
     UnresolvedConflictError,
 )
 from .store import KeyStoreDigest, StoreHandle, check_not_busy, keystore_digest
-from .vault import VaultEntry, VaultFile
+from .vault import VaultEntry, VaultFile, encode_entries
 from .wire import encode_cell_value
 
 KEEP_LIVE = "keep-live"
@@ -54,10 +55,10 @@ _DEDUP_COLUMN = "encryptedUsername"
 
 
 class MaskPlan(NamedTuple):
-    """Per selected host, in hostname order: the hostname, its row ids and its
-    rows as the store read them, both in row-id order."""
+    """Per selected host, in hostname order: the hostname, its row ids in
+    row-id order and the vault entry its rows were encoded into."""
 
-    selections: tuple[tuple[str, tuple[int, ...], tuple[tuple, ...]], ...]
+    selections: tuple[tuple[str, tuple[int, ...], VaultEntry], ...]
     keystore_before: KeyStoreDigest | None
 
 
@@ -89,7 +90,8 @@ class ConflictReport(NamedTuple):
 
 def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
               keystore_path: str | Path | None = None) -> MaskPlan:
-    """Read the selected hosts' rows, and no others, once; group them per host.
+    """Read the selected hosts' rows, and no others, once; encode each into
+    its host's vault entry, stamped now and with the store's resolved path.
 
     Every host must have at least one stored row and must not be vaulted
     already. When a key-store path is given its digest is recorded so the
@@ -102,20 +104,14 @@ def plan_mask(store: StoreHandle, vault: VaultFile | None, hosts: Iterable[str],
     already = [h for h in wanted if vault is not None and h in vault.entries]
     if already:
         raise AlreadyMaskedError(f"already masked: {already}")
-    rows_by_host: dict[str, list[tuple]] = {h: [] for h in wanted}
-    host_index = store.schema.index(store_mod.HOSTNAME_COLUMN)
-    for row in store.read_rows(hosts=wanted):
-        rows_by_host[row[host_index]].append(row)
-    unknown = [h for h, rows in rows_by_host.items() if not rows]
+    selections = tuple(encode_entries(
+        store.read_rows(hosts=wanted), wanted, int(time.time()),
+        str(Path(store.path).resolve()), store.schema, store.pk_column))
+    unknown = sorted(set(wanted).difference(h for h, _, _ in selections))
     if unknown:
         raise UnknownHostError(f"no stored rows for: {unknown}")
-    pk_index = store.schema.index(store.pk_column)
     digest = keystore_digest(keystore_path) if keystore_path is not None else None
-    return MaskPlan(
-        selections=tuple((h, tuple(int(row[pk_index]) for row in rows), tuple(rows))
-                         for h, rows in rows_by_host.items()),
-        keystore_before=digest,
-    )
+    return MaskPlan(selections=selections, keystore_before=digest)
 
 
 def apply_mask(store: StoreHandle, vault: VaultFile, hosts: Iterable[str],
@@ -129,9 +125,9 @@ def apply_mask(store: StoreHandle, vault: VaultFile, hosts: Iterable[str],
     StoreBusyError, both before the store is read. One store write
     transaction then holds :func:`plan_mask`, with its checks of the
     selection, the vault commit and the delete; a database lock held past
-    sqlite3's 5 s busy wait raises StoreBusyError. The rows moved are the
-    rows read under that lock. The order means an interruption can only ever
-    duplicate rows, never lose them.
+    sqlite3's 5 s busy wait raises StoreBusyError. The rows moved, and the
+    ids deleted, are those encoded under that lock. The order means an
+    interruption can only ever duplicate rows, never lose them.
     """
     foreign = _foreign_stores(vault.entries.values(), store.path)
     if foreign:
@@ -141,11 +137,7 @@ def apply_mask(store: StoreHandle, vault: VaultFile, hosts: Iterable[str],
 
     with store.write_transaction():
         plan = plan_mask(store, vault, hosts, keystore_path)
-        now = int(time.time())
-        store_path = str(Path(store.path).resolve())
-        for hostname, _, rows in plan.selections:  # none is vaulted: plan_mask checked
-            vault.entries[hostname] = VaultEntry.from_store_rows(
-                hostname, rows, now, store_path, store.schema, store.pk_column)
+        vault.entries.update((h, e) for h, _, e in plan.selections)  # none is vaulted yet
         if plan.keystore_before is not None and vault.keystore_record is None:
             vault.keystore_record = (plan.keystore_before.path, plan.keystore_before.digest)
         vault.commit()

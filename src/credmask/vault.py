@@ -10,13 +10,14 @@ The payload (laid out in the README) writes every row with
 :func:`wire.encode_rows`, the encoder of the store's canonical dump, so a
 vaulted row restores byte-exactly. A vault holds one entry per hostname, keyed
 by it in payload order; a payload that repeats a hostname does not open. Every
-entry is held encoded, as its slice of the payload: ``mask`` encodes the rows
-it reads from SQLite straight into a new entry's bytes, and opening checks the
-whole payload and keeps each entry's slice. One walker checks each row against
-its entry's column list, and rows whose names come in another order are still
-read; a row that repeats the byte layout of the row before it (the same names
-and value lengths) is checked with one unpack, the format unchanged. Listing
-hosts and counting rows decode nothing, and a commit copies the slices.
+entry is held encoded, as its slice of the payload: ``mask`` encodes each row
+as SQLite yields it, and :func:`encode_entries` joins an entry's rows to the
+header part every entry of the mask shares. Opening checks the whole payload
+and keeps each entry's slice. One walker checks each row against its entry's
+column list, and rows whose names come in another order are still read; a
+row that repeats the byte layout of the row before it (the same names and
+value lengths) is checked with one unpack, the format unchanged. Listing hosts
+and counting rows decode nothing, and a commit copies the slices.
 ``unmask`` names the hosts it restores when it opens the vault, and the same
 walk that checks their rows decodes them into the values it inserts.
 Every commit re-encrypts the whole state under a fresh nonce and replaces the
@@ -50,6 +51,7 @@ from .errors import (
     VaultLockedError,
     WrongSecretError,
 )
+from .store import HOSTNAME_COLUMN
 from .wire import NULL_LENGTH, Reader, TruncatedError, Writer, decode_cell_value, encode_rows
 
 MAGIC = b"CMV1"
@@ -78,40 +80,15 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 class VaultEntry:
     """The masked rows of one hostname plus what is needed to restore them.
 
-    An entry holds its payload bytes, whether it was built from store rows or
-    read from a vault file: ``row_count``, ``max_row_id`` and the other fields
-    need no decoding, and a commit copies the bytes. Its rows are decoded when
+    An entry holds its payload bytes, whether :func:`encode_entries` built it
+    or it was read from a vault file: ``row_count``, ``max_row_id`` and the
+    other fields need no decoding, and a commit copies the bytes. Its rows are decoded when
     the vault opens, for the hosts named then, or else in :meth:`store_rows`.
     Treat it as a value.
     """
 
     __slots__ = ("hostname", "masked_at", "store_path", "schema_columns",
                  "row_count", "max_row_id", "_encoded", "_rows_at", "_rows")
-
-    @classmethod
-    def from_store_rows(cls, hostname: str, rows: Sequence[tuple], masked_at: int,
-                        store_path: str, schema_columns: tuple[str, ...],
-                        pk_column: str) -> "VaultEntry":
-        """An entry of rows as the store reads them, tuples of native values in
-        ``schema_columns`` order, encoded straight into payload bytes."""
-        if not rows:
-            raise ValueError("a vault entry must hold at least one row")
-        columns = tuple(schema_columns)
-        pk_index = columns.index(pk_column)
-        out = bytearray()
-        w = Writer(out)
-        w.text(hostname)
-        w.u64(masked_at)
-        w.text(store_path)
-        w.u16(len(columns))
-        for col in columns:
-            w.text(col)
-        w.u32(len(rows))
-        rows_at = len(out)
-        encode_rows(out, rows, pk_index, _name_fields(columns))
-        return cls._from_payload(hostname, masked_at, store_path, columns, len(rows),
-                                 max(row[pk_index] for row in rows),
-                                 memoryview(bytes(out)), rows_at)
 
     @classmethod
     def _from_payload(cls, hostname: str, masked_at: int, store_path: str,
@@ -174,6 +151,32 @@ class VaultEntry:
     def __repr__(self) -> str:
         return (f"VaultEntry(hostname={self.hostname!r}, rows={self.row_count}, "
                 f"masked_at={self.masked_at}, store_path={self.store_path!r})")
+
+
+def encode_entries(rows: Iterable[tuple], hostnames: Sequence[str], masked_at: int,
+                   store_path: str, columns: tuple[str, ...], pk_column: str,
+                   ) -> list[tuple[str, tuple[int, ...], VaultEntry]]:
+    """Per hostname of ``hostnames`` that one of ``rows`` (native values in
+    ``columns`` order) has, in that order: the hostname, its row ids and its
+    entry. Each row is encoded onto its hostname's list as it is read, the
+    header part all entries share once, and each entry is joined once."""
+    columns, fields = tuple(columns), _text_fields(columns)
+    by_host: dict[str, list[bytes]] = {h: [] for h in hostnames}
+    encode_rows(by_host, rows, columns.index(pk_column), fields,
+                columns.index(HOSTNAME_COLUMN))
+    shared = b"".join([struct.pack(">Q", masked_at), *_text_fields([store_path]),
+                       struct.pack(">H", len(columns)), *fields])
+    built = []
+    for hostname, encoded in by_host.items():
+        if encoded:
+            ids = tuple(_I64.unpack_from(row)[0] for row in encoded)  # a row starts with its id
+            [name] = _text_fields([hostname])
+            encoded.insert(0, b"".join((name, shared, _U32.pack(len(ids)))))
+            built.append((hostname, ids, VaultEntry._from_payload(
+                hostname, masked_at, store_path, columns, len(ids), max(ids),
+                memoryview(b"".join(encoded)), len(encoded[0]))))
+            encoded.clear()  # its bytes are in the entry now
+    return built
 
 
 class VaultFile:
@@ -351,9 +354,9 @@ class VaultFile:
         self.keystore_record = keystore
 
 
-def _name_fields(columns: tuple[str, ...]) -> list[bytes]:
-    """Each column's name field as a row's cell carries it: u32 length, UTF-8."""
-    return [_U32.pack(len(name)) + name for name in map(str.encode, columns)]
+def _text_fields(texts: Iterable[str]) -> list[bytes]:
+    """Each text as the payload writes it, a column name in a cell too: u32 length, UTF-8."""
+    return [_U32.pack(len(text)) + text for text in map(str.encode, texts)]
 
 
 class _Cells(list):
@@ -369,7 +372,7 @@ class _Cells(list):
 
 def _cells(columns: tuple[str, ...]) -> _Cells:
     cells = _Cells((struct.Struct(f">{len(f)}sI").unpack_from, f, len(f) + 4)
-                   for f in _name_fields(columns))
+                   for f in _text_fields(columns))
     cells.last, cells.credit = (None, None, 0), 8
     return cells
 

@@ -74,15 +74,17 @@ def decode_cell_value(data: bytes | None):
     raise ValueError(f"unknown cell tag: {tag!r}")
 
 
-def encode_rows(out: bytearray, rows: Iterable[tuple], pk_index: int,
-                prefixes: Sequence[bytes]) -> None:
+def encode_rows(out: bytearray | dict, rows: Iterable[tuple], pk_index: int,
+                prefixes: Sequence[bytes], key_index: int | None = None) -> None:
     """Append rows of native values to ``out``: per row its id (i64, the value
     at ``pk_index``) and cell count (u16), then per column its prefix and its
     cell, a u32 length plus the bytes :func:`encode_cell_value` gives, or
     NULL_LENGTH alone for NULL.
 
-    A vault entry's prefixes are its column-name fields; the dump's are empty.
-    Each row is joined on its own, so no part of it outlives the row.
+    With ``key_index``, ``out`` maps each row's value in that column to a list
+    that takes the row's bytes. A vault entry's prefixes are its column-name
+    fields; the dump's are empty. Each row is joined on its own, so no part of
+    it outlives the row.
     """
     row_head, text_head = _ROW_HEAD.pack, _TAGGED_HEAD.pack
     int_cell, real_cell = _INT_CELL.pack, _REAL_CELL.pack
@@ -106,7 +108,10 @@ def encode_rows(out: bytearray, rows: Iterable[tuple], pk_index: int,
                 cell = encode_cell_value(value)
                 append(_U32.pack(len(cell)))
                 append(cell)
-        out += b"".join(parts)
+        if key_index is None:
+            out += b"".join(parts)
+        else:
+            out[row[key_index]].append(b"".join(parts))
 
 
 class Writer:

@@ -1,11 +1,14 @@
 import hashlib
 import os
+import resource
 import sqlite3
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from credmask import cli
 from credmask.crypto import KdfParams
 from credmask.store import canonical_login_row, init_fixture
 
@@ -79,6 +82,18 @@ def stock_sqlite(monkeypatch):
         return conn
 
     monkeypatch.setattr(sqlite3, "connect", connect)
+
+
+@pytest.fixture(autouse=True)
+def keep_core_limit():
+    """``cli.main`` forbids core files to its process for good. Run in-process
+    it leaves the test runner's limit alone, so the crash children the runner
+    starts can still raise theirs, and show whether their own ``main`` lowers it.
+    A patch of its own, which a test's ``monkeypatch.undo()`` leaves in place."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "resource", SimpleNamespace(
+            RLIMIT_CORE=resource.RLIMIT_CORE, setrlimit=lambda *limit: None))
+        yield
 
 
 @pytest.fixture

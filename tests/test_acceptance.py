@@ -28,7 +28,7 @@ from credmask.minutiae import (
 )
 from credmask.store import (CANONICAL_COLUMNS, canonical_login_row, init_fixture,
                             keystore_digest, open_store)
-from credmask.vault import create_vault, open_vault
+from credmask.vault import create_vault, encode_entries, open_vault
 
 from conftest import TINY_KDF, file_sha256, make_rows, ten_host_counts
 from crash_child import KILLED, run_killed
@@ -145,9 +145,8 @@ def test_criterion_3_tamper_suite(tmp_path):
     path = tmp_path / "small.cmv"
     with create_vault(path, PASSPHRASE, KdfParams.generate(**TINY_KDF)) as vf:
         rows = [canonical_login_row(1, "only.example")]
-        from credmask.vault import VaultEntry
-        vf.entries["only.example"] = VaultEntry.from_store_rows(
-            "only.example", rows, 0, str(tmp_path / "signons.sqlite"), CANONICAL_COLUMNS, "id")
+        [(_, _, vf.entries["only.example"])] = encode_entries(
+            rows, ["only.example"], 0, str(tmp_path / "signons.sqlite"), CANONICAL_COLUMNS, "id")
         auth.enroll_passphrase(vf, PASSPHRASE, KdfParams.generate(**TINY_KDF))
         vf.commit()
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shutil
 import sqlite3
 import subprocess
@@ -11,13 +12,16 @@ from pathlib import Path
 
 import pytest
 
+from credmask import engine
 from credmask.cli import main
 from credmask.minutiae import save_template
 from credmask.store import CANONICAL_COLUMNS, canonical_login_row, init_fixture, open_store
 from credmask.evaluation import generate_synthetic
+from credmask.vault import create_vault
 from credmask.wire import encode_cell_value
 
 from conftest import CHILD_ENV, file_sha256, ten_host_counts
+from crash_child import ABORTED, run_killed
 from test_vault_reference import tagged
 
 PASS = "correct horse"
@@ -1666,3 +1670,41 @@ def test_ctrl_c_at_the_passphrase_prompt_exits_1_and_changes_nothing(run, world,
     assert code == 1
     assert err == "error: aborted\n"
     assert (dump_of(store_path), file_sha256(vault_path)) == before
+
+
+def test_main_forbids_core_files_to_its_process():
+    # the child raises its soft limit first, so a limit main left alone shows
+    code = ("import resource\n"
+            "from credmask.cli import main\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_CORE)\n"
+            "resource.setrlimit(resource.RLIMIT_CORE, (hard, hard))\n"
+            "main(['--help'])\n"
+            "print(resource.getrlimit(resource.RLIMIT_CORE))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "(0, 0)"
+
+
+def test_an_aborted_unmask_leaves_no_core_file_and_no_passphrase(store_factory, tmp_path,
+                                                                  tiny_kdf):
+    pattern = Path("/proc/sys/kernel/core_pattern").read_text().strip()
+    if pattern.startswith("|"):
+        pytest.skip(f"core_pattern {pattern!r} pipes core dumps to a helper, which the "
+                    "core-file limit does not stop (core(5))")
+    if "/" in pattern:
+        pytest.skip(f"core_pattern {pattern!r} writes core dumps outside the working directory")
+    if resource.getrlimit(resource.RLIMIT_CORE)[1] == 0:
+        pytest.skip("the hard core-file limit is 0 here, so no child could dump core")
+    handle = store_factory({"a.example": 2, "b.example": 1})
+    with create_vault(tmp_path / "vault.cmv", PASS, tiny_kdf) as vf:
+        engine.apply_mask(handle, vf, ["a.example"])
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    proc = run_killed("after-store-commit", "unmask", "--store", handle.path,
+                      "--vault", tmp_path / "vault.cmv", "--all", passphrase=PASS,
+                      abort=True, cwd=cwd)
+    assert proc.returncode == ABORTED, proc.stderr
+    left = sorted(p.name for p in cwd.iterdir())
+    assert not [name for name in left if name.startswith("core")], left
+    assert not [name for name in left if PASS.encode() in (cwd / name).read_bytes()], left

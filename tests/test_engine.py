@@ -1,6 +1,7 @@
 import hashlib
 import os
 import sqlite3
+import struct
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from credmask.errors import (
 )
 from credmask.store import (CANONICAL_COLUMNS, StoreHandle, canonical_login_row,
                             init_fixture, keystore_digest, open_store)
-from credmask.vault import VaultEntry, create_vault, open_vault
+from credmask.vault import create_vault, encode_entries, open_vault
 from credmask.wire import encode_cell_value
 
 from conftest import file_sha256, ten_host_counts
@@ -58,16 +59,30 @@ def content_multiset(rows):
 SIX = [f"host0{i}.example" for i in range(6)]
 
 
+SQL_CLASS = {type(None): "null", int: "integer", float: "real", str: "text", bytes: "blob"}
+
+
+def by_storage_class(pairs):
+    """(typeof, value) pairs with each REAL as its 8 bytes, so -0.0 is not 0.0."""
+    return [(kind, struct.pack(">d", v) if kind == "real" else v) for kind, v in pairs]
+
+
 def test_plan_mask_matches_direct_query(world):
     handle, vf, keystore = world
+    handle.insert_rows([canonical_login_row(100, "host01.example", encType=-0.0,
+                                            httpRealm=b"", guid=2.5, formSubmitURL=None)])
     plan = engine.plan_mask(handle, vf, SIX, keystore)
     assert [h for h, _, _ in plan.selections] == SIX
     conn = sqlite3.connect(handle.path)
-    for hostname, row_ids, rows in plan.selections:
-        direct = list(conn.execute(
-            "SELECT * FROM moz_logins WHERE hostname=? ORDER BY id", (hostname,)))
-        assert list(rows) == direct
-        assert list(row_ids) == [r[0] for r in direct]
+    cells = ", ".join(f'typeof("{c}"), "{c}"' for c in CANONICAL_COLUMNS)
+    for hostname, row_ids, entry in plan.selections:
+        direct = conn.execute(f"SELECT {cells} FROM moz_logins WHERE hostname=? ORDER BY id",
+                              (hostname,)).fetchall()
+        planned = entry.store_rows(CANONICAL_COLUMNS, "id")
+        assert [by_storage_class((SQL_CLASS[type(v)], v) for v in row) for row in planned] \
+            == [by_storage_class(zip(row[::2], row[1::2])) for row in direct]
+        assert list(row_ids) == [row[1] for row in direct]
+        assert entry.row_count == len(direct)
     conn.close()
     assert plan.keystore_before.digest == hashlib.sha256(keystore.read_bytes()).digest()
 
@@ -456,8 +471,8 @@ def test_an_entry_naming_one_id_twice_restores_both_rows(store_factory, tmp_path
     twice = [canonical_login_row(7, "a.example"),
              canonical_login_row(7, "a.example", encryptedUsername="ENC-USER-other")]
     with create_vault(tmp_path / "v.cmv", "secret", tiny_kdf) as vf:
-        vf.entries["a.example"] = VaultEntry.from_store_rows(
-            "a.example", twice, 0, str(handle.path.resolve()), CANONICAL_COLUMNS, "id")
+        [(_, _, vf.entries["a.example"])] = encode_entries(
+            twice, ["a.example"], 0, str(handle.path.resolve()), CANONICAL_COLUMNS, "id")
         assert engine.apply_unmask(engine.plan_unmask(vf, None, policy), vf.open_proof,
                                    handle, vf) == []
     assert tagged(host_rows(handle, "a.example")) == tagged([twice[0], (8, *twice[1][1:])])

@@ -17,7 +17,7 @@ from credmask.errors import (
 )
 from credmask.minutiae import Minutia, Template
 from credmask.store import CANONICAL_COLUMNS, canonical_login_row
-from credmask.vault import VaultEntry, create_vault, open_vault
+from credmask.vault import create_vault, encode_entries, open_vault
 from credmask.wire import Reader, Writer
 
 from conftest import make_rows
@@ -26,14 +26,9 @@ from test_vault_reference import tagged
 
 
 def entry_for(host, rows):
-    return VaultEntry.from_store_rows(
-        hostname=host,
-        rows=rows,
-        masked_at=int(time.time()),
-        store_path="/profile/signons.sqlite",
-        schema_columns=CANONICAL_COLUMNS,
-        pk_column="id",
-    )
+    [(_, _, entry)] = encode_entries(rows, [host], int(time.time()),
+                                     "/profile/signons.sqlite", CANONICAL_COLUMNS, "id")
+    return entry
 
 
 def stored(entry):
@@ -43,11 +38,9 @@ def stored(entry):
 
 def entries_for(host_counts):
     """Entries keyed by hostname, in ``host_counts`` order."""
-    rows = make_rows(host_counts)
-    by_host = {}
-    for row in rows:
-        by_host.setdefault(row[1], []).append(row)
-    return {h: entry_for(h, rs) for h, rs in by_host.items()}
+    return {host: entry for host, _, entry in encode_entries(
+        make_rows(host_counts), list(host_counts), int(time.time()),
+        "/profile/signons.sqlite", CANONICAL_COLUMNS, "id")}
 
 
 @pytest.fixture
@@ -239,8 +232,9 @@ def test_on_disk_layout_is_bit_exact(vault_path, tiny_kdf):
 
 
 def test_entry_requires_rows():
-    with pytest.raises(ValueError):
-        VaultEntry.from_store_rows("a.example", (), 0, "p", ("id",), "id")
+    rows = [canonical_login_row(1, "b.example")]
+    assert [h for h, _, _ in encode_entries(rows, ["a.example", "b.example"], 0, "p",
+                                            CANONICAL_COLUMNS, "id")] == ["b.example"]
 
 
 def test_fresh_nonce_every_commit(vault_path, tiny_kdf):
