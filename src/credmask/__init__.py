@@ -15,7 +15,7 @@ _EXPORTS = {
     "engine": ("ConflictReport", "MaskPlan", "StatusReport", "UnmaskPlan", "apply_mask",
                "apply_unmask", "plan_mask", "plan_unmask", "status"),
     "evaluation": ("EvalReport", "evaluate", "generate_synthetic", "score_dataset"),
-    "matching": ("MatchParams", "MatchResult", "match_templates"),
+    "matching": ("MatchResult", "match_templates"),
     "minutiae": ("Minutia", "Template", "load_template", "save_template"),
     "store": ("KeyStoreDigest", "LoginRow", "StoreHandle", "canonical_login_row",
               "check_not_busy", "init_fixture", "keystore_digest", "open_store"),

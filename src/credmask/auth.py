@@ -25,7 +25,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # the matcher loads numpy; only a fingerprint check imports it
-    from .matching import MatchParams, MatchResult
+    from .matching import MatchResult
     from .minutiae import Template
 
 KIND_PASSPHRASE = "passphrase"
@@ -119,10 +119,10 @@ def check_policy(policy: str, proofs: Iterable[AuthProof]) -> None:
         raise PolicyUnsatisfiedError(missing)
 
 
-def enroll_passphrase(vault, passphrase: bytes | str,
-                      kdf_params: crypto.KdfParams | None = None,
+def enroll_passphrase(vault, passphrase: bytes | str, *,
                       proof: AuthProof | None = None) -> PassphraseRecord:
-    """Store a passphrase verifier in the vault (not committed here).
+    """Store a passphrase verifier in the vault (not committed here). It costs
+    what the vault's key costs to derive, with a fresh salt.
 
     Re-enrolling over an existing record requires a valid passphrase proof
     from the same vault instance.
@@ -137,9 +137,7 @@ def enroll_passphrase(vault, passphrase: bytes | str,
             raise AlreadyEnrolledError("passphrase already enrolled; present a valid proof")
         for r in existing:
             vault.auth_records.remove(r)
-    # the verifier inherits the vault's cost profile unless told otherwise
-    base = kdf_params if kdf_params is not None else vault.kdf_params
-    params = base.with_fresh_salt()
+    params = vault.kdf_params.with_fresh_salt()
     record = PassphraseRecord(kdf=params, verifier=crypto.derive_key(secret, params))
     record.vault_token = vault.auth_token
     vault.auth_records.append(record)
@@ -173,22 +171,19 @@ def enroll_fingerprint(vault, template: Template,
     return record
 
 
-def match_templates(enrolled: Template, probe: Template,
-                    params: MatchParams | None = None) -> MatchResult:
+def match_templates(enrolled: Template, probe: Template) -> MatchResult:
     """:func:`credmask.matching.match_templates`, imported on the first call."""
     from . import matching
-    return matching.match_templates(
-        enrolled, probe, matching.DEFAULT_PARAMS if params is None else params)
+    return matching.match_templates(enrolled, probe)
 
 
-def verify_fingerprint(record: FingerprintRecord, probe: Template,
-                       params: MatchParams | None = None) -> AuthProof:
+def verify_fingerprint(record: FingerprintRecord, probe: Template) -> AuthProof:
     """Proof iff the probe's match score reaches the enrolled threshold.
 
     The failure error carries the score for logging; it never carries the
     enrolled template.
     """
-    result = match_templates(record.template, probe, params)
+    result = match_templates(record.template, probe)
     if result.score < record.threshold:
         raise AuthFailedError(
             f"fingerprint score {result.score:.4f} below threshold {record.threshold:.4f}",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import BadParamsError, EmptyScoresError
-from .matching import DEFAULT_PARAMS, MatchParams, match_templates
+from .matching import match_templates
 from .minutiae import BIFURCATION, TERMINATION, TWO_PI, Minutia, Template, load_template
 
 
@@ -132,15 +132,14 @@ def generate_synthetic(seed: int,
     return tuple(records)
 
 
-def score_dataset(records: Sequence[SyntheticRecord],
-                  params: MatchParams = DEFAULT_PARAMS) -> tuple[list[float], list[float]]:
+def score_dataset(records: Sequence[SyntheticRecord]) -> tuple[list[float], list[float]]:
     """Match every probe against its record's template, split by ground truth."""
     genuine = [
-        match_templates(rec.template, probe, params).score
+        match_templates(rec.template, probe).score
         for rec in records for probe in rec.genuine_probes
     ]
     impostor = [
-        match_templates(rec.template, probe, params).score
+        match_templates(rec.template, probe).score
         for rec in records for probe in rec.impostor_probes
     ]
     return genuine, impostor
@@ -164,9 +163,8 @@ def load_eval_dataset(root: str | Path) -> tuple[Template, list[Template], list[
     return enrolled, genuine, impostor
 
 
-def score_probes(enrolled: Template, probes: Sequence[Template],
-                 params: MatchParams = DEFAULT_PARAMS) -> list[float]:
-    return [match_templates(enrolled, probe, params).score for probe in probes]
+def score_probes(enrolled: Template, probes: Sequence[Template]) -> list[float]:
+    return [match_templates(enrolled, probe).score for probe in probes]
 
 
 # -- internals ----------------------------------------------------------------------

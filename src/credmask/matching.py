@@ -1,14 +1,16 @@
 """Template matching by exhaustive rigid-alignment search.
 
-Every ordered reference pair (one minutia from each template) hypothesizes
-the rotation+translation that maps the second template's reference onto the
-first, aligning both position and direction. The transform is applied to the
-whole second template and transformed minutiae are greedily paired to the
-nearest unpaired counterparts within the distance and angle tolerances
-(nearest first, ties broken by lower index). The final pair count is the
-maximum over all hypotheses, evaluated with the templates in both roles, so
-the score is symmetric by construction. Score = 2*m / (n1 + n2), which is 1.0
-exactly for a self match and 0 for fully disjoint templates.
+Two minutiae can pair when they are at most DISTANCE_TOLERANCE (10 px)
+apart, their directions differ by at most ANGLE_TOLERANCE (pi/6), and they
+are of the same kind. Every ordered reference pair of the same kind (one
+minutia from each template) hypothesizes the rotation+translation that maps
+the second template's reference onto the first, aligning both position and
+direction. The motion is applied to the whole second template and moved
+minutiae are greedily paired to the nearest unpaired counterparts that they
+can pair with (nearest first, ties broken by lower index). The final pair
+count is the maximum over all hypotheses, evaluated with the templates in
+both roles, so the score is symmetric by construction. Score = 2*m / (n1 + n2),
+which is 1.0 exactly for a self match and 0 for fully disjoint templates.
 
 Cost. There are H = O(n1*n2) hypotheses. The greedy pass needs the pairs of
 only the few hypotheses whose upper bound, min(#a with a candidate, #b with a
@@ -31,8 +33,8 @@ costs one (n1, n2) pass. The search stops at a perfect alignment: the first
 hypothesis that pairs min(n1, n2) minutiae ends it, with no further chunk
 bounded and no reverse pass. A probe whose every minutia has a
 counterpart stops early; an impostor, or a probe with spurious minutiae,
-bounds every hypothesis in both directions. Scores, pair counts and
-transforms are those of testing every pair of every hypothesis.
+bounds every hypothesis in both directions. Scores and pair counts are
+those of testing every pair of every hypothesis.
 
 numpy is imported inside the functions that compute with it, so commands
 that never match a fingerprint start without loading it.
@@ -47,52 +49,29 @@ from typing import NamedTuple
 from .minutiae import TERMINATION, TWO_PI, Template
 
 
-class _Tolerances(NamedTuple):
-    distance_tolerance: float
-    angle_tolerance: float
-    kind_strict: bool
-
-
-class MatchParams(_Tolerances):
-    """Pairing tolerances: distance in pixels, angle in radians."""
-
-    __slots__ = ()
-
-    def __new__(cls, distance_tolerance: float = 10.0,
-                angle_tolerance: float = math.pi / 6, kind_strict: bool = True):
-        if not distance_tolerance > 0:
-            raise ValueError("distance_tolerance must be positive")
-        # the matcher squares it; inf (no distance limit) stays allowed
-        tol = distance_tolerance
-        if math.isfinite(tol) and not math.isfinite(tol * tol):
-            raise ValueError("distance_tolerance must be inf or have a finite square")
-        if not 0 < angle_tolerance <= math.pi:
-            raise ValueError("angle_tolerance must be in (0, pi]")
-        return tuple.__new__(cls, (distance_tolerance, angle_tolerance, kind_strict))
+# The pairing tolerances: pixels and radians.
+DISTANCE_TOLERANCE = 10.0
+ANGLE_TOLERANCE = math.pi / 6
 
 
 class MatchResult(NamedTuple):
+    """matched_pairs is the most minutiae one rigid alignment pairs at the
+    fixed tolerances; score is 2 * matched_pairs / (n1 + n2)."""
+
     score: float
     matched_pairs: int
     n1: int
     n2: int
-    transform: tuple[float, float, float]  # (dx, dy, rotation) mapping b onto a
 
-
-DEFAULT_PARAMS = MatchParams()
-
-_IDENTITY = (0.0, 0.0, 0.0)
 
 # The bound pass puts template a in square grid cells. A pair passes the
 # distance test only if both its coordinate gaps are at most
-# max(tolerance, 2**-500) * (1 + 2**-50); the floor covers squares that
-# underflow to 0. Cells are 17/16 of that wide, so such a pair is under 0.95
-# cells apart; x / side is rounded by under 2**-22 cells within 2**31 cells
-# of the origin, so its ends fall in the same or adjacent cells. Past that,
-# indices clamp to +-_CELL_LIMIT, where both ends of such a pair clamp to the
-# same edge cell.
-_CELL_SCALE = 1.0625
-_MIN_CELL_TOLERANCE = 2.0 ** -500
+# DISTANCE_TOLERANCE * (1 + 2**-50). Cells are 17/16 of the tolerance wide,
+# so such a pair is under 0.95 cells apart; x / _CELL_SIDE is rounded by under
+# 2**-22 cells within 2**31 cells of the origin, so its ends fall in the same
+# or adjacent cells. Past that, indices clamp to +-_CELL_LIMIT, where both
+# ends of such a pair clamp to the same edge cell.
+_CELL_SIDE = 1.0625 * DISTANCE_TOLERANCE
 _CELL_LIMIT = 2 ** 30
 # More than the spread of row indices, neighbours of clamped cells included,
 # so column * _KEY_WIDTH + row is one-to-one.
@@ -110,12 +89,13 @@ _MIN_CHUNK_ELEMENTS = 2 ** 12
 _SLOTS_PER_BLOCK = 16
 
 
-def match_templates(a: Template, b: Template,
-                    params: MatchParams = DEFAULT_PARAMS) -> MatchResult:
-    """Best alignment score between two templates; symmetric in its arguments."""
+def match_templates(a: Template, b: Template) -> MatchResult:
+    """Score in [0, 1] of the best rigid alignment of b onto a, pairing
+    minutiae of the same kind within DISTANCE_TOLERANCE (10 px) and
+    ANGLE_TOLERANCE (pi/6); symmetric in its arguments."""
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
-        return MatchResult(0.0, 0, n1, n2, _IDENTITY)
+        return MatchResult(0.0, 0, n1, n2)
     import numpy as np
     fa = _as_arrays(a)
     fb = _as_arrays(b)
@@ -123,14 +103,11 @@ def match_templates(a: Template, b: Template,
     # or squared. The distance test and _cells handle those values, so numpy
     # need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):
-        m, transform = _best_alignment(fa, fb, params)
+        m = _best_alignment(fa, fb)
         # no reverse pairing can beat one that pairs every minutia of a template
         if m < min(n1, n2):
-            m_rev, t_rev = _best_alignment(fb, fa, params)
-            if m_rev > m:
-                m, transform = m_rev, _invert(t_rev)
-    return MatchResult(score=2.0 * m / (n1 + n2), matched_pairs=m,
-                       n1=n1, n2=n2, transform=transform)
+            m = max(m, _best_alignment(fb, fa))
+    return MatchResult(score=2.0 * m / (n1 + n2), matched_pairs=m, n1=n1, n2=n2)
 
 
 # -- internals ------------------------------------------------------------------
@@ -145,66 +122,52 @@ def _as_arrays(t: Template):
     return x, y, theta, kind
 
 
-def _best_alignment(a, b, params: MatchParams) -> tuple[int, tuple[float, float, float]]:
+def _best_alignment(a, b) -> int:
     import numpy as np
-    hyp = _hypotheses(a, b, params.kind_strict)
+    hyp = _hypotheses(a, b)
     if hyp[0].size == 0:
-        return 0, _IDENTITY
+        return 0
     cap = min(a[0].size, b[0].size)
     bound = np.empty(hyp[0].size, dtype=np.int64)
-    best_m, best_h = 0, -1
+    best = 0
     # The greedy pass visits hypotheses by falling upper bound, ties in index
     # order, and stops at one that pairs cap minutiae. Those bounded at cap
     # come first, so they are paired as soon as their chunk is bounded, and
     # the first that pairs cap ends the search before the rest are bounded.
     h0 = 0
-    for chunk in _bound_chunks(a, b, hyp, params):
+    for chunk in _bound_chunks(a, b, hyp):
         bound[h0:h0 + chunk.size] = chunk
         for h in h0 + np.flatnonzero(chunk == cap):
-            m = _pairs_under(a, b, hyp, h, params)
-            if m > best_m:
-                best_m, best_h = m, int(h)
-                if m == cap:
-                    return m, _transform(hyp, best_h)
+            best = max(best, _pairs_under(a, b, hyp, h))
+            if best == cap:
+                return best
         h0 += chunk.size
     # The rest, skipping those bounded at cap, which were paired above.
     order = np.argsort(-bound, kind="stable")
     for h in order[np.count_nonzero(bound == cap):]:
-        if bound[h] <= best_m:
+        if bound[h] <= best:
             break
-        m = _pairs_under(a, b, hyp, h, params)
-        if m > best_m:
-            best_m, best_h = m, int(h)
-    if best_h < 0:
-        return 0, _IDENTITY
-    return best_m, _transform(hyp, best_h)
+        best = max(best, _pairs_under(a, b, hyp, h))
+    return best
 
 
-def _pairs_under(a, b, hyp, h, params: MatchParams) -> int:
+def _pairs_under(a, b, hyp, h) -> int:
     """Greedy pair count of a and b moved by hypothesis h."""
     import numpy as np
     tbx, tby = _moved(b, *(v[h:h + 1] for v in hyp))
     ia = np.arange(a[0].size)[:, None]
     dist2 = (a[0][ia] - tbx[0]) ** 2 + (a[1][ia] - tby[0]) ** 2
-    candidates = dist2 <= params.distance_tolerance ** 2
-    candidates &= _aligned(a, ia, np.mod(b[2] + hyp[0][h], TWO_PI), b[3], params)
+    candidates = dist2 <= DISTANCE_TOLERANCE ** 2
+    candidates &= _aligned(a, ia, np.mod(b[2] + hyp[0][h], TWO_PI), b[3])
     return _greedy_pairs(candidates, dist2)
 
 
-def _transform(hyp, h: int) -> tuple[float, float, float]:
-    phi, _, _, tx, ty = hyp
-    return float(tx[h]), float(ty[h]), float(phi[h] % TWO_PI)
-
-
-def _hypotheses(a, b, kind_strict: bool):
+def _hypotheses(a, b):
     """(phi, cos, sin, tx, ty) of the rigid motion each reference pair implies."""
     import numpy as np
     ax, ay, atheta, akind = a
     bx, by, btheta, bkind = b
-    if kind_strict:
-        ref_a, ref_b = np.nonzero(akind[:, None] == bkind[None, :])
-    else:
-        ref_a, ref_b = np.nonzero(np.ones((ax.size, bx.size), dtype=bool))
+    ref_a, ref_b = np.nonzero(akind[:, None] == bkind[None, :])
     phi = atheta[ref_a] - btheta[ref_b]
     cos, sin = np.cos(phi), np.sin(phi)
     tx = ax[ref_a] - (cos * bx[ref_b] - sin * by[ref_b])
@@ -220,18 +183,15 @@ def _moved(b, phi, cos, sin, tx, ty):
     return tbx, tby
 
 
-def _aligned(a, ia, theta, kind, params: MatchParams):
+def _aligned(a, ia, theta, kind):
     """Whether the minutiae a[ia] and moved minutiae of directions theta and
-    kinds kind pass the angle test and, when strict, the kind test."""
+    kinds kind pass the angle test and the kind test."""
     import numpy as np
     dtheta = np.abs(a[2][ia] - theta)
-    ok = np.minimum(dtheta, TWO_PI - dtheta) <= params.angle_tolerance
-    if params.kind_strict:
-        ok &= a[3][ia] == kind
-    return ok
+    return (np.minimum(dtheta, TWO_PI - dtheta) <= ANGLE_TOLERANCE) & (a[3][ia] == kind)
 
 
-def _bound_chunks(a, b, hyp, params: MatchParams):
+def _bound_chunks(a, b, hyp):
     """Per hypothesis, min(#a with a candidate, #b with a candidate), one
     chunk of hypotheses at a time, in order.
 
@@ -245,8 +205,7 @@ def _bound_chunks(a, b, hyp, params: MatchParams):
     ax, ay = a[0], a[1]
     n1, n2 = ax.size, b[0].size
     phi = hyp[0]
-    side = _CELL_SCALE * max(params.distance_tolerance, _MIN_CELL_TOLERANCE)
-    find, starts, counts, members = _cell_blocks(a, side)
+    find, starts, counts, members = _cell_blocks(a)
     pairs_per_hypothesis = n2 * int(counts.max())
     step = max(1, _CHUNK_ELEMENTS // pairs_per_hypothesis)
     grow = max(n2, _MIN_CHUNK_ELEMENTS // pairs_per_hypothesis)
@@ -263,11 +222,11 @@ def _bound_chunks(a, b, hyp, params: MatchParams):
         jb = np.repeat(jb, found)
         first = np.cumsum(found) - found
         ia = members[np.arange(jb.size) + np.repeat(starts[at] - first, found)]
-        near = (ax[ia] - tbx[jb]) ** 2 + (ay[ia] - tby[jb]) ** 2 <= params.distance_tolerance ** 2
+        near = (ax[ia] - tbx[jb]) ** 2 + (ay[ia] - tby[jb]) ** 2 <= DISTANCE_TOLERANCE ** 2
         ia, jb = ia[near], jb[near]
         # the directions, as _pairs_under computes them, of only the near pairs
         h, j = np.divmod(jb, n2)
-        ok = _aligned(a, ia, np.mod(b[2][j] + phi[h0 + h], TWO_PI), b[3][j], params)
+        ok = _aligned(a, ia, np.mod(b[2][j] + phi[h0 + h], TWO_PI), b[3][j])
         hc = h1 - h0
         has_a = np.zeros(hc * n1, dtype=bool)
         has_a[h[ok] * n1 + ia[ok]] = True
@@ -278,7 +237,7 @@ def _bound_chunks(a, b, hyp, params: MatchParams):
         h0 = h1
 
 
-def _cell_blocks(a, side: float):
+def _cell_blocks(a):
     """Index template a by 3x3 block of grid cells.
 
     Returns find, which maps coordinates to the number of the block around
@@ -288,8 +247,8 @@ def _cell_blocks(a, side: float):
     """
     import numpy as np
     dx, dy = np.divmod(np.arange(9), 3)
-    cx = (_cells(a[0], side)[:, None] + dx - 1).ravel()
-    cy = (_cells(a[1], side)[:, None] + dy - 1).ravel()
+    cx = (_cells(a[0])[:, None] + dx - 1).ravel()
+    cy = (_cells(a[1])[:, None] + dy - 1).ravel()
     key = _cell_key(cx, cy)
     order = np.argsort(key, kind="stable")
     cells, starts, block = np.unique(key[order], return_index=True, return_inverse=True)
@@ -301,38 +260,36 @@ def _cell_blocks(a, side: float):
     if (x1 - x0 + 1) * height <= _SLOTS_PER_BLOCK * cells.size:
         table = np.full((x1 - x0 + 1) * height, cells.size)
         table[(cx[order] - x0) * height + cy[order] - y0] = block
-        find = functools.partial(_find_in_table, side=side, table=table,
-                                 box=(x0, x1, y0, y1))
+        find = functools.partial(_find_in_table, table=table, box=(x0, x1, y0, y1))
     else:
-        find = functools.partial(_find_in_keys, side=side, cells=cells)
+        find = functools.partial(_find_in_keys, cells=cells)
     return find, np.append(starts, 0), np.append(counts, 0), order // 9
 
 
-def _find_in_table(x, y, side: float, table, box):
+def _find_in_table(x, y, table, box):
     """Block numbers of the cells of (x, y): one table slot each."""
     x0, x1, y0, y1 = box
-    return table[(_cells(x, side, x0, x1) - x0) * (y1 - y0 + 1) + _cells(y, side, y0, y1) - y0]
+    return table[(_cells(x, x0, x1) - x0) * (y1 - y0 + 1) + _cells(y, y0, y1) - y0]
 
 
-def _find_in_keys(x, y, side: float, cells):
+def _find_in_keys(x, y, cells):
     """Block numbers of the cells of (x, y): one binary search each."""
     import numpy as np
-    key = _cell_key(_cells(x, side), _cells(y, side))
+    key = _cell_key(_cells(x), _cells(y))
     at = np.minimum(np.searchsorted(cells, key), cells.size - 1)
     return np.where(cells[at] == key, at, cells.size)
 
 
-def _cells(x: np.ndarray, side: float, lo: int = -_CELL_LIMIT,
-           hi: int = _CELL_LIMIT) -> np.ndarray:
+def _cells(x: np.ndarray, lo: int = -_CELL_LIMIT, hi: int = _CELL_LIMIT) -> np.ndarray:
     """Grid cell index of each coordinate, clamped to +-_CELL_LIMIT and then
     to [lo, hi], which must overlap it.
 
-    A coordinate that overflowed to inf or NaN can pass the distance test
-    only under an infinite tolerance, where every finite coordinate is in
-    cell 0, so NaN (inf / inf) goes to cell 0 too.
+    A moved coordinate that overflowed to NaN (inf - inf) fails every
+    distance test, so any cell will do; it goes to cell 0, which keeps the
+    cast to integers defined.
     """
     import numpy as np
-    k = np.floor(x / side)
+    k = np.floor(x / _CELL_SIDE)
     k[np.isnan(k)] = 0.0
     np.maximum(k, max(lo, -_CELL_LIMIT), out=k)
     np.minimum(k, min(hi, _CELL_LIMIT), out=k)
@@ -361,9 +318,3 @@ def _greedy_pairs(mask: np.ndarray, dist2: np.ndarray) -> int:
             m += 1
     return m
 
-
-def _invert(t: tuple[float, float, float]) -> tuple[float, float, float]:
-    dx, dy, rot = t
-    cos, sin = math.cos(rot), math.sin(rot)
-    # inverse of p -> R p + t is p -> R^T (p - t)
-    return (-(cos * dx + sin * dy), -(-sin * dx + cos * dy), (-rot) % TWO_PI)

@@ -1,7 +1,8 @@
 """List the functions in src/credmask that no test of the CLI and no bench run starts.
 
     python tests/reach_scan.py            # print every function that never ran
-    python tests/reach_scan.py --check    # also exit 1 if one is not allowed below
+    python tests/reach_scan.py --check    # also exit 1 if one is not allowed below,
+                                          # or if an allowed one is gone or now runs
 
 The scan copies the checkout into a temporary directory and writes a
 ``sitecustomize`` module into the copy's ``src/``. Every Python process that
@@ -33,10 +34,7 @@ RUNS = (
 
 # Functions that commands can reach but these runs do not, each with the reason
 # it is kept; they want tests, not deletion.
-ALLOWED = {
-    "matching._invert":
-        "maps a reverse-direction alignment back when the reverse pass scores higher",
-}
+ALLOWED: dict[str, str] = {}
 
 SITECUSTOMIZE = '''\
 import atexit, os, sys, threading
@@ -126,10 +124,15 @@ def main(argv: list[str]) -> int:
         reason = ALLOWED.get(name)
         print(f"{name}  (allowed: {reason})" if reason else name)
     refused = [name for name in unrun if name not in ALLOWED]
-    if not check or not refused:
+    defined = set(defined_functions(PACKAGE).values())
+    stale = sorted(name for name in ALLOWED if name not in defined or name not in unrun)
+    if not check:
         return 0
-    print(f"never ran and not allowed: {', '.join(refused)}", file=sys.stderr)
-    return 1
+    if refused:
+        print(f"never ran and not allowed: {', '.join(refused)}", file=sys.stderr)
+    if stale:
+        print(f"allowed but gone or now run: {', '.join(stale)}", file=sys.stderr)
+    return 1 if refused or stale else 0
 
 
 if __name__ == "__main__":

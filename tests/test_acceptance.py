@@ -147,7 +147,7 @@ def test_criterion_3_tamper_suite(tmp_path):
         rows = [canonical_login_row(1, "only.example")]
         [(_, _, vf.entries["only.example"])] = encode_entries(
             rows, ["only.example"], 0, str(tmp_path / "signons.sqlite"), CANONICAL_COLUMNS, "id")
-        auth.enroll_passphrase(vf, PASSPHRASE, KdfParams.generate(**TINY_KDF))
+        auth.enroll_passphrase(vf, PASSPHRASE)
         vf.commit()
 
     blob = bytearray(path.read_bytes())

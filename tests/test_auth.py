@@ -35,33 +35,38 @@ def synthetic_template(n=20, seed=5):
 
 # -- passphrase ---------------------------------------------------------------
 
-def test_enroll_then_verify(vault, tiny_kdf):
-    record = auth.enroll_passphrase(vault, "open sesame", tiny_kdf)
+def test_enroll_then_verify(vault):
+    record = auth.enroll_passphrase(vault, "open sesame")
+    # the verifier costs what the vault key costs, under its own salt
+    cost = (vault.kdf_params.memory_bytes, vault.kdf_params.iterations,
+            vault.kdf_params.parallelism)
+    assert (record.kdf.memory_bytes, record.kdf.iterations, record.kdf.parallelism) == cost
+    assert record.kdf.salt != vault.kdf_params.salt
     proof = auth.verify_passphrase(record, "open sesame")
     assert auth.KIND_PASSPHRASE in proof.kinds
     assert proof.vault_token == vault.auth_token
 
 
-def test_verify_wrong_passphrase(vault, tiny_kdf):
-    record = auth.enroll_passphrase(vault, "open sesame", tiny_kdf)
+def test_verify_wrong_passphrase(vault):
+    record = auth.enroll_passphrase(vault, "open sesame")
     with pytest.raises(AuthFailedError):
         auth.verify_passphrase(record, "open sesamee")
 
 
-def test_verify_empty_passphrase(vault, tiny_kdf):
-    record = auth.enroll_passphrase(vault, "open sesame", tiny_kdf)
+def test_verify_empty_passphrase(vault):
+    record = auth.enroll_passphrase(vault, "open sesame")
     with pytest.raises(AuthFailedError):
         auth.verify_passphrase(record, "")
 
 
-def test_verifier_never_stores_passphrase(vault, tiny_kdf):
-    record = auth.enroll_passphrase(vault, "open sesame", tiny_kdf)
+def test_verifier_never_stores_passphrase(vault):
+    record = auth.enroll_passphrase(vault, "open sesame")
     assert b"open sesame" not in record.verifier
     assert len(record.verifier) == 32
 
 
-def test_tampered_verifier_fails(vault, tiny_kdf):
-    record = auth.enroll_passphrase(vault, "open sesame", tiny_kdf)
+def test_tampered_verifier_fails(vault):
+    record = auth.enroll_passphrase(vault, "open sesame")
     record.verifier = bytes([record.verifier[0] ^ 1]) + record.verifier[1:]
     with pytest.raises(AuthFailedError):
         auth.verify_passphrase(record, "open sesame")
@@ -77,19 +82,19 @@ def test_verifier_comparison_is_constant_time_by_construction():
     assert "candidate ==" not in source and "== record.verifier" not in source
 
 
-def test_double_enroll_needs_proof(vault, tiny_kdf):
-    record = auth.enroll_passphrase(vault, "first", tiny_kdf)
+def test_double_enroll_needs_proof(vault):
+    record = auth.enroll_passphrase(vault, "first")
     with pytest.raises(AlreadyEnrolledError):
-        auth.enroll_passphrase(vault, "second", tiny_kdf)
+        auth.enroll_passphrase(vault, "second")
     proof = auth.verify_passphrase(record, "first")
-    replacement = auth.enroll_passphrase(vault, "second", tiny_kdf, proof=proof)
+    replacement = auth.enroll_passphrase(vault, "second", proof=proof)
     auth.verify_passphrase(replacement, "second")
     assert [r.kind for r in vault.auth_records].count(auth.KIND_PASSPHRASE) == 1
 
 
-def test_empty_passphrase_not_enrollable(vault, tiny_kdf):
+def test_empty_passphrase_not_enrollable(vault):
     with pytest.raises(ValueError):
-        auth.enroll_passphrase(vault, "", tiny_kdf)
+        auth.enroll_passphrase(vault, "")
 
 
 # -- fingerprint ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from credmask.auth import AuthProof, FingerprintRecord, PassphraseRecord
 from credmask.crypto import SALT_LEN, KdfParams
 from credmask.engine import ConflictReport, MaskPlan, StatusReport, UnmaskPlan
 from credmask.evaluation import EvalReport
-from credmask.matching import DEFAULT_PARAMS, MatchParams, MatchResult
+from credmask.matching import MatchResult
 from credmask.minutiae import BIFURCATION, TERMINATION, TWO_PI, Minutia, Template
 from credmask.store import KeyStoreDigest, LoginRow
 
@@ -22,10 +22,9 @@ def template():
 FROZEN = [
     (Minutia(1.0, 2.0, 0.5, TERMINATION), "x"),
     (template(), "minutiae"),
-    (MatchParams(), "distance_tolerance"),
     (KdfParams(8 * 1024, 1, 1, SALT), "salt"),
     (AuthProof(frozenset({"passphrase"})), "kinds"),
-    (MatchResult(1.0, 1, 1, 1, (0.0, 0.0, 0.0)), "score"),
+    (MatchResult(1.0, 1, 1, 1), "score"),
     (MaskPlan((), None), "selections"),
     (UnmaskPlan(frozenset(), "keep-live"), "hosts"),
     (StatusReport("normal", (), (), True), "mode"),
@@ -62,15 +61,6 @@ def test_template_is_a_tuple_of_minutiae_with_its_own_length():
     assert template() == template() and template() != Template(template().minutiae, "t")
     with pytest.raises(AttributeError):
         del t.source_id
-
-
-def test_match_params_defaults_and_validation():
-    assert MatchParams() == DEFAULT_PARAMS
-    assert MatchParams(distance_tolerance=math.inf).kind_strict is True
-    for bad in (dict(distance_tolerance=0.0), dict(distance_tolerance=1e200),
-                dict(angle_tolerance=0.0), dict(angle_tolerance=4.0)):
-        with pytest.raises(ValueError):
-            MatchParams(**bad)
 
 
 def test_kdf_params_validation_and_fresh_salt():

@@ -345,7 +345,7 @@ def test_auth_records_and_policy_round_trip(vault_path, tiny_kdf):
         for i in range(10)
     ), source_id="enrolled")
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
-        auth.enroll_passphrase(vf, "gate-secret", tiny_kdf)
+        auth.enroll_passphrase(vf, "gate-secret")
         auth.enroll_fingerprint(vf, template, threshold=0.4)
         auth.set_policy(vf, auth.POLICY_BOTH)
         vf.keystore_record = ("/profile/key3.db", b"\x01" * 32)
@@ -401,7 +401,7 @@ def test_serialize_of_an_opened_vault_is_its_payload(vault_path, tiny_kdf):
     entries = varied_entries()
     with create_vault(vault_path, "secret", tiny_kdf) as vf:
         vf.entries.update(entries)
-        auth.enroll_passphrase(vf, "gate-secret", tiny_kdf)
+        auth.enroll_passphrase(vf, "gate-secret")
         auth.enroll_fingerprint(vf, template, threshold=0.4)
         vf.keystore_record = ("/profile/key3.db", bytes(range(32)))
         vf.commit()
